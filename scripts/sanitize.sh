@@ -48,6 +48,10 @@ run_asan() {
   # smoke, which asserts the recall-at-half-budget bar.
   echo "== ASan + UBSan: adaptive prober =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L adaptive)
+  # The prober label covers the fixed sweep's probe grid: raw index
+  # arithmetic over targets x ports, replayed against a reference model.
+  echo "== ASan + UBSan: fixed prober =="
+  (cd build-asan && ctest --output-on-failure -j "$jobs" -L prober)
   # The scale label runs the universe suite; SVCDISC_SCALE_SMOKE shrinks
   # its million-address campaign to one /16 block so the ASan pass stays
   # fast (the RSS ceiling is skipped under ASan anyway — shadow memory

@@ -89,6 +89,7 @@ void AdaptiveProber::observe_passive(const net::Packet& p) {
 void AdaptiveProber::start_scan(
     ScanSpec spec, std::function<void(const ScanRecord&)> on_complete) {
   begin_scan_record(std::move(spec), std::move(on_complete));
+  pending_.clear();
   reset_buckets();
   build_candidates();
   budget_left_ = adaptive_.probe_budget == 0 ? ~std::uint64_t{0}
@@ -226,6 +227,14 @@ void AdaptiveProber::send_next(std::size_t machine) {
   buckets_[machine].consume(now);
   const util::TimePoint next = buckets_[machine].next_available(now);
   network_.simulator().at_timer(next, this, machine);
+}
+
+void AdaptiveProber::resolve(const PendingKey& key, ProbeStatus status) {
+  const auto it = pending_.find(key);
+  if (it == pending_.end()) return;  // late/duplicate response
+  const std::size_t outcome_index = it->second;
+  pending_.erase(key);
+  settle(outcome_index, status);
 }
 
 void AdaptiveProber::send_verify(const net::Packet& syn_ack) {
@@ -378,6 +387,7 @@ void AdaptiveProber::finalize_scan() {
     note_outcome(outcome);
   }
 
+  pending_.clear();
   if (m_entropy_) {
     m_entropy_->set(
         static_cast<std::int64_t>(std::llround(priors_.entropy() * 1000.0)));

@@ -110,6 +110,22 @@ class AdaptiveProber final : public ProberBase {
     AdaptiveProber& owner_;
   };
 
+  struct PendingKey {
+    net::Ipv4 addr{};
+    net::Port port{0};
+    net::Proto proto{net::Proto::kTcp};
+    bool operator==(const PendingKey&) const = default;
+  };
+  struct PendingKeyHash {
+    std::size_t operator()(const PendingKey& k) const noexcept {
+      // Scans walk (addr, port) sequentially; avalanche the packed
+      // identity so consecutive probes don't chain in the slot table.
+      return util::hash_mix((std::uint64_t{k.addr.value()} << 24) ^
+                            (std::uint64_t{k.port} << 8) ^
+                            static_cast<std::uint8_t>(k.proto));
+    }
+  };
+
   struct Candidate {
     net::Ipv4 addr{};
     net::Port port{0};
@@ -142,6 +158,9 @@ class AdaptiveProber final : public ProberBase {
   /// decrease on re-push, so the loop terminates.
   std::optional<std::uint32_t> pop_best();
   void send_next(std::size_t machine);
+  /// Settles the pending probe for `key` (no-op on late/duplicate
+  /// responses).
+  void resolve(const PendingKey& key, ProbeStatus status);
   void send_verify(const net::Packet& syn_ack);
   void confirm_open(const PendingKey& key, std::size_t outcome_index);
   void demote(const PendingKey& key, std::size_t outcome_index);
@@ -166,6 +185,9 @@ class AdaptiveProber final : public ProberBase {
   /// candidates (a hint also on the grid) are skipped without spending
   /// budget.
   util::FlatSet<PendingKey, PendingKeyHash> probed_;
+  /// Probes awaiting their first answer -> index into current_.outcomes;
+  /// erased when the answer arrives.
+  util::FlatMap<PendingKey, std::size_t, PendingKeyHash> pending_;
   std::uint64_t budget_left_{0};
   std::vector<char> machine_done_;
   std::size_t machines_done_{0};

@@ -1,12 +1,21 @@
 #include "active/prober.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "util/logging.h"
 #include "util/trace.h"
 
 namespace svcdisc::active {
+namespace {
+
+/// column_of_ key of a (proto, port) pair.
+std::uint32_t column_key(net::Proto proto, net::Port port) {
+  return (static_cast<std::uint32_t>(proto) << 16) | port;
+}
+
+}  // namespace
 
 std::size_t ScanRecord::count(ProbeStatus status) const {
   return static_cast<std::size_t>(
@@ -69,11 +78,9 @@ void ProberBase::begin_scan_record(
   util::trace::async_begin("prober.scan",
                            static_cast<std::uint64_t>(current_.index) + 1,
                            current_.started.usec);
-  pending_.clear();
 }
 
 void ProberBase::finish_scan_record() {
-  pending_.clear();
   current_.finished = network_.simulator().now();
   util::trace::async_end("prober.scan",
                          static_cast<std::uint64_t>(current_.index) + 1,
@@ -99,13 +106,10 @@ void ProberBase::reset_buckets() {
   }
 }
 
-void ProberBase::resolve(const PendingKey& key, ProbeStatus status) {
-  const auto it = pending_.find(key);
-  if (it == pending_.end()) return;  // late/duplicate response
-  ProbeOutcome& outcome = current_.outcomes[it->second];
+void ProberBase::settle(std::size_t outcome_index, ProbeStatus status) {
+  ProbeOutcome& outcome = current_.outcomes[outcome_index];
   outcome.status = status;
   outcome.when = network_.simulator().now();
-  pending_.erase(key);
   if (m_responses_) m_responses_->inc();
 
   if (status == ProbeStatus::kOpen || status == ProbeStatus::kOpenUdp) {
@@ -145,37 +149,42 @@ void Prober::start_scan(ScanSpec spec,
 
   const std::size_t machines = config_.source_addrs.size();
   plan_.assign(machines, {});
-  cursor_.assign(machines, 0);
-  machines_done_ = 0;
   // One pacing bucket per machine (the paper's per-machine rate limit).
   reset_buckets();
 
   phase_targets_ = &spec_.targets;
-  if (spec_.host_discovery) {
+  pinging_ = spec_.host_discovery;
+  if (pinging_) {
     // Phase 1: one ICMP echo per target address; port probes follow for
     // responders only.
-    pinging_ = true;
     current_.hosts_pinged =
         static_cast<std::uint32_t>(spec_.targets.size());
-    plan_phase(/*ping=*/true, spec_.targets.size());
-  } else {
-    pinging_ = false;
-    plan_phase(/*ping=*/false, spec_.targets.size());
   }
+  try {
+    plan_phase(pinging_, spec_.targets.size());
+  } catch (...) {
+    in_progress_ = false;  // nothing was sent; the prober stays usable
+    throw;
+  }
+  start_phase();
+}
 
-  bool any = false;
-  for (std::size_t m = 0; m < machines; ++m) {
-    if (plan_[m].task_count == 0) {
-      ++machines_done_;
-    } else {
-      any = true;
-      send_next(m);
-    }
-  }
-  if (!any) {
-    // Degenerate scan with no probes: complete immediately.
+void Prober::start_phase() {
+  cursor_.assign(plan_.size(), 0);
+  // Count the idle machines before the first send: a machine whose whole
+  // share is one probe finishes inside that send_next, and its end-of-
+  // phase check must already see them.
+  machines_done_ = static_cast<std::size_t>(
+      std::count_if(plan_.begin(), plan_.end(),
+                    [](const MachinePlan& p) { return p.task_count == 0; }));
+  if (machines_done_ == plan_.size()) {
+    // Degenerate phase with no probes: complete the scan immediately.
     pinging_ = false;
     network_.simulator().after_timer(util::usec(0), this, kTimerFinalize);
+    return;
+  }
+  for (std::size_t m = 0; m < plan_.size(); ++m) {
+    if (plan_[m].task_count > 0) send_next(m);
   }
 }
 
@@ -194,12 +203,20 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
   // within each machine's share (address-major, port-minor). Only the
   // split is computed here; task_at() materializes individual probes on
   // demand, so a million-address phase costs three integers per machine
-  // instead of a (targets x ports) task vector.
+  // instead of a (targets x ports) task vector. A port phase also gets
+  // its probe grid: 4 bytes per (target, port) cell.
+  const std::size_t columns = spec_.tcp_ports.size() + spec_.udp_ports.size();
+  // Grid cells store 1 + an outcome index in 32 bits, and a phase has at
+  // most one outcome per (target, port-list entry). The ping phase checks
+  // too: its target list bounds the port phase's.
+  if (target_count * columns > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error(
+        "Prober: targets x ports exceeds the 2^32 - 1 probe grid");
+  }
   const std::size_t machines = plan_.size();
   const std::size_t per_machine =
       (target_count + machines - 1) / std::max<std::size_t>(machines, 1);
-  const std::size_t tasks_per_target =
-      ping ? 1 : spec_.tcp_ports.size() + spec_.udp_ports.size();
+  const std::size_t tasks_per_target = ping ? 1 : columns;
   std::size_t total = 0;
   for (std::size_t m = 0; m < machines; ++m) {
     const std::size_t begin = m * per_machine;
@@ -210,7 +227,33 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
     plan.task_count = plan.target_count * tasks_per_target;
     total += plan.task_count;
   }
-  if (!ping) current_.outcomes.reserve(current_.outcomes.size() + total);
+  if (ping) return;
+  current_.outcomes.reserve(current_.outcomes.size() + total);
+
+  // Index the grid: first occurrences win, so a repeated target or port
+  // shares the first one's cells.
+  const std::vector<net::Ipv4>& targets = *phase_targets_;
+  columns_ = columns;
+  row_of_.reserve(target_count);
+  target_row_.resize(target_count);
+  for (std::size_t i = 0; i < target_count; ++i) {
+    target_row_[i] = row_of_
+                         .emplace(targets[i], static_cast<std::uint32_t>(i))
+                         .first->second;
+  }
+  port_column_.resize(columns);
+  for (std::size_t c = 0; c < columns; ++c) {
+    const bool tcp = c < spec_.tcp_ports.size();
+    const net::Port port =
+        tcp ? spec_.tcp_ports[c] : spec_.udp_ports[c - spec_.tcp_ports.size()];
+    port_column_[c] =
+        column_of_
+            .emplace(column_key(tcp ? net::Proto::kTcp : net::Proto::kUdp,
+                                port),
+                     static_cast<std::uint32_t>(c))
+            .first->second;
+  }
+  cell_outcome_.assign(target_count * columns, 0);
 }
 
 Prober::ProbeTask Prober::task_at(std::size_t machine,
@@ -220,15 +263,15 @@ Prober::ProbeTask Prober::task_at(std::size_t machine,
   if (pinging_) {
     return {targets[plan.first_target + cursor], 0, net::Proto::kIcmp};
   }
-  const std::size_t per_addr =
-      spec_.tcp_ports.size() + spec_.udp_ports.size();
-  const net::Ipv4 addr = targets[plan.first_target + cursor / per_addr];
-  const std::size_t pi = cursor % per_addr;
+  const std::size_t target = plan.first_target + cursor / columns_;
+  const std::size_t pi = cursor % columns_;
+  const std::size_t cell =
+      std::size_t{target_row_[target]} * columns_ + port_column_[pi];
   if (pi < spec_.tcp_ports.size()) {
-    return {addr, spec_.tcp_ports[pi], net::Proto::kTcp};
+    return {targets[target], spec_.tcp_ports[pi], net::Proto::kTcp, cell};
   }
-  return {addr, spec_.udp_ports[pi - spec_.tcp_ports.size()],
-          net::Proto::kUdp};
+  return {targets[target], spec_.udp_ports[pi - spec_.tcp_ports.size()],
+          net::Proto::kUdp, cell};
 }
 
 void Prober::begin_port_phase() {
@@ -242,20 +285,7 @@ void Prober::begin_port_phase() {
   }
   phase_targets_ = &alive_targets_;
   plan_phase(/*ping=*/false, alive_targets_.size());
-  cursor_.assign(plan_.size(), 0);
-  machines_done_ = 0;
-  bool any = false;
-  for (std::size_t m = 0; m < plan_.size(); ++m) {
-    if (plan_[m].task_count == 0) {
-      ++machines_done_;
-    } else {
-      any = true;
-      send_next(m);
-    }
-  }
-  if (!any) {
-    network_.simulator().after_timer(util::usec(0), this, kTimerFinalize);
-  }
+  start_phase();
 }
 
 void Prober::send_next(std::size_t machine) {
@@ -273,14 +303,15 @@ void Prober::send_next(std::size_t machine) {
     network_.send(ping);
     if (m_pings_) m_pings_->inc();
   } else {
-    const PendingKey pkey{task.addr, task.port, task.proto};
-    // A scan probes each (addr, port, proto) once, so insertion is
-    // always fresh; duplicated targets in the spec are tolerated by
-    // keeping the first pending entry.
-    if (!pending_.contains(pkey)) {
-      pending_[pkey] = current_.outcomes.size();
+    // A cell gets a fresh outcome unless its latest one is still
+    // pending: a repeated target or port probed while the first probe
+    // awaits its answer folds into that probe's outcome.
+    std::uint32_t& cell = cell_outcome_[task.cell];
+    if (cell == 0 ||
+        current_.outcomes[cell - 1].status != ProbeStatus::kPending) {
       current_.outcomes.push_back(
           {{task.addr, task.proto, task.port}, ProbeStatus::kPending, now});
+      cell = static_cast<std::uint32_t>(current_.outcomes.size());
     }
 
     const net::Port sport = take_ephemeral();
@@ -325,16 +356,15 @@ void Prober::on_packet(const net::Packet& p) {
   if (!in_progress_) return;
   switch (p.proto) {
     case net::Proto::kTcp: {
-      const PendingKey key{p.src, p.sport, net::Proto::kTcp};
       if (p.flags.is_syn_ack()) {
-        resolve(key, ProbeStatus::kOpen);
+        resolve(p.src, p.sport, net::Proto::kTcp, ProbeStatus::kOpen);
       } else if (p.flags.rst()) {
-        resolve(key, ProbeStatus::kClosed);
+        resolve(p.src, p.sport, net::Proto::kTcp, ProbeStatus::kClosed);
       }
       return;
     }
     case net::Proto::kUdp: {
-      resolve({p.src, p.sport, net::Proto::kUdp}, ProbeStatus::kOpenUdp);
+      resolve(p.src, p.sport, net::Proto::kUdp, ProbeStatus::kOpenUdp);
       return;
     }
     case net::Proto::kIcmp: {
@@ -342,12 +372,30 @@ void Prober::on_packet(const net::Packet& p) {
         if (pinging_) alive_hosts_.insert(p.src);
       } else if (p.icmp_type == net::IcmpType::kDestUnreachable &&
                  p.icmp_code == net::IcmpCode::kPortUnreachable) {
-        resolve({p.src, p.icmp_orig_dport, p.icmp_orig_proto},
+        resolve(p.src, p.icmp_orig_dport, p.icmp_orig_proto,
                 ProbeStatus::kClosed);
       }
       return;
     }
   }
+}
+
+void Prober::resolve(net::Ipv4 addr, net::Port port, net::Proto proto,
+                     ProbeStatus status) {
+  // Before the port phase (pinging) the index is empty.
+  const auto row = row_of_.find(addr);
+  if (row == row_of_.end()) return;
+  const auto column = column_of_.find(column_key(proto, port));
+  if (column == column_of_.end()) return;
+  const std::uint32_t cell =
+      cell_outcome_[std::size_t{row->second} * columns_ + column->second];
+  // Unprobed, or its latest outcome already answered: a stray, late or
+  // duplicate reply.
+  if (cell == 0 ||
+      current_.outcomes[cell - 1].status != ProbeStatus::kPending) {
+    return;
+  }
+  settle(cell - 1, status);
 }
 
 void Prober::finalize_scan() {
@@ -370,6 +418,12 @@ void Prober::finalize_scan() {
                            : ProbeStatus::kNoHost;
     }
   }
+  // Free the grid rather than clear it: it is sized by this scan alone.
+  cell_outcome_ = {};
+  target_row_ = {};
+  port_column_ = {};
+  row_of_ = {};
+  column_of_ = {};
   finish_scan_record();
 }
 

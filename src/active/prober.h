@@ -105,7 +105,8 @@ struct ProberConfig {
 
 /// Shared plumbing of the fixed and adaptive probers: network
 /// attachment, the cumulative discovery table, completed-scan records,
-/// discovery callbacks, probe bookkeeping and the base metric set.
+/// discovery callbacks, outcome settling and the base metric set. Each
+/// derived prober keeps its own index of pending probes.
 /// Derived classes implement start_scan / on_packet / on_timer — the
 /// scan strategy — on top of the protected state below.
 class ProberBase : public sim::PacketSink, public sim::TimerTarget {
@@ -151,22 +152,6 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
   /// Timer tag above any realistic machine index.
   static constexpr std::uint64_t kTimerFinalize = ~std::uint64_t{0};
 
-  struct PendingKey {
-    net::Ipv4 addr{};
-    net::Port port{0};
-    net::Proto proto{net::Proto::kTcp};
-    bool operator==(const PendingKey&) const = default;
-  };
-  struct PendingKeyHash {
-    std::size_t operator()(const PendingKey& k) const noexcept {
-      // Scans walk (addr, port) sequentially; avalanche the packed
-      // identity so consecutive probes don't chain in the slot table.
-      return util::hash_mix((std::uint64_t{k.addr.value()} << 24) ^
-                            (std::uint64_t{k.port} << 8) ^
-                            static_cast<std::uint8_t>(k.proto));
-    }
-  };
-
   /// Opens the in-flight ScanRecord (index, start time, trace span).
   /// Derived start_scan implementations call this exactly once.
   void begin_scan_record(ScanSpec spec,
@@ -179,11 +164,13 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
   /// reproduces strict 1/rate spacing).
   void reset_buckets();
 
-  /// Resolves the pending probe for `key` (no-op on late/duplicate
-  /// responses). Open statuses record into the table and fire the
-  /// discovery callbacks; every resolution reaches note_outcome().
-  void resolve(const PendingKey& key, ProbeStatus status);
-  /// The open-probe bookkeeping shared by resolve() and the adaptive
+  /// Resolves the pending outcome current_.outcomes[outcome_index] with
+  /// a response's `status`. Each prober finds the index in its own
+  /// pending structure and calls this once per answered probe. Open
+  /// statuses record into the table and fire the discovery callbacks;
+  /// every resolution reaches note_outcome().
+  void settle(std::size_t outcome_index, ProbeStatus status);
+  /// The open-probe bookkeeping shared by settle() and the adaptive
   /// prober's verification path: table discovery + callbacks + counters.
   void record_open(const ProbeOutcome& outcome, bool udp);
   /// Hook invoked for every resolved outcome (the adaptive prober's
@@ -203,7 +190,6 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
   ScanSpec spec_;
   ScanRecord current_;
   std::function<void(const ScanRecord&)> on_complete_;
-  util::FlatMap<PendingKey, std::size_t, PendingKeyHash> pending_;
   std::vector<TokenBucket> buckets_;  // per machine pacing
   net::Port next_ephemeral_{40000};
 
@@ -242,6 +228,7 @@ class Prober final : public ProberBase {
     net::Ipv4 addr{};
     net::Port port{0};
     net::Proto proto{net::Proto::kTcp};
+    std::size_t cell{0};  ///< index into cell_outcome_ (port phase only)
   };
   /// One machine's share of the current phase. Tasks are never
   /// materialized: a 1M-address scan used to build a vector of every
@@ -255,9 +242,14 @@ class Prober final : public ProberBase {
   };
 
   void plan_phase(bool ping, std::size_t target_count);
+  void start_phase();
   ProbeTask task_at(std::size_t machine, std::size_t cursor) const;
   void begin_port_phase();
   void send_next(std::size_t machine);
+  /// Settles the pending outcome of the probe to (addr, port, proto);
+  /// a no-op for replies that match no pending probe.
+  void resolve(net::Ipv4 addr, net::Port port, net::Proto proto,
+               ProbeStatus status);
   void finalize_scan();
 
   std::vector<MachinePlan> plan_;    // per machine share of the phase
@@ -270,6 +262,19 @@ class Prober final : public ProberBase {
   bool pinging_{false};
   util::FlatSet<net::Ipv4> alive_hosts_;
   std::vector<net::Ipv4> alive_targets_;
+
+  // The port phase's probe grid (DESIGN.md §16), built by plan_phase and
+  // freed when the scan finishes. Row r is the r-th phase target, column
+  // c the c-th port-list entry (TCP ports, then UDP); a repeated target
+  // or port maps to the row or column of its first occurrence. A cell
+  // holds 0 until probed, then 1 + the index in current_.outcomes of its
+  // latest outcome.
+  std::size_t columns_{0};
+  std::vector<std::uint32_t> cell_outcome_;
+  std::vector<std::uint32_t> target_row_;   // per phase target: its row
+  std::vector<std::uint32_t> port_column_;  // per port-list entry: column
+  util::FlatMap<net::Ipv4, std::uint32_t> row_of_;
+  util::FlatMap<std::uint32_t, std::uint32_t> column_of_;  // (proto, port)
 };
 
 }  // namespace svcdisc::active

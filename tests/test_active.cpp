@@ -1,7 +1,13 @@
 // Unit tests for active: token bucket, prober semantics, scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <optional>
+#include <set>
+#include <string>
+#include <tuple>
 
 #include "active/prober.h"
 #include "active/rate_limiter.h"
@@ -9,6 +15,8 @@
 #include "host/host.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/metrics.h"
+#include "util/rng.h"
 
 namespace svcdisc::active {
 namespace {
@@ -262,6 +270,501 @@ TEST_F(ProberFixture, EmptyScanCompletes) {
   sim.run();
   EXPECT_TRUE(completed);
   EXPECT_FALSE(prober.scan_in_progress());
+}
+
+// ------------------------------------------------- Probe bookkeeping --
+//
+// Which probes get an outcome, which replies resolve one, and which are
+// ignored. A probe gets a fresh outcome unless an earlier probe of the
+// same (addr, port, proto) is still pending; a reply resolves the
+// pending outcome of its (addr, port, proto) once, and is a no-op when
+// there is none.
+
+/// A target whose replies a test scripts: every probe delivered to it
+/// goes to `reply`.
+struct ScriptedSink final : sim::PacketSink {
+  std::function<void(const net::Packet&)> reply;
+  void on_packet(const net::Packet& p) override {
+    if (reply) reply(p);
+  }
+};
+
+struct BookkeepingFixture : ProberFixture {
+  /// Sends `p` into the network `delay` from now.
+  void send_after(util::Duration delay, net::Packet p) {
+    sim.after(delay, [this, p] { network.send(p); });
+  }
+  static net::Packet tcp_reply(const net::Packet& probe, net::TcpFlags f) {
+    return net::make_tcp(probe.dst, probe.dport, probe.src, probe.sport, f);
+  }
+  static net::Packet echo_reply(const net::Packet& ping) {
+    net::Packet p;
+    p.src = ping.dst;
+    p.dst = ping.src;
+    p.proto = net::Proto::kIcmp;
+    p.icmp_type = net::IcmpType::kEchoReply;
+    return p;
+  }
+  std::uint64_t responses() const {
+    return static_cast<std::uint64_t>(
+        registry.snapshot().value_of("active.responses_received"));
+  }
+
+  util::MetricsRegistry registry;
+  const Ipv4 a = Ipv4::from_octets(128, 125, 5, 1);
+  const Ipv4 b = Ipv4::from_octets(128, 125, 5, 2);
+};
+
+TEST_F(BookkeepingFixture, DuplicateTargetReprobesOnlyResolvedCells) {
+  Host& up = add_host(a);  // 80 open, 22 closed (RST)
+  up.add_service(tcp(80));
+  // b has no host: its first probes stay pending, so the repeats of b
+  // add no outcome, while the repeats of a (already answered) do.
+  Prober prober(network, {{prober_addr}});
+  prober.attach_metrics(registry, "active");
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec_for({a, b, a, b}),
+                    [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 6u);
+  const std::vector<std::pair<Ipv4, net::Port>> keys = {
+      {a, 80}, {a, 22}, {b, 80}, {b, 22}, {a, 80}, {a, 22}};
+  const std::vector<ProbeStatus> statuses = {
+      ProbeStatus::kOpen,     ProbeStatus::kClosed, ProbeStatus::kFiltered,
+      ProbeStatus::kFiltered, ProbeStatus::kOpen,   ProbeStatus::kClosed};
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(record->outcomes[i].key.addr, keys[i].first) << i;
+    EXPECT_EQ(record->outcomes[i].key.port, keys[i].second) << i;
+    EXPECT_EQ(record->outcomes[i].status, statuses[i]) << i;
+  }
+  // Unanswered outcomes keep their send time; answered ones the reply's.
+  EXPECT_EQ(record->outcomes[2].when, kEpoch + util::msec(20));
+  EXPECT_GT(record->outcomes[4].when, record->outcomes[1].when);
+  EXPECT_EQ(registry.snapshot().value_of("active.probes_tcp_sent"), 8.0);
+  EXPECT_EQ(responses(), 4u);
+  EXPECT_EQ(prober.table().size(), 1u);
+}
+
+TEST_F(BookkeepingFixture, DuplicatedPortInList) {
+  Host& up = add_host(a);
+  up.add_service(tcp(80));
+  ScanSpec spec = spec_for({a});
+  spec.tcp_ports = {80, 80, 22};
+  {
+    // Slow pacing: the first 80 probe is answered before the repeat goes
+    // out, so the repeat gets its own outcome.
+    Prober prober(network, {{prober_addr}});
+    prober.attach_metrics(registry, "active");
+    std::optional<ScanRecord> record;
+    prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+    sim.run();
+    ASSERT_TRUE(record.has_value());
+    ASSERT_EQ(record->outcomes.size(), 3u);
+    EXPECT_EQ(record->outcomes[0].key.port, 80);
+    EXPECT_EQ(record->outcomes[1].key.port, 80);
+    EXPECT_EQ(record->outcomes[2].key.port, 22);
+    EXPECT_EQ(record->count(ProbeStatus::kOpen), 2u);
+    EXPECT_EQ(responses(), 3u);
+  }
+  {
+    // Fast pacing (100 us apart, 2 ms round trip): the repeat goes out
+    // while the first is pending and folds into it; the second SYN-ACK
+    // is a duplicate reply.
+    spec.probes_per_sec = 10000.0;
+    util::MetricsRegistry fast;
+    Prober prober(network, {{prober_addr}});
+    prober.attach_metrics(fast, "active");
+    std::optional<ScanRecord> record;
+    prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+    sim.run();
+    ASSERT_TRUE(record.has_value());
+    ASSERT_EQ(record->outcomes.size(), 2u);
+    EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
+    EXPECT_EQ(record->outcomes[1].key.port, 22);
+    EXPECT_EQ(record->outcomes[1].status, ProbeStatus::kClosed);
+    EXPECT_EQ(fast.snapshot().value_of("active.probes_tcp_sent"), 3.0);
+    EXPECT_EQ(fast.snapshot().value_of("active.responses_received"), 2.0);
+  }
+}
+
+TEST_F(BookkeepingFixture, RepeatedRepliesResolveOnce) {
+  ScriptedSink sink;
+  network.attach(a, &sink);
+  sink.reply = [&](const net::Packet& probe) {
+    if (probe.dport == 80) {
+      // Two SYN-ACKs and a trailing RST: only the first counts.
+      send_after(util::msec(1), tcp_reply(probe, net::flags_syn_ack()));
+      send_after(util::msec(3), tcp_reply(probe, net::flags_syn_ack()));
+      send_after(util::msec(5), tcp_reply(probe, net::flags_rst()));
+    } else {
+      send_after(util::msec(1), tcp_reply(probe, net::flags_rst()));
+      send_after(util::msec(2), tcp_reply(probe, net::flags_rst()));
+    }
+  };
+  Prober prober(network, {{prober_addr}});
+  prober.attach_metrics(registry, "active");
+  int discoveries = 0;
+  int open_responses = 0;
+  prober.on_discovery = [&](const passive::ServiceKey&, util::TimePoint) {
+    ++discoveries;
+  };
+  prober.on_open_response = [&](const passive::ServiceKey&, util::TimePoint,
+                                bool) { ++open_responses; };
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec_for({a}), [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 2u);
+  EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
+  EXPECT_EQ(record->outcomes[0].when, kEpoch + util::msec(3));
+  EXPECT_EQ(record->outcomes[1].status, ProbeStatus::kClosed);
+  EXPECT_EQ(responses(), 2u);
+  EXPECT_EQ(discoveries, 1);
+  EXPECT_EQ(open_responses, 1);
+}
+
+TEST_F(BookkeepingFixture, IgnoresRepliesFromOutsideTheScan) {
+  // a is dark; stray replies claim to come from a non-target address,
+  // from a target port outside the list, and in the wrong protocol.
+  const Ipv4 outsider = Ipv4::from_octets(128, 125, 5, 99);
+  const net::Packet syn_to_a = net::make_tcp(prober_addr, 40001, a, 80,
+                                             net::flags_syn());
+  net::Packet from_outsider = syn_to_a;
+  from_outsider.dst = outsider;
+  send_after(util::msec(5), tcp_reply(from_outsider, net::flags_syn_ack()));
+  net::Packet off_list = syn_to_a;
+  off_list.dport = 443;
+  send_after(util::msec(5), tcp_reply(off_list, net::flags_syn_ack()));
+  send_after(util::msec(5), net::make_udp(a, 80, prober_addr, 40001, 8));
+  send_after(util::msec(5), net::make_icmp_port_unreachable(
+                                net::make_udp(prober_addr, 40001, a, 22, 0)));
+
+  Prober prober(network, {{prober_addr}});
+  prober.attach_metrics(registry, "active");
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec_for({a}), [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 2u);
+  EXPECT_EQ(record->count(ProbeStatus::kFiltered), 2u);
+  EXPECT_EQ(responses(), 0u);
+  EXPECT_EQ(prober.table().size(), 0u);
+}
+
+TEST_F(BookkeepingFixture, IgnoresPortRepliesDuringPingPhase) {
+  // a answers the host-discovery ping, and in the same breath volunteers
+  // a SYN-ACK, a UDP reply and a port-unreachable for the ports the scan
+  // will probe later. No port probe is out yet, so none of them counts;
+  // a then ignores the real port probes.
+  ScriptedSink sink;
+  network.attach(a, &sink);
+  sink.reply = [&](const net::Packet& probe) {
+    if (probe.proto != net::Proto::kIcmp) return;
+    send_after(util::msec(1), echo_reply(probe));
+    send_after(util::msec(2), net::make_tcp(a, 80, probe.src, 40001,
+                                            net::flags_syn_ack()));
+    send_after(util::msec(2), net::make_udp(a, 53, probe.src, 40002, 8));
+    send_after(util::msec(2),
+               net::make_icmp_port_unreachable(
+                   net::make_tcp(probe.src, 40003, a, 80, net::flags_syn())));
+  };
+  ScanSpec spec = spec_for({a});
+  spec.tcp_ports = {80};
+  spec.udp_ports = {53};
+  spec.host_discovery = true;
+  Prober prober(network, {{prober_addr}});
+  prober.attach_metrics(registry, "active");
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->hosts_alive, 1u);
+  ASSERT_EQ(record->outcomes.size(), 2u);
+  EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kFiltered);
+  EXPECT_EQ(record->outcomes[1].status, ProbeStatus::kMaybeOpen);
+  EXPECT_EQ(responses(), 0u);
+  EXPECT_EQ(prober.table().size(), 0u);
+}
+
+TEST_F(BookkeepingFixture, PortUnreachableQuotingTcpProbeCloses) {
+  ScriptedSink sink;
+  network.attach(a, &sink);
+  sink.reply = [&](const net::Packet& probe) {
+    send_after(util::msec(1), net::make_icmp_port_unreachable(probe));
+  };
+  Prober prober(network, {{prober_addr}});
+  prober.attach_metrics(registry, "active");
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec_for({a}), [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 2u);
+  EXPECT_EQ(record->count(ProbeStatus::kClosed), 2u);
+  EXPECT_EQ(responses(), 2u);
+}
+
+// Property: on random target and port lists (duplicates included)
+// against a responder with random replies and delays — some past the
+// timeout, some past the scan's end — every outcome and the response
+// count match a reference model of the bookkeeping rules: a std::map of
+// pending probes, each erased when its first reply arrives.
+TEST_F(BookkeepingFixture, MatchesReferenceModelOnRandomScans) {
+  constexpr util::Duration kLatency = util::msec(1);  // campus one-way
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Simulator s;
+    sim::Network net(s, {Prefix(Ipv4::from_octets(128, 125, 0, 0), 16),
+                         Prefix(Ipv4::from_octets(10, 1, 0, 0), 24)});
+    net.set_internal_latency(kLatency);
+    util::Rng rng(seed);
+
+    std::vector<Ipv4> machines = {Ipv4::from_octets(10, 1, 0, 1)};
+    if (rng.below(2) == 1) machines.push_back(Ipv4::from_octets(10, 1, 0, 2));
+    ScanSpec spec;
+    for (std::uint64_t n = 1 + rng.below(12); n > 0; --n) {
+      spec.targets.push_back(Ipv4::from_octets(
+          128, 125, 9, static_cast<std::uint8_t>(1 + rng.below(6))));
+    }
+    const net::Port tcp_pool[] = {21, 22, 80, 443};
+    const net::Port udp_pool[] = {53, 137, 161};
+    for (std::uint64_t n = rng.below(5); n > 0; --n) {
+      spec.tcp_ports.push_back(tcp_pool[rng.below(4)]);
+    }
+    for (std::uint64_t n = rng.below(4); n > 0; --n) {
+      spec.udp_ports.push_back(udp_pool[rng.below(3)]);
+    }
+    // 10 ms between probes, so every send falls on an even microsecond;
+    // replies are delayed by an odd number of microseconds, so no reply
+    // ever ties with a send or a phase boundary.
+    spec.probes_per_sec = 100.0;
+    spec.timeout = util::msec(50);
+    spec.host_discovery = rng.chance(0.3);
+
+    // Everything the prober sends (logged on delivery) and receives.
+    struct Event {
+      util::TimePoint at;
+      bool sent;
+      net::Packet p;
+    };
+    std::vector<Event> log;
+
+    const auto odd_delay = [&rng] {
+      return util::usec(2 * static_cast<std::int64_t>(rng.below(100000)) + 1);
+    };
+    const Ipv4 outsider = Ipv4::from_octets(128, 125, 9, 200);
+    ScriptedSink responder;
+    responder.reply = [&](const net::Packet& probe) {
+      log.push_back({probe.time - kLatency, true, probe});
+      const auto send = [&](net::Packet p) {
+        s.after(odd_delay(), [&net, p] { net.send(p); });
+      };
+      const int copies = rng.chance(0.2) ? 2 : 1;
+      for (int c = 0; c < copies; ++c) {
+        if (probe.proto == net::Proto::kIcmp) {
+          if (rng.chance(0.6)) send(echo_reply(probe));
+        } else if (probe.proto == net::Proto::kTcp) {
+          const std::uint64_t pick = rng.below(10);
+          if (pick < 3) {
+            send(tcp_reply(probe, net::flags_syn_ack()));
+          } else if (pick < 5) {
+            send(tcp_reply(probe, net::flags_rst()));
+          } else if (pick < 6) {
+            send(net::make_icmp_port_unreachable(probe));
+          } else if (pick < 7) {
+            send(tcp_reply(probe, net::flags_syn_ack()));
+            send(tcp_reply(probe, net::flags_rst()));
+          }
+        } else {
+          const std::uint64_t pick = rng.below(10);
+          if (pick < 4) {
+            send(net::make_udp(probe.dst, probe.dport, probe.src,
+                               probe.sport, 8));
+          } else if (pick < 7) {
+            send(net::make_icmp_port_unreachable(probe));
+          }
+        }
+      }
+      if (rng.chance(0.1)) {
+        // Strays: a non-target address, an off-list port, the other
+        // protocol on the probed port.
+        net::Packet stray = probe.proto == net::Proto::kTcp
+                                ? tcp_reply(probe, net::flags_syn_ack())
+                                : net::make_udp(probe.dst, probe.dport,
+                                                probe.src, probe.sport, 8);
+        switch (rng.below(3)) {
+          case 0: stray.src = outsider; break;
+          case 1: stray.sport = 9999; break;
+          default:
+            stray = stray.proto == net::Proto::kTcp
+                        ? net::make_udp(probe.dst, probe.dport, probe.src,
+                                        probe.sport, 8)
+                        : tcp_reply(probe, net::flags_syn_ack());
+        }
+        send(stray);
+      }
+    };
+    net.attach_prefix(Prefix(Ipv4::from_octets(128, 125, 9, 0), 24),
+                      &responder);
+
+    Prober prober(net, {machines});
+    util::MetricsRegistry metrics;
+    prober.attach_metrics(metrics, "active");
+    // Sit between the network and the prober to log every reply in
+    // arrival order.
+    struct Relay final : sim::PacketSink {
+      Prober* prober{nullptr};
+      std::vector<Event>* log{nullptr};
+      void on_packet(const net::Packet& p) override {
+        log->push_back({p.time, false, p});
+        prober->on_packet(p);
+      }
+    } relay;
+    relay.prober = &prober;
+    relay.log = &log;
+    for (const Ipv4 machine : machines) net.attach(machine, &relay);
+
+    std::optional<ScanRecord> record;
+    prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+    s.run();
+    ASSERT_TRUE(record.has_value());
+
+    // ---- Reference model, replaying the log in time order.
+    std::stable_sort(
+        log.begin(), log.end(),
+        [](const Event& x, const Event& y) { return x.at < y.at; });
+    using Key = std::tuple<std::uint32_t, net::Port, net::Proto>;
+    std::vector<ProbeOutcome> outcomes;
+    std::map<Key, std::size_t> pending;
+    std::set<std::uint32_t> ping_alive;
+    std::uint64_t responses = 0;
+    util::TimePoint port_phase = kEpoch;  // host discovery: ping phase end
+    if (spec.host_discovery) {
+      util::TimePoint last_ping = kEpoch;
+      for (const Event& e : log) {
+        if (e.sent && e.p.proto == net::Proto::kIcmp) last_ping = e.at;
+      }
+      port_phase = last_ping + spec.timeout + util::msec(100);
+    }
+    const auto respond = [&](Key key, ProbeStatus status, util::TimePoint at) {
+      const auto it = pending.find(key);
+      if (it == pending.end()) return;
+      outcomes[it->second].status = status;
+      outcomes[it->second].when = at;
+      pending.erase(it);
+      ++responses;
+    };
+    for (const Event& e : log) {
+      if (e.at > record->finished) break;  // the scan is over
+      const net::Packet& p = e.p;
+      if (e.sent) {
+        if (p.proto == net::Proto::kIcmp) continue;  // ping
+        const Key key{p.dst.value(), p.dport, p.proto};
+        if (!pending.contains(key)) {
+          pending[key] = outcomes.size();
+          outcomes.push_back(
+              {{p.dst, p.proto, p.dport}, ProbeStatus::kPending, e.at});
+        }
+        continue;
+      }
+      switch (p.proto) {
+        case net::Proto::kTcp:
+          if (p.flags.is_syn_ack()) {
+            respond({p.src.value(), p.sport, p.proto}, ProbeStatus::kOpen,
+                    e.at);
+          } else if (p.flags.rst()) {
+            respond({p.src.value(), p.sport, p.proto}, ProbeStatus::kClosed,
+                    e.at);
+          }
+          break;
+        case net::Proto::kUdp:
+          respond({p.src.value(), p.sport, p.proto}, ProbeStatus::kOpenUdp,
+                  e.at);
+          break;
+        case net::Proto::kIcmp:
+          if (p.icmp_type == net::IcmpType::kEchoReply) {
+            if (e.at < port_phase) ping_alive.insert(p.src.value());
+          } else {
+            respond({p.src.value(), p.icmp_orig_dport, p.icmp_orig_proto},
+                    ProbeStatus::kClosed, e.at);
+          }
+          break;
+      }
+    }
+    std::set<std::uint32_t> alive = ping_alive;
+    for (const ProbeOutcome& o : outcomes) {
+      if (o.status != ProbeStatus::kPending) alive.insert(o.key.addr.value());
+    }
+    for (ProbeOutcome& o : outcomes) {
+      if (o.status != ProbeStatus::kPending) continue;
+      if (o.key.proto == net::Proto::kTcp) {
+        o.status = ProbeStatus::kFiltered;
+      } else {
+        o.status = alive.contains(o.key.addr.value()) ? ProbeStatus::kMaybeOpen
+                                                      : ProbeStatus::kNoHost;
+      }
+    }
+
+    ASSERT_EQ(record->outcomes.size(), outcomes.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      const ProbeOutcome& got = record->outcomes[i];
+      EXPECT_EQ(got.key, outcomes[i].key) << "outcome " << i;
+      EXPECT_EQ(got.status, outcomes[i].status) << "outcome " << i;
+      EXPECT_EQ(got.when, outcomes[i].when) << "outcome " << i;
+    }
+    EXPECT_EQ(metrics.snapshot().value_of("active.responses_received"),
+              static_cast<double>(responses));
+    if (spec.host_discovery) {
+      EXPECT_EQ(record->hosts_alive, ping_alive.size());
+    }
+  }
+}
+
+TEST_F(BookkeepingFixture, OneProbeMachineBeforeIdleMachineFinishes) {
+  // Regression: with more machines than targets, a machine whose whole
+  // share was a single probe finished before the idle machines were
+  // counted, so the end-of-phase timer was never armed and the scan
+  // never completed. Here: the ping phase (one ping, two machines).
+  ScriptedSink sink;
+  network.attach(a, &sink);
+  sink.reply = [&](const net::Packet& probe) {
+    if (probe.proto == net::Proto::kIcmp) {
+      send_after(util::msec(1), echo_reply(probe));
+    }
+  };
+  ScanSpec spec = spec_for({a});
+  spec.tcp_ports = {80};
+  spec.host_discovery = true;
+  Prober prober(network, {{prober_addr, Ipv4::from_octets(10, 1, 0, 2)}});
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->hosts_alive, 1u);
+  ASSERT_EQ(record->outcomes.size(), 1u);
+  EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kFiltered);
+  EXPECT_FALSE(prober.scan_in_progress());
+}
+
+TEST_F(BookkeepingFixture, RejectsGridBeyondIndexRange) {
+  // Cells index outcomes in 32 bits: 65,536 targets x 65,536 ports is one
+  // probe too many. The check runs before anything is sent or allocated.
+  Prober prober(network, {{prober_addr}});
+  ScanSpec spec = spec_for(std::vector<Ipv4>(65536, a));
+  spec.tcp_ports.resize(65536);
+  for (std::size_t i = 0; i < spec.tcp_ports.size(); ++i) {
+    spec.tcp_ports[i] = static_cast<net::Port>(i);
+  }
+  EXPECT_THROW(prober.start_scan(spec), std::length_error);
+  spec.host_discovery = true;  // the ping phase checks the same bound
+  EXPECT_THROW(prober.start_scan(spec), std::length_error);
+  EXPECT_FALSE(prober.scan_in_progress());
+  EXPECT_EQ(network.packets_sent(), 0u);
+
+  // The prober stays usable.
+  prober.start_scan(spec_for({a}));
+  sim.run();
+  EXPECT_EQ(prober.scans().size(), 1u);
 }
 
 // -------------------------------------------------------------- Scheduler --

@@ -22,12 +22,21 @@ namespace {
 using net::Ipv4;
 using net::Prefix;
 
+// gtest has no printer for PoolCase or ScaleCase, so each case is
+// registered under a hex dump of its 16 bytes. The bytes between the
+// leading one-byte fields and `prefix_bits` used to be implicit padding,
+// which left the case names to whatever the stack held at static-init
+// time, so they changed from build to build. `name_tag` makes them an
+// explicit field, fixed to the bytes each case was first registered
+// under, so the case names stay the same on every build.
 struct PoolCase {
   AddressClass cls;
   bool sticky;
+  std::uint8_t name_tag[2];
   int prefix_bits;
   std::uint64_t seed;
 };
+static_assert(sizeof(PoolCase) == 16, "PoolCase must have no padding");
 
 class PoolProperty : public ::testing::TestWithParam<PoolCase> {};
 
@@ -79,12 +88,13 @@ TEST_P(PoolProperty, RandomizedLifecyclePreservesInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllShapes, PoolProperty,
-    ::testing::Values(PoolCase{AddressClass::kDhcp, true, 26, 1},
-                      PoolCase{AddressClass::kDhcp, true, 27, 2},
-                      PoolCase{AddressClass::kPpp, false, 26, 3},
-                      PoolCase{AddressClass::kVpn, false, 27, 4},
-                      PoolCase{AddressClass::kWireless, false, 28, 5},
-                      PoolCase{AddressClass::kDhcp, true, 28, 6}));
+    ::testing::Values(
+        PoolCase{AddressClass::kDhcp, true, {0x48, 0x00}, 26, 1},
+        PoolCase{AddressClass::kDhcp, true, {0x00, 0x00}, 27, 2},
+        PoolCase{AddressClass::kPpp, false, {0x00, 0x00}, 26, 3},
+        PoolCase{AddressClass::kVpn, false, {0x01, 0x1B}, 27, 4},
+        PoolCase{AddressClass::kWireless, false, {0x48, 0x00}, 28, 5},
+        PoolCase{AddressClass::kDhcp, true, {0x00, 0x00}, 28, 6}));
 
 // ------------------------------------------------- scale / lazy pools --
 //
@@ -154,11 +164,14 @@ class EagerReferencePool {
   std::unordered_map<std::uint32_t, Ipv4> reservations_;
 };
 
+// `name_tag` pins the former padding bytes, as in PoolCase above.
 struct ScaleCase {
   bool sticky;
+  std::uint8_t name_tag[3];
   int prefix_bits;
   std::uint64_t seed;
 };
+static_assert(sizeof(ScaleCase) == 16, "ScaleCase must have no padding");
 
 class PoolSequence : public ::testing::TestWithParam<ScaleCase> {};
 
@@ -199,10 +212,13 @@ TEST_P(PoolSequence, ChurnMatchesEagerReferenceDrawForDraw) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sizes, PoolSequence,
-    ::testing::Values(ScaleCase{false, 28, 11}, ScaleCase{true, 28, 12},
-                      ScaleCase{false, 24, 13}, ScaleCase{true, 24, 14},
-                      ScaleCase{false, 20, 15}, ScaleCase{true, 16, 16},
-                      ScaleCase{false, 16, 17}));
+    ::testing::Values(ScaleCase{false, {0xB8, 0x0E, 0x8B}, 28, 11},
+                      ScaleCase{true, {0x9D, 0x0E, 0x8B}, 28, 12},
+                      ScaleCase{false, {0x00, 0x00, 0x00}, 24, 13},
+                      ScaleCase{true, {0x00, 0x00, 0x00}, 24, 14},
+                      ScaleCase{false, {0x00, 0x00, 0x00}, 20, 15},
+                      ScaleCase{true, {0x9D, 0x0E, 0x8B}, 16, 16},
+                      ScaleCase{false, {0xBA, 0x39, 0xDC}, 16, 17}));
 
 // A /8 covers 16.7M addresses; the eager pool allocated all of them up
 // front. The lazy pool must construct in O(1) and stay O(churn) while

@@ -356,7 +356,7 @@ TEST(ScaleCampaign, MillionAddressesBoundedRssAndShardIdentical) {
     struct rusage usage {};
     ASSERT_EQ(getrusage(RUSAGE_SELF, &usage), 0);
     const long rss_mb = usage.ru_maxrss / 1024;  // ru_maxrss is KiB on Linux
-    EXPECT_LT(rss_mb, 512) << "peak RSS " << rss_mb << " MiB";
+    EXPECT_LT(rss_mb, 320) << "peak RSS " << rss_mb << " MiB";
   }
 #endif
 }
