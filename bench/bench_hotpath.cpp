@@ -8,10 +8,6 @@
 //   SVCDISC_BENCH_SMOKE=1        tiny iteration counts (ctest smoke)
 //   SVCDISC_BENCH_OUT=path       output JSON path (default BENCH_hotpath.json)
 //   SVCDISC_BASELINE_JSON=path   baseline JSON to embed + compute speedups
-//   SVCDISC_BENCH_SHARD_SWEEP=0  skip the campaign_pps_t{1,2,4,8} sweep
-//                                (scripts/bench.sh sets this on hosts with
-//                                fewer than 8 cores, where the figures
-//                                measure the host, not the code)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -288,14 +284,14 @@ struct CampaignFigures {
   double events_per_sec{0};
 };
 
-CampaignFigures bench_campaign() {
+/// A `seeds`-seed sweep of tiny campaigns on one thread.
+CampaignFigures bench_campaign(std::size_t seeds) {
   auto campus_cfg = workload::CampusConfig::tiny();
   campus_cfg.duration = smoke() ? util::hours(6) : util::days(4);
   core::EngineConfig engine_cfg;
   engine_cfg.scan_count = smoke() ? 1 : 6;
   engine_cfg.scan_period = util::hours(12);
   engine_cfg.first_scan_offset = util::hours(1);
-  const std::size_t seeds = smoke() ? 1 : 4;
 
   CampaignFigures fig;
   double tap_packets = 0, events = 0;
@@ -318,65 +314,6 @@ CampaignFigures bench_campaign() {
   return fig;
 }
 
-/// One single-seed campaign at `threads` engine shards — the
-/// intra-campaign parallelism figure (serial simulator producer, sharded
-/// passive monitors, deterministic merge; DESIGN.md §13). Same workload
-/// at every thread count, so figures divide into speedups directly.
-double bench_campaign_sharded(std::size_t threads) {
-  auto campus_cfg = workload::CampusConfig::tiny();
-  campus_cfg.duration = smoke() ? util::hours(6) : util::days(4);
-  core::EngineConfig engine_cfg;
-  engine_cfg.scan_count = smoke() ? 1 : 6;
-  engine_cfg.scan_period = util::hours(12);
-  engine_cfg.first_scan_offset = util::hours(1);
-  engine_cfg.threads = threads;
-
-  double tap_packets = 0;
-  const double wall = best_of([&] {
-    const auto results = core::CampaignRunner(1).run(
-        core::seed_sweep_jobs(campus_cfg, engine_cfg, 1, 1));
-    tap_packets = 0;
-    for (const auto& v : results.at(0).snapshot.values()) {
-      if (v.name.rfind("tap.", 0) == 0 && v.name.size() > 13 &&
-          v.name.compare(v.name.size() - 13, 13, ".packets_seen") == 0) {
-        tap_packets += v.value;
-      }
-    }
-  });
-  return tap_packets / wall;
-}
-
-/// The deterministic end-of-campaign merge in isolation: 8 key-disjoint
-/// shard tables absorbed into one. Reported as merged entries/s — the
-/// cost the parallel path pays once per campaign.
-double bench_shard_merge(std::size_t entries_per_shard) {
-  constexpr std::size_t kShards = 8;
-  const int reps = smoke() ? 1 : 3;
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    std::vector<passive::ServiceTable> shards(kShards);
-    for (std::size_t s = 0; s < kShards; ++s) {
-      for (std::size_t i = 0; i < entries_per_shard; ++i) {
-        // Stride by shard count: disjoint keys, as the pipeline's
-        // address partition guarantees.
-        const passive::ServiceKey key{
-            Ipv4(0x80000000u + static_cast<std::uint32_t>(i * kShards + s)),
-            net::Proto::kTcp, 80};
-        const auto t = util::kEpoch + util::usec(static_cast<std::int64_t>(i));
-        shards[s].discover(key, t);
-        shards[s].count_flow(key, Ipv4(0x42000000u), t);
-      }
-    }
-    passive::ServiceTable merged;
-    const double t0 = now_sec();
-    for (auto& sh : shards) merged.absorb(std::move(sh));
-    const double dt = now_sec() - t0;
-    if (merged.size() != kShards * entries_per_shard) std::abort();
-    if (dt < best) best = dt;
-  }
-  return static_cast<double>(kShards * entries_per_shard) / best;
-}
-
 // ---------------------------------------------------------------- JSON --
 
 struct Figure {
@@ -393,14 +330,6 @@ bool json_number(const std::string& text, const std::string& key,
   if (pos == std::string::npos) return false;
   *out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
   return true;
-}
-
-/// Keys whose value is a function of how many cores the host has, not
-/// just of the code: the intra-campaign sharding sweep. Comparing one
-/// of these against a baseline measured on a different core count says
-/// nothing about the code, so the speedup table refuses to.
-bool core_count_sensitive(const std::string& key) {
-  return key.rfind("campaign_pps_t", 0) == 0;
 }
 
 void write_json(const std::vector<Figure>& figures) {
@@ -430,31 +359,11 @@ void write_json(const std::vector<Figure>& figures) {
   }
   out << "  }";
   if (!baseline_text.empty()) {
-    // Cross-core-count guard: the sharding sweep measures the host as
-    // much as the code. If the baseline records a different core count
-    // (or none at all), its campaign_pps_t* figures are not comparable
-    // and are left out of the speedup table.
-    double current_cores = 0;
-    double baseline_cores = 0;
-    for (const auto& fig : figures) {
-      if (fig.key == "host_cores") current_cores = fig.value;
-    }
-    const bool cores_known =
-        json_number(baseline_text, "host_cores", &baseline_cores);
-    const bool cores_match =
-        cores_known && baseline_cores == current_cores && current_cores != 0;
-    if (!cores_match) {
-      std::printf("note: baseline host_cores %s current host_cores %.0f; "
-                  "skipping campaign_pps_t* speedups (not comparable "
-                  "across core counts)\n",
-                  cores_known ? "!=" : "unknown vs", current_cores);
-    }
     out << ",\n  \"baseline\": " << baseline_text;
     out << ",\n  \"speedup\": {\n";
     bool first = true;
     for (const auto& fig : figures) {
       if (fig.key == "host_cores") continue;  // a fact, not a figure
-      if (!cores_match && core_count_sensitive(fig.key)) continue;
       double base = 0;
       if (!json_number(baseline_text, fig.key, &base) || base == 0 ||
           fig.value == 0) {
@@ -495,8 +404,7 @@ int run() {
   const auto mix = make_traffic_mix(4096);
   std::vector<Figure> figures;
 
-  // Recorded alongside the figures so a later run can tell whether the
-  // sharding sweep below was measured on comparable hardware.
+  // Recorded alongside the figures: the host the trajectory was taken on.
   const unsigned host_cores = std::thread::hardware_concurrency();
   figures.push_back({"host_cores", static_cast<double>(host_cores)});
 
@@ -549,7 +457,7 @@ int run() {
   figures.push_back({"scan_detector_pps", det_pps});
   std::printf("scan detector:      %12.0f packets/s\n", det_pps);
 
-  const CampaignFigures campaign = bench_campaign();
+  const CampaignFigures campaign = bench_campaign(smoke() ? 1 : 4);
   figures.push_back({"campaign_packets_per_sec", campaign.packets_per_sec});
   figures.push_back({"campaign_events_per_sec", campaign.events_per_sec});
   figures.push_back({"campaign_wall_sec", campaign.wall_sec});
@@ -558,25 +466,10 @@ int run() {
               campaign.packets_per_sec, campaign.events_per_sec,
               campaign.wall_sec);
 
-  // Intra-campaign parallelism: the same single campaign at 1/2/4/8
-  // engine shards. Scaling depends on the cores actually present —
-  // figures on a small box are honest, not aspirational — so the runner
-  // script disables the sweep entirely below 8 cores rather than record
-  // figures that measure the host.
-  const char* sweep_env = std::getenv("SVCDISC_BENCH_SHARD_SWEEP");
-  if (sweep_env && std::strcmp(sweep_env, "0") == 0) {
-    std::printf("campaign shard sweep: skipped (SVCDISC_BENCH_SHARD_SWEEP=0)\n");
-  } else {
-    for (const std::size_t t : {1u, 2u, 4u, 8u}) {
-      const double pps = bench_campaign_sharded(t);
-      figures.push_back({"campaign_pps_t" + std::to_string(t), pps});
-      std::printf("campaign %zu-shard:   %12.0f packets/s\n", t, pps);
-    }
-  }
-
-  const double merge_ops = bench_shard_merge(smoke() ? 1'000 : 50'000);
-  figures.push_back({"shard_merge_entries_per_sec", merge_ops});
-  std::printf("shard merge:        %12.0f entries/s\n", merge_ops);
+  // The same campaign as a single seed (the one serial engine).
+  const double single_pps = bench_campaign(1).packets_per_sec;
+  figures.push_back({"campaign_pps_t1", single_pps});
+  std::printf("campaign 1 seed:    %12.0f packets/s\n", single_pps);
 
   write_json(figures);
   return 0;

@@ -11,24 +11,12 @@
 # The regular build/ (RelWithDebInfo, used by ctest) is untouched;
 # Release figures live in build-bench/.
 #
-# The emitted JSON records host_cores; speedups for the sharding sweep
-# (campaign_pps_t*) are only computed when the baseline was measured on
-# a host with the same core count. The sweep itself is record-and-compare
-# only on hosts with >= 8 cores — anything smaller measures the host, not
-# the code, so the script skips it with an explicit note.
+# The emitted JSON records host_cores next to the figures.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 jobs="$(nproc 2>/dev/null || echo 2)"
 native="${NATIVE:-0}"
-
-host_cores="$(nproc 2>/dev/null || echo 1)"
-shard_sweep=1
-if [ "$host_cores" -lt 8 ]; then
-  shard_sweep=0
-  echo "campaign_pps_t{1,2,4,8}: skipped: $host_cores cores" \
-    "(record-and-compare needs >= 8; figures would measure the host)"
-fi
 
 cmake -B build-bench -S . \
   -DCMAKE_BUILD_TYPE=Release \
@@ -39,7 +27,6 @@ cmake --build build-bench -j "$jobs" --target bench_hotpath bench_adaptive
 SVCDISC_BASELINE_JSON="${SVCDISC_BASELINE_JSON:-bench/baseline_hotpath.json}" \
 SVCDISC_BENCH_OUT="${SVCDISC_BENCH_OUT:-BENCH_hotpath.json}" \
 SVCDISC_BENCH_SMOKE="${SMOKE:-0}" \
-SVCDISC_BENCH_SHARD_SWEEP="${SVCDISC_BENCH_SHARD_SWEEP:-$shard_sweep}" \
   ./build-bench/bench/bench_hotpath
 
 # Completeness-per-probe for the budgeted adaptive prober (Release

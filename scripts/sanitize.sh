@@ -2,8 +2,8 @@
 # Sanitizer sweep: builds the tree under ASan+UBSan and runs the tier-1
 # test suite plus an explicit pass over the fault-injection label
 # (corrupt pcap corpus, impairment stage), then builds under TSan and
-# runs the concurrency-heavy tests (metrics registry, campaign runner,
-# ring buffer, sharded campaign pipeline).
+# runs the concurrency-heavy tests (metrics registry, campaign runner and
+# its worker pool, ring buffer, flight recorder).
 #
 # Usage: scripts/sanitize.sh [asan|tsan|all]   (default: all)
 #
@@ -65,22 +65,18 @@ run_tsan() {
   cmake -B build-tsan -S . -DSVCDISC_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$jobs" \
     --target test_metrics test_campaign_runner test_ring_buffer \
-    test_trace test_provenance test_parallel_campaign test_streaming \
-    test_adaptive
+    test_trace test_provenance test_streaming test_adaptive
   ./build-tsan/tests/test_metrics
+  # Multi-threaded seed sweeps on the worker pool, plus the pool's own
+  # unit tests — the parallelism TSan exists for in this repo.
   ./build-tsan/tests/test_campaign_runner
   ./build-tsan/tests/test_ring_buffer
   ./build-tsan/tests/test_trace
   ./build-tsan/tests/test_provenance
-  # The sharded pipeline's producer/consumer window, worker pool, and
-  # shard merge — the subsystem TSan exists for in this repo.
-  ./build-tsan/tests/test_parallel_campaign
-  # Streaming analytics ride the producer thread of that same pipeline;
-  # the thread-identity tests here run sharded campaigns under TSan.
+  # Streaming analytics and the adaptive prober run serially on the
+  # simulator thread; these suites stay as full-campaign smoke coverage
+  # under the TSan runtime.
   ./build-tsan/tests/test_streaming
-  # The adaptive prober's passive feed is a tap consumer on the sharded
-  # pipeline's producer thread; its determinism tests run serial vs
-  # 4-thread campaigns under TSan.
   ./build-tsan/tests/test_adaptive
 }
 

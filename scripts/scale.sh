@@ -4,16 +4,15 @@
 #
 #  1. `ctest -L scale` — the test_scale suite: ScaleUniverse profile and
 #     reply semantics, lazy materialization, and a full million-address
-#     campaign with an in-process peak-RSS ceiling (getrusage) and
-#     byte-identical artifacts at 1 vs 2 shards.
-#  2. A CLI pass over the scale1m scenario at two thread counts, with the
+#     campaign with an in-process peak-RSS ceiling (getrusage).
+#  2. Two same-seed CLI campaigns over the scale1m scenario, with the
 #     JSON exports diffed — `wall_sec` is the only field allowed to
 #     differ (it is the one intentionally nondeterministic export field).
-#  3. A `run --streaming` pass over scale1m (DESIGN.md §15): the
-#     streaming artifact must be byte-identical at 1/2/4 shards, detect
-#     at least one scan burst (tiny's external scanner fleet), and the
-#     sketch layer must stay O(services) next to the RSS ceiling the
-#     suite already asserts.
+#  3. Two same-seed `run --streaming` passes over scale1m (DESIGN.md
+#     §15): the streaming artifact must be byte-identical across the
+#     reruns, detect at least one scan burst (tiny's external scanner
+#     fleet), and the sketch layer must stay O(services) next to the RSS
+#     ceiling the suite already asserts.
 #
 # Usage: scripts/scale.sh
 set -euo pipefail
@@ -27,29 +26,27 @@ cmake --build build -j "$jobs" --target test_scale svcdisc_cli
 echo "== scale: ctest -L scale =="
 (cd build && ctest --output-on-failure -L scale)
 
-echo "== scale: scale1m CLI campaign, threads 1 vs 2 =="
+echo "== scale: scale1m CLI campaign, same-seed rerun =="
 out1="$(mktemp)" out2="$(mktemp)"
 trap 'rm -f "$out1" "$out2"' EXIT
-./build/tools/svcdisc_cli campaign --scenario scale1m --seeds 1 --scans 1 \
-  --threads 1 --json "$out1"
-./build/tools/svcdisc_cli campaign --scenario scale1m --seeds 1 --scans 1 \
-  --threads 2 --json "$out2"
+for out in "$out1" "$out2"; do
+  ./build/tools/svcdisc_cli campaign --scenario scale1m --seeds 1 --scans 1 \
+    --json "$out"
+done
 if ! diff <(grep -v '"wall_sec"' "$out1") <(grep -v '"wall_sec"' "$out2"); then
-  echo "scale: FAIL (thread count changed campaign output)" >&2
+  echo "scale: FAIL (same-seed rerun changed campaign output)" >&2
   exit 1
 fi
 
-echo "== scale: scale1m --streaming, threads 1 vs 2 vs 4 =="
-s1="$(mktemp)" s2="$(mktemp)" s4="$(mktemp)" summary="$(mktemp)"
-trap 'rm -f "$out1" "$out2" "$s1" "$s2" "$s4" "$summary"' EXIT
+echo "== scale: scale1m --streaming, same-seed rerun =="
+s1="$(mktemp)" s2="$(mktemp)" summary="$(mktemp)"
+trap 'rm -f "$out1" "$out2" "$s1" "$s2" "$summary"' EXIT
 ./build/tools/svcdisc_cli run --scenario scale1m --seed 1 --scans 1 \
-  --threads 1 --streaming-out "$s1" | tee "$summary"
+  --streaming-out "$s1" | tee "$summary"
 ./build/tools/svcdisc_cli run --scenario scale1m --seed 1 --scans 1 \
-  --threads 2 --streaming-out "$s2" >/dev/null
-./build/tools/svcdisc_cli run --scenario scale1m --seed 1 --scans 1 \
-  --threads 4 --streaming-out "$s4" >/dev/null
-if ! cmp -s "$s1" "$s2" || ! cmp -s "$s1" "$s4"; then
-  echo "scale: FAIL (streaming artifact differs across thread counts)" >&2
+  --streaming-out "$s2" >/dev/null
+if ! cmp -s "$s1" "$s2"; then
+  echo "scale: FAIL (streaming artifact differs across same-seed reruns)" >&2
   exit 1
 fi
 if ! grep -q '"kind":"scan_burst"' "$s1"; then

@@ -2,7 +2,7 @@
 # Scenario-pack maintenance: verify every checked-in bundle against its
 # goldens, or re-record them all after an intentional behaviour change.
 #
-# Usage: scripts/scenario.sh [verify|list|record|shard-sweep]   (default: verify)
+# Usage: scripts/scenario.sh [verify|list|record]   (default: verify)
 #
 #   verify       re-run every pack under tests/scenarios/ and byte-compare
 #                (same oracle as `ctest -L scenario`); non-zero on any drift
@@ -10,10 +10,6 @@
 #   record       re-record every pack's goldens (asks for confirmation —
 #                re-recording redefines what "correct" means; review the
 #                resulting diff before committing)
-#   shard-sweep  verify every pack at several shard counts (default
-#                1 2 4 8; override via SHARD_COUNTS="1 3 16") — the
-#                sharded pipeline must reproduce the goldens byte-for-
-#                byte at every count (DESIGN.md §13)
 #
 # Uses build/tools/svcdisc_cli; builds it first if missing.
 set -euo pipefail
@@ -51,22 +47,6 @@ case "$mode" in
     fi
     echo "scenario: all packs match their goldens"
     ;;
-  shard-sweep)
-    counts="${SHARD_COUNTS:-1 2 4 8}"
-    failed=0
-    for threads in $counts; do
-      echo "== shard sweep: --threads=$threads =="
-      for dir in $(packs); do
-        "$cli" scenario verify --threads="$threads" "$dir" || failed=1
-      done
-    done
-    if [[ "$failed" -ne 0 ]]; then
-      echo "scenario: shard sweep FAILED — sharded execution drifted from" \
-           "the goldens (determinism bug, not a re-record candidate)" >&2
-      exit 1
-    fi
-    echo "scenario: all packs byte-identical at shard counts: $counts"
-    ;;
   record)
     echo "This rewrites the goldens for every pack under $root/ —"
     echo "the diff becomes the new definition of correct behaviour."
@@ -81,7 +61,7 @@ case "$mode" in
     echo "scenario: goldens re-recorded; review with 'git diff $root'"
     ;;
   *)
-    echo "usage: $0 [verify|list|record|shard-sweep]" >&2
+    echo "usage: $0 [verify|list|record]" >&2
     exit 2
     ;;
 esac

@@ -22,9 +22,8 @@
 // active counts.
 //
 // Determinism: the passive feed and all prior updates run on the
-// simulator (producer) thread in simulated-time order — identical in
-// serial and sharded engines — so scan artifacts are byte-identical at
-// every --threads count.
+// simulator thread in simulated-time order, so scan artifacts are a
+// deterministic function of (config, seed).
 #pragma once
 
 #include <cstdint>

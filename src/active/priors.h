@@ -12,8 +12,8 @@
 //   * cross-port conditionals  p(open on b | a open on same addr) — the
 //     "a host running one service runs others" signal.
 // All tallies update online from every resolved probe outcome, on the
-// simulator thread, in producer order — the priors (and everything
-// scored from them) are deterministic at any --threads count.
+// simulator thread, in simulated-time order — the priors (and
+// everything scored from them) are deterministic.
 #pragma once
 
 #include <cstdint>

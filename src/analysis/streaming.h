@@ -4,10 +4,9 @@
 //
 // StreamingAnalytics is a PacketObserver attached (by DiscoveryEngine,
 // under EngineConfig::streaming) to every border tap, plus a probe-reply
-// hook fed by the prober. Both feeds run on the simulator (producer)
-// thread in simulated-time order, in serial and sharded mode alike, so
-// every streaming artifact is byte-identical at every --threads count by
-// construction.
+// hook fed by the prober. Both feeds run on the simulator thread in
+// simulated-time order, so every streaming artifact is a deterministic
+// function of (config, seed).
 //
 // It maintains:
 //   * global sketches — passive/active/union address HyperLogLogs (the
@@ -175,7 +174,7 @@ class StreamingAnalytics final : public sim::PacketObserver {
   std::size_t memory_bytes() const;
 
   /// Snapshot rows as JSONL (stable field order and integer formatting —
-  /// the artifact scripts/scale.sh byte-compares across thread counts).
+  /// the artifact scripts/scale.sh byte-compares across same-seed runs).
   std::string snapshots_jsonl() const;
   /// All change-points as JSONL, in detection order.
   std::string events_jsonl() const;
@@ -250,7 +249,7 @@ class StreamingAnalytics final : public sim::PacketObserver {
                 passive::ServiceKeyHash>
       key_events_;
 
-  // Metrics (optional; producer-thread writes only).
+  // Metrics (optional; simulator-thread writes only).
   util::Counter* m_snapshots_{nullptr};
   util::Counter* m_change_points_{nullptr};
   util::Counter* m_scan_bursts_{nullptr};

@@ -20,8 +20,7 @@ double wall_seconds_since(
       .count();
 }
 
-void execute_job(const CampaignJob& job, CampaignResult& result,
-                 WorkerPool* pool) {
+void execute_job(const CampaignJob& job, CampaignResult& result) {
   const auto start = std::chrono::steady_clock::now();
   util::trace::ScopedSpan span("campaign.job");
   span.set_value(static_cast<std::int64_t>(job.seed));
@@ -32,10 +31,6 @@ void execute_job(const CampaignJob& job, CampaignResult& result,
     result.campus = std::make_unique<workload::Campus>(campus_cfg);
     auto engine_cfg = job.engine_cfg;
     engine_cfg.metrics = result.metrics.get();
-    // Sweep x shards runs on ONE worker set: parallel engines inside a
-    // parallel sweep share the runner's pool instead of spawning their
-    // own (sweep(8) x shards(8) must not mean 64 threads).
-    if (!engine_cfg.pool) engine_cfg.pool = pool;
     if (job.provenance) {
       result.provenance = std::make_unique<ProvenanceLedger>();
       engine_cfg.provenance = result.provenance.get();
@@ -92,30 +87,20 @@ std::vector<CampaignResult> CampaignRunner::run(
 
   const std::size_t n_workers =
       std::min(threads_, jobs.size() == 0 ? std::size_t{1} : jobs.size());
-  bool any_parallel_engine = false;
-  for (const CampaignJob& job : jobs) {
-    if (job.engine_cfg.threads != 1) any_parallel_engine = true;
-  }
-  if (n_workers <= 1 && !any_parallel_engine) {
-    // Serial fast path: no thread spawn cost. (A lone job with a
-    // parallel engine still takes the pool path below, so its shard
-    // tasks have workers to run on.)
+  if (n_workers <= 1) {
+    // Serial fast path: no thread spawn cost.
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      execute_job(jobs[i], results[i], nullptr);
+      execute_job(jobs[i], results[i]);
     }
     return results;
   }
 
-  // One pool serves both levels of parallelism: job tasks are submitted
-  // here, and each parallel engine's shard tasks land on the same
-  // workers (execute_job injects the pool). The caller helps, so even a
-  // 1-worker pool cannot deadlock — help_until drains whatever is
-  // queued, and producers never block on pool capacity.
-  WorkerPool pool(std::max(threads_, std::size_t{1}));
+  // Each job is one pool task; the caller helps drain the queue.
+  WorkerPool pool(n_workers);
   std::atomic<std::size_t> done{0};
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    pool.submit([&jobs, &results, &pool, &done, i] {
-      execute_job(jobs[i], results[i], &pool);
+    pool.submit([&jobs, &results, &done, i] {
+      execute_job(jobs[i], results[i]);
       done.fetch_add(1, std::memory_order_release);
     });
   }

@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/shard_pipeline.h"
-#include "core/worker_pool.h"
 #include "util/trace.h"
 
 namespace svcdisc::core {
 
 DiscoveryEngine::DiscoveryEngine(workload::Campus& campus, EngineConfig config)
     : campus_(campus), config_(config) {
+  if (config_.threads != 1) {
+    throw std::invalid_argument("EngineConfig::threads must be 1 (got " +
+                                std::to_string(config_.threads) + ")");
+  }
   util::MetricsRegistry* metrics = config_.metrics;
   const auto& internal = campus_.internal_prefixes();
   detector_ = std::make_shared<passive::ScanDetector>(
@@ -62,12 +64,6 @@ DiscoveryEngine::DiscoveryEngine(workload::Campus& campus, EngineConfig config)
     config_.provenance->set_tap_names(std::move(names));
   }
 
-  // The merge-target monitors exist in both modes; in parallel mode
-  // they never consume taps — shard monitors do the observation work
-  // and absorb into these at the end of run().
-  const std::size_t shards = config_.threads == 0
-                                 ? WorkerPool::hardware_threads()
-                                 : config_.threads;
   monitor_ =
       std::make_unique<passive::PassiveMonitor>(monitor_config(false));
   monitor_->set_scan_detector(detector_);
@@ -80,41 +76,23 @@ DiscoveryEngine::DiscoveryEngine(workload::Campus& campus, EngineConfig config)
       excluded_monitor_->attach_metrics(*metrics, "passive_excluded");
     }
   }
-  if (shards > 1) {
-    ShardPipelineConfig pcfg;
-    pcfg.shards = shards;
-    pcfg.combined = monitor_config(false);
-    pcfg.excluded_monitor = config_.scanner_excluded_monitor;
-    if (pcfg.excluded_monitor) pcfg.excluded = monitor_config(true);
-    pcfg.metrics = metrics;
-    pcfg.provenance = config_.provenance != nullptr;
-    pipeline_ = std::make_unique<ShardPipeline>(std::move(pcfg), detector_);
-    for (std::size_t i = 0; i < taps_.size(); ++i) {
-      taps_[i]->add_consumer(
-          &pipeline_->recorder(static_cast<std::uint16_t>(i)));
-    }
-    if (!config_.pool) owned_pool_ = std::make_unique<WorkerPool>(shards);
-  } else {
-    for (auto& tap : taps_) tap->add_consumer(monitor_.get());
-    if (ProvenanceLedger* ledger = config_.provenance) {
-      monitor_->on_evidence = [ledger](const passive::ServiceKey& key,
-                                       util::TimePoint t) {
-        ledger->record(key, t,
-                       key.proto == net::Proto::kUdp ? EvidenceKind::kUdp
-                                                     : EvidenceKind::kSynAck,
-                       Discoverer::kPassive, ledger->current_tap());
-      };
-    }
-    if (excluded_monitor_) {
-      for (auto& tap : taps_) tap->add_consumer(excluded_monitor_.get());
-    }
+  for (auto& tap : taps_) tap->add_consumer(monitor_.get());
+  if (ProvenanceLedger* ledger = config_.provenance) {
+    monitor_->on_evidence = [ledger](const passive::ServiceKey& key,
+                                     util::TimePoint t) {
+      ledger->record(key, t,
+                     key.proto == net::Proto::kUdp ? EvidenceKind::kUdp
+                                                   : EvidenceKind::kSynAck,
+                     Discoverer::kPassive, ledger->current_tap());
+    };
+  }
+  if (excluded_monitor_) {
+    for (auto& tap : taps_) tap->add_consumer(excluded_monitor_.get());
   }
 
   // Streaming analytics consume the same tap fanout, added after the
-  // monitors/recorder so the shared detector's verdict state at
-  // observation time matches what the monitors consulted — identically
-  // in serial and sharded mode (both feed the detector upstream of this
-  // consumer, on the simulator thread).
+  // monitors so the shared detector's verdict state at observation time
+  // matches what the monitors consulted.
   if (analysis::StreamingAnalytics* stream = config_.streaming) {
     stream->set_scan_detector(detector_);
     for (auto& tap : taps_) tap->add_consumer(stream);
@@ -143,10 +121,7 @@ DiscoveryEngine::DiscoveryEngine(workload::Campus& campus, EngineConfig config)
                              campus_.config().udp_mode
                                  ? campus_.udp_ports()
                                  : std::vector<net::Port>{});
-    // The seeding feed joins every tap after the monitors/streaming —
-    // it runs on the simulator thread in both serial and sharded mode,
-    // so hint order (and everything scored from it) is identical at any
-    // --threads count.
+    // The seeding feed joins every tap after the monitors/streaming.
     for (auto& tap : taps_) tap->add_consumer(&adaptive->passive_feed());
     adaptive_ = adaptive.get();
     prober_ = std::move(adaptive);
@@ -157,28 +132,18 @@ DiscoveryEngine::DiscoveryEngine(workload::Campus& campus, EngineConfig config)
   if (metrics) prober_->attach_metrics(*metrics, "active");
   if (metrics) campus_.simulator().attach_metrics(*metrics, "sim");
   if (config_.provenance || config_.streaming) {
-    // The prober callback fires on the simulator thread; streaming sees
-    // it first (live, deterministic order), then the evidence takes the
-    // provenance path for its mode.
+    // Streaming sees each open reply first, then the ledger records it.
     ProvenanceLedger* ledger = config_.provenance;
     analysis::StreamingAnalytics* stream = config_.streaming;
-    ShardPipeline* pipe = ledger ? pipeline_.get() : nullptr;
-    prober_->on_open_response = [ledger, stream, pipe](
+    prober_->on_open_response = [ledger, stream](
                                     const passive::ServiceKey& key,
                                     util::TimePoint t, bool udp) {
       if (stream) stream->on_probe_reply(key, t);
       if (!ledger) return;
-      const EvidenceKind kind =
-          udp ? EvidenceKind::kProbeReplyUdp : EvidenceKind::kProbeReplyTcp;
-      if (pipe) {
-        // Parallel mode: active evidence is buffered at its stream
-        // position and replayed into the ledger at the merge,
-        // interleaved with the shards' passive evidence in serial
-        // arrival order.
-        pipe->record_active_evidence(key, t, kind);
-      } else {
-        ledger->record(key, t, kind, Discoverer::kActive);
-      }
+      ledger->record(key, t,
+                     udp ? EvidenceKind::kProbeReplyUdp
+                         : EvidenceKind::kProbeReplyTcp,
+                     Discoverer::kActive);
     };
   }
 
@@ -258,15 +223,8 @@ void DiscoveryEngine::add_tap_consumer(sim::PacketObserver* consumer) {
   for (auto& tap : taps_) tap->add_consumer(consumer);
 }
 
-std::size_t DiscoveryEngine::shard_count() const {
-  return pipeline_ ? pipeline_->shard_count() : 1;
-}
-
 void DiscoveryEngine::run() {
   SVCDISC_TRACE_SPAN("engine.run");
-  if (pipeline_) {
-    pipeline_->start(config_.pool ? *config_.pool : *owned_pool_);
-  }
   {
     SVCDISC_TRACE_SPAN("engine.start");
     if (!campus_.started()) campus_.start();
@@ -289,15 +247,9 @@ void DiscoveryEngine::run() {
     // conservation ledger balances (held == 0 after a campaign).
     for (auto& imp : impairments_) imp->flush();
   }
-  if (pipeline_) {
-    SVCDISC_TRACE_SPAN("engine.merge");
-    pipeline_->finish(*monitor_, excluded_monitor_.get(),
-                      config_.provenance);
-  }
-  // Scale-universe gauges: all deterministic (materialization happens on
-  // the single simulator thread), so they are safe inside the golden,
-  // thread-count-compared metrics.json — and only present when a
-  // universe exists, so existing scenario goldens carry no new keys.
+  // Scale-universe gauges: all deterministic, so they are safe inside
+  // the golden metrics.json — and only present when a universe exists,
+  // so existing scenario goldens carry no new keys.
   if (config_.metrics && campus_.universe()) {
     const host::ScaleUniverse& u = *campus_.universe();
     config_.metrics->gauge("scale.universe_addresses")

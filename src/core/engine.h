@@ -32,9 +32,6 @@
 
 namespace svcdisc::core {
 
-class ShardPipeline;
-class WorkerPool;
-
 struct EngineConfig {
   /// Number of periodic scans (0 disables active probing).
   int scan_count{35};
@@ -68,29 +65,17 @@ struct EngineConfig {
   /// combined monitor's on_evidence and the prober's on_open_response
   /// callbacks.
   ProvenanceLedger* provenance{nullptr};
-  /// Intra-campaign parallelism: number of shard consumers for the
-  /// combined/excluded passive monitors (DESIGN.md §13). 1 (default)
-  /// keeps the classic serial wiring; 0 means "all hardware threads";
-  /// N >= 2 shards the monitor work across N consumers with a
-  /// deterministic end-of-run merge — every artifact stays
-  /// byte-identical to the serial engine. A parallel engine must be
-  /// driven through run(): stepping the simulator by hand would leave
-  /// the shard pipeline unmerged.
+  /// Retained only because the perfbench harness sets it; must be 1.
+  /// The engine is serial (DESIGN.md §13 records why intra-campaign
+  /// sharding was removed) and its constructor throws
+  /// std::invalid_argument for any other value.
   std::size_t threads{1};
-  /// Worker pool for the shard tasks. Not owned; must outlive the
-  /// engine. When null and `threads` resolves above 1, the engine
-  /// creates a private pool. CampaignRunner injects its own pool here so
-  /// a seed sweep of parallel engines shares one set of workers instead
-  /// of oversubscribing the host.
-  WorkerPool* pool{nullptr};
   /// Streaming analytics (DESIGN.md §15): when set, the engine attaches
   /// it after the monitors on every tap (so scanner verdicts match what
   /// the monitors saw), feeds it every open probe reply, and closes its
-  /// windows at end of run. The feed runs on the simulator thread in
-  /// both serial and sharded mode, so streaming artifacts are
-  /// byte-identical at every --threads count. Not owned; must outlive
-  /// the engine. When null (default), no stream.* metrics are
-  /// registered and no per-packet work is added.
+  /// windows at end of run. Not owned; must outlive the engine. When
+  /// null (default), no stream.* metrics are registered and no
+  /// per-packet work is added.
   analysis::StreamingAnalytics* streaming{nullptr};
   /// Constant-memory tables: every monitor's ServiceTable tracks unique
   /// clients with a per-service HyperLogLog instead of an exact client
@@ -101,8 +86,6 @@ struct EngineConfig {
   /// Budgeted adaptive prober (DESIGN.md §16) instead of the paper's
   /// fixed exhaustive sweep: passive seeding from the border taps,
   /// learned priors, probe budget, LZR-style SYN-ACK verification.
-  /// Scan artifacts stay deterministic at every `threads` count (the
-  /// passive feed runs on the simulator thread in both modes).
   bool adaptive_prober{false};
   /// Budget / verification knobs; only read when adaptive_prober is on.
   active::AdaptiveConfig adaptive;
@@ -159,12 +142,6 @@ class DiscoveryEngine {
   /// Starts the campus and runs the campaign to its configured duration.
   void run();
 
-  /// True when the combined/excluded monitors run on the sharded
-  /// pipeline (EngineConfig::threads resolved above 1).
-  bool parallel() const { return pipeline_ != nullptr; }
-  /// Shard consumers the pipeline runs with (1 in serial mode).
-  std::size_t shard_count() const;
-
   workload::Campus& campus() { return campus_; }
   /// The registry every component reports into, or nullptr.
   util::MetricsRegistry* metrics() const { return config_.metrics; }
@@ -196,10 +173,6 @@ class DiscoveryEngine {
   /// Non-owning view of prober_ when it is an AdaptiveProber.
   active::AdaptiveProber* adaptive_{nullptr};
   std::unique_ptr<active::ScanScheduler> scheduler_;
-  /// Sharded monitor pipeline; null in serial mode.
-  std::unique_ptr<ShardPipeline> pipeline_;
-  /// Private pool when the config supplies none.
-  std::unique_ptr<WorkerPool> owned_pool_;
 };
 
 /// The streaming configuration matching a campus: same internal

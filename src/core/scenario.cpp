@@ -30,28 +30,6 @@ bool read_file(const std::string& path, std::string* out) {
   return in.good() || in.eof();
 }
 
-bool resolve_preset(const std::string& name, workload::CampusConfig* cfg) {
-  using workload::CampusConfig;
-  if (name == "tiny") {
-    *cfg = CampusConfig::tiny();
-  } else if (name == "dtcp1_18d") {
-    *cfg = CampusConfig::dtcp1_18d();
-  } else if (name == "dtcp1_90d") {
-    *cfg = CampusConfig::dtcp1_90d();
-  } else if (name == "dtcp_break") {
-    *cfg = CampusConfig::dtcp_break();
-  } else if (name == "dtcp_all") {
-    *cfg = CampusConfig::dtcp_all();
-  } else if (name == "dudp") {
-    *cfg = CampusConfig::dudp();
-  } else if (name == "scale1m") {
-    *cfg = CampusConfig::scale1m();
-  } else {
-    return false;
-  }
-  return true;
-}
-
 // One scalar override read from JSON with type checking. `where` names
 // the enclosing object in error messages.
 class FieldReader {
@@ -405,12 +383,14 @@ bool load_scenario(const std::string& dir, ScenarioSpec* spec,
     }
   }
 
-  if (!resolve_preset(out.preset, &out.campus)) {
+  const workload::Preset* preset = workload::find_preset(out.preset);
+  if (!preset) {
     if (error) {
       *error = "scenario.preset: unknown preset \"" + out.preset + "\"";
     }
     return false;
   }
+  out.campus = preset->make();
   if (campus_obj) {
     if (!campus_obj->is_object()) {
       if (error) *error = "scenario.campus: expected an object";
@@ -450,11 +430,10 @@ bool load_scenario(const std::string& dir, ScenarioSpec* spec,
 }
 
 bool run_scenario(const ScenarioSpec& spec, ScenarioArtifacts* out,
-                  std::string* error, std::size_t threads) {
+                  std::string* error) {
   CampaignJob job;
   job.campus_cfg = spec.campus;
   job.engine_cfg = spec.engine;
-  job.engine_cfg.threads = threads;
   job.seed = spec.campus.seed;
   job.label = spec.name;
   job.provenance = true;

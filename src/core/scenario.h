@@ -61,12 +61,9 @@ bool load_scenario(const std::string& dir, ScenarioSpec* spec,
 
 /// Runs the campaign the spec describes and renders all artifacts. The
 /// provenance ledger is audited 1:1 against the final tables before
-/// export; an audit failure is a run error. `threads` is the engine's
-/// shard count (EngineConfig::threads: 1 = serial, 0 = all hardware
-/// threads); every artifact is byte-identical at every value, which is
-/// exactly what `scenario verify --threads=N` regression-checks.
+/// export; an audit failure is a run error.
 bool run_scenario(const ScenarioSpec& spec, ScenarioArtifacts* out,
-                  std::string* error, std::size_t threads = 1);
+                  std::string* error);
 
 /// One artifact's divergence from its golden.
 struct ScenarioMismatch {

@@ -1,20 +1,10 @@
-// core::WorkerPool — one shared thread pool for every axis of campaign
-// parallelism.
-//
-// Two layers fan work out: CampaignRunner spreads whole jobs (seed
-// sweeps) and ShardPipeline spreads shard consumers *inside* one
-// campaign. If each layer spawned its own threads, a sweep of S jobs at
-// K shards each would run S*K+S threads on the same cores. Both layers
-// instead submit to one pool, so the total worker count is fixed no
-// matter how the two dimensions multiply.
+// core::WorkerPool — the fixed thread pool CampaignRunner spreads whole
+// campaign jobs (seed sweeps, loss sweeps) across.
 //
 // The pool supports *caller participation*: a thread waiting for its
 // tasks to finish (help_until) pops and runs queued tasks instead of
-// sleeping. That rule is what makes nesting deadlock-free down to a
-// single worker: a producer that submitted shard tasks and then waits
-// for them will execute them itself if no worker is free, and a worker
-// blocked inside a shard task always has that shard's producer running
-// (or queued where a helper will reach it) somewhere else.
+// sleeping, so the submitting thread contributes a worker's worth of
+// throughput and even a 1-worker pool drains its queue promptly.
 #pragma once
 
 #include <condition_variable>
@@ -40,10 +30,7 @@ class WorkerPool {
 
   std::size_t worker_count() const { return workers_.size(); }
 
-  /// Enqueues a task (FIFO). A task may block on external state, but
-  /// only if whatever unblocks it is driven by a non-pool thread or by
-  /// a producer that never itself blocks on pool capacity — the
-  /// ShardPipeline contract.
+  /// Enqueues a task (FIFO).
   void submit(std::function<void()> task);
 
   /// Runs queued tasks on the calling thread until `done()` returns

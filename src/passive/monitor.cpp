@@ -5,6 +5,17 @@
 #include "util/trace.h"
 
 namespace svcdisc::passive {
+namespace {
+
+/// Field-wise identity over the fields the detection rules read — two
+/// such packets carry zero extra evidence (the dedup predicate).
+bool same_observation(const net::Packet& a, const net::Packet& b) {
+  return a.time == b.time && a.src == b.src && a.dst == b.dst &&
+         a.proto == b.proto && a.sport == b.sport && a.dport == b.dport &&
+         a.flags == b.flags && a.seq == b.seq;
+}
+
+}  // namespace
 
 PassiveMonitor::PassiveMonitor(MonitorConfig config)
     : config_(std::move(config)), table_(config_.client_accounting) {}
@@ -57,12 +68,6 @@ void PassiveMonitor::observe_batch(std::span<const net::Packet> packets) {
   for (const net::Packet& p : packets) ingest(p);
 }
 
-bool same_observation(const net::Packet& a, const net::Packet& b) {
-  return a.time == b.time && a.src == b.src && a.dst == b.dst &&
-         a.proto == b.proto && a.sport == b.sport && a.dport == b.dport &&
-         a.flags == b.flags && a.seq == b.seq;
-}
-
 void PassiveMonitor::ingest(const net::Packet& p) {
   if (config_.drop_exact_duplicates) {
     if (have_last_packet_ && same_observation(last_packet_, p)) {
@@ -74,52 +79,6 @@ void PassiveMonitor::ingest(const net::Packet& p) {
     have_last_packet_ = true;
   }
   if (scan_detector_) scan_detector_->observe(p);
-  apply_rules(p);
-}
-
-void PassiveMonitor::observe_indexed(const net::Packet& p,
-                                     std::uint64_t stream_idx) {
-  ++packets_seen_;
-  if (m_packets_) m_packets_->inc();
-  if (config_.drop_exact_duplicates) {
-    // Global-stream adjacency: the serial monitor drops a packet iff it
-    // equals the packet ingested immediately before it. In a shard, the
-    // globally-preceding packet is in this shard exactly when it is an
-    // identical twin (identical packets share the internal endpoint and
-    // hence the shard), so `previous index + 1` plus field equality
-    // reproduces the serial decision bit-for-bit. A run of N twins stays
-    // index-adjacent throughout, so advancing last_stream_idx_ on drops
-    // keeps collapsing the whole run just as the serial path does.
-    const bool dup = have_last_packet_ && last_stream_idx_ + 1 == stream_idx &&
-                     same_observation(last_packet_, p);
-    if (!dup) {
-      last_packet_ = p;
-      have_last_packet_ = true;
-    }
-    last_stream_idx_ = stream_idx;
-    if (dup) {
-      ++duplicates_dropped_;
-      if (m_duplicates_) m_duplicates_->inc();
-      return;
-    }
-  }
-  apply_rules(p);
-}
-
-void PassiveMonitor::absorb_shard(PassiveMonitor&& shard) {
-  table_.absorb(std::move(shard.table_));
-  packets_seen_ += shard.packets_seen_;
-  suppressed_ += shard.suppressed_;
-  unmatched_syn_acks_ += shard.unmatched_syn_acks_;
-  duplicates_dropped_ += shard.duplicates_dropped_;
-  // Shards raced on the shared gauge during the run; after the last
-  // absorb this lands on the merged (= serial final) table size.
-  if (m_table_size_) {
-    m_table_size_->set(static_cast<std::int64_t>(table_.size()));
-  }
-}
-
-void PassiveMonitor::apply_rules(const net::Packet& p) {
   switch (p.proto) {
     case net::Proto::kTcp: {
       if (p.flags.is_syn_ack()) {

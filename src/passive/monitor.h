@@ -65,13 +65,6 @@ struct MonitorConfig {
   ClientAccounting client_accounting{ClientAccounting::kExact};
 };
 
-/// Field-wise identity over the fields the detection rules read — two
-/// such packets carry zero extra evidence. This is the dedup predicate;
-/// core::ShardPipeline replicates the monitor's dedup decisions with it
-/// on the producer side (the detector must skip exactly the packets the
-/// monitors drop).
-bool same_observation(const net::Packet& a, const net::Packet& b);
-
 class PassiveMonitor final : public sim::PacketObserver {
  public:
   explicit PassiveMonitor(MonitorConfig config);
@@ -100,33 +93,6 @@ class PassiveMonitor final : public sim::PacketObserver {
   /// in the per-packet path).
   void observe_batch(std::span<const net::Packet> packets) override;
 
-  /// Shard-mode entry point (core::ShardPipeline, DESIGN.md §13): like
-  /// observe(), but the packet carries its index in the canonical
-  /// observation stream. A shard monitor sees only its address
-  /// partition, so "identical to the immediately preceding packet" must
-  /// be judged by global-stream adjacency (`stream_idx == previous + 1`)
-  /// — identical twins always land in the same shard, and an intervening
-  /// foreign-shard packet correctly breaks adjacency exactly as it does
-  /// the serial monitor's `last_packet_` match.
-  void observe_indexed(const net::Packet& p, std::uint64_t stream_idx);
-
-  /// Shard-mode scanner oracle. When set it replaces live ScanDetector
-  /// verdicts everywhere the rules consult them (the pipeline feeds the
-  /// shared detector upstream, on the producer thread, and replays its
-  /// flagging timeline to each shard); such a monitor must not also have
-  /// a detector attached, or the detector would ingest packets twice.
-  std::function<bool(net::Ipv4)> scanner_verdict;
-
-  /// Folds a shard monitor's table and tallies into this monitor — the
-  /// deterministic end-of-campaign merge. Shards partition the address
-  /// space, so the tables are key-disjoint and absorbing them in shard
-  /// order reproduces the serial table byte-for-byte (ServiceTable
-  /// serialization orders by key/first_seen, never insertion). Counter
-  /// *metrics* are not re-added: shard monitors attach to the same
-  /// registry names, so those already aggregated during the run; only
-  /// the table-size gauge is recomputed from the merged table.
-  void absorb_shard(PassiveMonitor&& shard);
-
   const ServiceTable& table() const { return table_; }
   ServiceTable& table() { return table_; }
 
@@ -151,14 +117,7 @@ class PassiveMonitor final : public sim::PacketObserver {
   /// The detection rules, minus the packets_seen accounting (shared by
   /// observe and observe_batch).
   void ingest(const net::Packet& p);
-  /// The rules proper: everything ingest does after dedup and the
-  /// detector feed (shared with the shard-mode indexed path, which does
-  /// both differently).
-  void apply_rules(const net::Packet& p);
-  /// Scanner verdict: the shard-mode oracle when set, else the live
-  /// detector.
   bool scanner_flagged(net::Ipv4 addr) const {
-    if (scanner_verdict) return scanner_verdict(addr);
     return scan_detector_ && scan_detector_->is_scanner(addr);
   }
 
@@ -170,8 +129,6 @@ class PassiveMonitor final : public sim::PacketObserver {
   /// Dedup state: the previous packet ingested (drop_exact_duplicates).
   net::Packet last_packet_{};
   bool have_last_packet_{false};
-  /// Shard-mode dedup state: stream index of the last packet presented.
-  std::uint64_t last_stream_idx_{0};
   std::uint64_t packets_seen_{0};
   std::uint64_t suppressed_{0};
   std::uint64_t unmatched_syn_acks_{0};

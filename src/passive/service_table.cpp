@@ -69,58 +69,6 @@ std::uint64_t ServiceTable::restore(const ServiceKey& key,
   return placeholders;
 }
 
-void ServiceTable::absorb(ServiceTable&& other) {
-  if (services_.empty()) {
-    // Steal wholesale: the sharded merge absorbs the first (often
-    // largest) shard into an empty engine table, and moving the map
-    // avoids a transient second copy of every entry — the peak-RSS term
-    // that made 1M-address campaigns double their table footprint at
-    // finish. FlatMap iterates in insertion order, so the stolen table
-    // is indistinguishable from a per-entry replay.
-    services_ = std::move(other.services_);
-    discovered_count_ = other.discovered_count_;
-    other.services_.clear();
-    other.discovered_count_ = 0;
-    return;
-  }
-  for (auto& [key, theirs] : other.services_) {
-    auto [it, inserted] = services_.emplace(key, std::move(theirs));
-    if (inserted) {
-      if (it->second.discovered) ++discovered_count_;
-      continue;
-    }
-    Entry& ours = it->second;
-    ServiceRecord& a = ours.record;
-    ServiceRecord& b = theirs.record;
-    if (theirs.discovered) {
-      if (!ours.discovered) {
-        ours.discovered = true;
-        a.first_seen = b.first_seen;
-        ++discovered_count_;
-      } else if (b.first_seen < a.first_seen) {
-        a.first_seen = b.first_seen;
-      }
-    }
-    if (a.last_activity < b.last_activity) a.last_activity = b.last_activity;
-    // Flow recency: <= mirrors count_flow, where a same-time later flow
-    // takes over the last_flow_client slot.
-    if (b.flows > 0 && a.last_flow <= b.last_flow) {
-      a.last_flow = b.last_flow;
-      a.last_flow_client = b.last_flow_client;
-    }
-    a.flows += b.flows;
-    for (const auto& [client, t] : b.clients) {
-      auto [cit, cinserted] = a.clients.emplace(client, t);
-      if (!cinserted && cit->second < t) cit->second = t;
-    }
-    // Register-max merge: order-independent, so the sharded campaign's
-    // shard-order absorb is byte-identical at every shard count.
-    a.client_sketch.merge(b.client_sketch);
-  }
-  other.services_.clear();
-  other.discovered_count_ = 0;
-}
-
 void ServiceTable::touch(const ServiceKey& key, util::TimePoint t) {
   const auto it = services_.find(key);
   if (it == services_.end()) return;

@@ -141,17 +141,6 @@ class ServiceTable {
                         std::uint64_t client_count,
                         std::uint64_t max_clients);
 
-  /// Merges `other` into this table, consuming it. Keys present in only
-  /// one side move over wholesale (including flow-only entries, whose
-  /// tallies must survive a later discover()); keys present in both are
-  /// combined field-wise: earliest first_seen wins, activity/flow
-  /// recency takes the maximum, flow counts add, and client sets union
-  /// with per-client max-recency. The sharded campaign pipeline absorbs
-  /// key-disjoint shard tables, where this reduces to a move — but the
-  /// merge is total so the operation is safe (and testable) on
-  /// overlapping tables too.
-  void absorb(ServiceTable&& other);
-
   /// True when `key` has been *discovered* (flow-only entries don't
   /// count).
   bool contains(const ServiceKey& key) const { return find(key) != nullptr; }

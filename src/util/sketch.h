@@ -15,8 +15,7 @@
 //
 // All three merge commutatively and associatively (HLL: element-wise
 // register max, CMS: element-wise add, DecayRate: decay-align then add),
-// which is what makes the sharded campaign's per-shard sketch merge
-// order-independent — and hence byte-identical at every --threads count.
+// so merging partial sketches in any order yields the same state.
 // Nothing here draws randomness: hashing is util::hash_mix over fixed
 // salts, so identical input streams produce identical sketch state.
 #pragma once
@@ -162,7 +161,7 @@ class CountMinSketch {
   std::size_t width() const { return width_; }
   std::size_t depth() const { return depth_; }
 
-  /// Element-wise add; commutative, so shard merges are order-free.
+  /// Element-wise add; commutative, so merges are order-free.
   void merge(const CountMinSketch& other) {
     if (!other.enabled()) return;
     if (!enabled()) {
@@ -230,8 +229,8 @@ class DecayRate {
   TimePoint last_observed() const { return last_; }
 
   /// Decay both sides to the later timestamp, then add masses. With a
-  /// shared half-life this is commutative, so shard merges don't care
-  /// about order.
+  /// shared half-life this is commutative, so merges don't care about
+  /// order.
   void merge(const DecayRate& other) {
     const TimePoint at = last_ < other.last_ ? other.last_ : last_;
     decay_to(at);

@@ -179,6 +179,35 @@ CampusConfig CampusConfig::scale1m() {
   return cfg;
 }
 
+namespace {
+
+constexpr Preset kPresets[] = {
+    {"tiny", &CampusConfig::tiny,
+     "small test campus (~600 static addrs, 2 days)"},
+    {"dtcp1_18d", &CampusConfig::dtcp1_18d,
+     "the paper's main dataset: 18 days, ~15.6k addrs, scans every 12h"},
+    {"dtcp1_90d", &CampusConfig::dtcp1_90d,
+     "90 days of passive monitoring"},
+    {"dtcp_break", &CampusConfig::dtcp_break,
+     "11 days over winter break (reduced population, Internet2)"},
+    {"dtcp_all", &CampusConfig::dtcp_all,
+     "one /24 of lab machines, services on any port, 10 days"},
+    {"dudp", &CampusConfig::dudp, "UDP service discovery, 24 hours"},
+    {"scale1m", &CampusConfig::scale1m,
+     "tiny campus + 1,048,576-address scale universe, 1 day"},
+};
+
+}  // namespace
+
+std::span<const Preset> presets() { return kPresets; }
+
+const Preset* find_preset(std::string_view name) {
+  for (const Preset& p : kPresets) {
+    if (name == p.name) return &p;
+  }
+  return nullptr;
+}
+
 // ---------------------------------------------------------------------------
 // Construction
 // ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -225,6 +227,19 @@ struct CampusConfig {
   /// tiny() plus a 16 x /16 scale universe: 1,048,576+ probe targets.
   static CampusConfig scale1m();
 };
+
+/// A named dataset preset: the CLI's --scenario values and the "preset"
+/// key of scenario.json both resolve through presets().
+struct Preset {
+  const char* name;
+  CampusConfig (*make)();
+  const char* summary;  ///< one line for the `scenarios` listing
+};
+
+/// Every preset, in listing order.
+std::span<const Preset> presets();
+/// The preset called `name`, or nullptr when there is none.
+const Preset* find_preset(std::string_view name);
 
 /// What a host was built as (ground-truth bookkeeping for the benches).
 struct HostInfo {

@@ -1,4 +1,5 @@
-// Determinism regression tests for core::CampaignRunner.
+// Determinism regression tests for core::CampaignRunner, plus unit
+// coverage for the WorkerPool it runs jobs on.
 //
 // A campaign is a pure function of (config, seed): the same job must
 // produce byte-identical exports whether run serially, run twice, or
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "core/completeness.h"
 #include "core/report.h"
 #include "core/scenario.h"
+#include "core/worker_pool.h"
 #include "workload/campus.h"
 
 namespace svcdisc::core {
@@ -195,6 +198,46 @@ TEST(CampaignRunner, UscTinyScenarioPackMatchesGoldens) {
          "record "
       << dir << " --force`\n"
       << report.to_string();
+}
+
+// ---------------------------------------------------------------------
+// WorkerPool
+
+TEST(WorkerPool, RunsEverySubmittedTask) {
+  WorkerPool pool(3);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 50; ++i) {
+    pool.submit([&ran] { ran.fetch_add(1); });
+  }
+  pool.help_until([&ran] { return ran.load() == 50; });
+  EXPECT_EQ(ran.load(), 50);
+}
+
+TEST(WorkerPool, HelpUntilParticipatesWithOneWorker) {
+  // A 1-worker pool with more tasks than workers: help_until must run
+  // tasks on the calling thread rather than just wait.
+  WorkerPool pool(1);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 20; ++i) {
+    pool.submit([&ran] { ran.fetch_add(1); });
+  }
+  pool.help_until([&ran] { return ran.load() == 20; });
+  EXPECT_EQ(ran.load(), 20);
+}
+
+TEST(WorkerPool, DestructorDrainsQueuedTasks) {
+  std::atomic<int> ran{0};
+  {
+    WorkerPool pool(2);
+    for (int i = 0; i < 30; ++i) {
+      pool.submit([&ran] { ran.fetch_add(1); });
+    }
+  }  // join implies drain: no submitted task may be dropped
+  EXPECT_EQ(ran.load(), 30);
+}
+
+TEST(WorkerPool, HardwareThreadsIsPositive) {
+  EXPECT_GE(WorkerPool::hardware_threads(), 1u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // per-link monitors, extra consumers, scan scheduling configuration.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "capture/pcap_file.h"
 #include "capture/sampler.h"
 #include "core/engine.h"
@@ -27,6 +29,19 @@ TEST(DiscoveryEngine, OneTapPerPeering) {
             campus.network().border().peering_count());
   EXPECT_EQ(engine.tap(0).name(), "commercial1");
   EXPECT_EQ(engine.tap(1).name(), "commercial2");
+}
+
+TEST(DiscoveryEngine, RejectsThreadsOtherThanOne) {
+  // The engine is serial; EngineConfig::threads survives only as a
+  // must-be-1 field, and any other value is a configuration error.
+  workload::Campus campus(fast_tiny());
+  for (const std::size_t threads : {0u, 2u, 4u}) {
+    EngineConfig cfg;
+    cfg.threads = threads;
+    EXPECT_THROW({ DiscoveryEngine engine(campus, cfg); },
+                 std::invalid_argument)
+        << "threads " << threads;
+  }
 }
 
 TEST(DiscoveryEngine, NoScansWhenDisabled) {

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/scenario.h"
+#include "workload/campus.h"
 
 namespace svcdisc::core {
 namespace {
@@ -105,6 +106,26 @@ TEST_F(ScenarioTest, UnknownPresetFails) {
   std::string error;
   EXPECT_FALSE(load_scenario(path(), &spec, &error));
   EXPECT_NE(error.find("unknown preset"), std::string::npos) << error;
+}
+
+TEST_F(ScenarioTest, EveryPresetLoads) {
+  // scenario.json and the CLI share one preset table: every entry must
+  // load by name and resolve to its own factory's campus.
+  for (const workload::Preset& preset : workload::presets()) {
+    write_spec(std::string(R"({"preset": ")") + preset.name + "\"}");
+    ScenarioSpec spec;
+    std::string error;
+    ASSERT_TRUE(load_scenario(path(), &spec, &error))
+        << preset.name << ": " << error;
+    EXPECT_EQ(spec.preset, preset.name);
+    EXPECT_EQ(workload::find_preset(preset.name), &preset);
+    const workload::CampusConfig want = preset.make();
+    EXPECT_EQ(spec.campus.duration, want.duration) << preset.name;
+    EXPECT_EQ(spec.campus.seed, want.seed) << preset.name;
+    EXPECT_EQ(spec.campus.all_ports_mode, want.all_ports_mode) << preset.name;
+    EXPECT_EQ(spec.campus.udp_mode, want.udp_mode) << preset.name;
+    EXPECT_EQ(spec.campus.scale_blocks, want.scale_blocks) << preset.name;
+  }
 }
 
 TEST_F(ScenarioTest, NameDefaultsToDirectoryBasename) {

@@ -6,7 +6,7 @@
 // exact ServiceTable tallies over randomized campaigns, and count-min
 // flow estimates within the classic eps*N envelope (and never under).
 // The determinism tests pin the contract DESIGN.md promises: streaming
-// artifacts are byte-identical at every --threads count, and a disabled
+// artifacts are byte-identical across same-seed reruns, and a disabled
 // streaming layer leaves the simulation (rng stream, event count,
 // tables) untouched.
 #include <gtest/gtest.h>
@@ -181,31 +181,6 @@ TEST(SketchTable, ClientCountTracksExactWithinTwoPercent) {
               static_cast<double>(kClients),
               std::max(1.0, kClients * 0.02));
   EXPECT_EQ(s->flows, e->flows);
-}
-
-TEST(SketchTable, AbsorbMergesClientSketches) {
-  // Shard-merge path: two sketch tables over disjoint client halves must
-  // absorb into the union estimate (register-max merge).
-  const ServiceKey key{kServer, net::Proto::kTcp, 80};
-  passive::ServiceTable a(passive::ClientAccounting::kSketch);
-  passive::ServiceTable b(passive::ClientAccounting::kSketch);
-  passive::ServiceTable whole(passive::ClientAccounting::kSketch);
-  constexpr std::uint64_t kClients = 120;
-  for (std::uint64_t i = 0; i < kClients; ++i) {
-    const Ipv4 client(static_cast<std::uint32_t>(0x42000000u + i * 977));
-    (i % 2 == 0 ? a : b).count_flow(key, client, kEpoch + minutes(i));
-    whole.count_flow(key, client, kEpoch + minutes(i));
-  }
-  a.discover(key, kEpoch);
-  b.discover(key, kEpoch);
-  whole.discover(key, kEpoch);
-  a.absorb(std::move(b));
-  const auto* merged = a.find(key);
-  const auto* single = whole.find(key);
-  ASSERT_NE(merged, nullptr);
-  ASSERT_NE(single, nullptr);
-  EXPECT_EQ(merged->client_count(), single->client_count());
-  EXPECT_EQ(merged->flows, kClients);
 }
 
 TEST(SketchTable, MemoryIsBoundedPerService) {
@@ -450,13 +425,11 @@ struct CampaignArtifacts {
   std::vector<std::pair<ServiceKey, std::uint64_t>> client_counts;
 };
 
-CampaignArtifacts run_campaign(std::uint64_t seed, std::size_t threads,
-                               bool streaming) {
+CampaignArtifacts run_campaign(std::uint64_t seed, bool streaming) {
   workload::Campus campus(fast_tiny(seed));
   util::MetricsRegistry metrics;
   core::EngineConfig cfg;
   cfg.scan_count = 2;
-  cfg.threads = threads;
   cfg.metrics = &metrics;
   StreamingAnalytics stream(core::streaming_config_for(campus));
   if (streaming) {
@@ -483,8 +456,8 @@ TEST(StreamingCampaign, SketchClientCountsWithinTwoPercentOfExact) {
   // with the exact table on every per-service client tally to within
   // max(1 client, 2%), and exactly on the service set.
   for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
-    const auto exact = run_campaign(seed, 1, /*streaming=*/false);
-    const auto sketch = run_campaign(seed, 1, /*streaming=*/true);
+    const auto exact = run_campaign(seed, /*streaming=*/false);
+    const auto sketch = run_campaign(seed, /*streaming=*/true);
     ASSERT_EQ(exact.client_counts.size(), sketch.client_counts.size());
     for (std::size_t i = 0; i < exact.client_counts.size(); ++i) {
       ASSERT_EQ(exact.client_counts[i].first, sketch.client_counts[i].first);
@@ -496,24 +469,23 @@ TEST(StreamingCampaign, SketchClientCountsWithinTwoPercentOfExact) {
   }
 }
 
-TEST(StreamingCampaign, ArtifactsByteIdenticalAcrossThreadCounts) {
-  const auto t1 = run_campaign(21, 1, /*streaming=*/true);
-  const auto t2 = run_campaign(21, 2, /*streaming=*/true);
-  const auto t4 = run_campaign(21, 4, /*streaming=*/true);
-  ASSERT_FALSE(t1.streaming_jsonl.empty());
-  EXPECT_EQ(t1.streaming_jsonl, t2.streaming_jsonl);
-  EXPECT_EQ(t1.streaming_jsonl, t4.streaming_jsonl);
-  // The sketch-accounted tables must merge to identical client counts
-  // too (register-max absorb is shard-order independent).
-  EXPECT_EQ(t1.client_counts, t2.client_counts);
-  EXPECT_EQ(t1.client_counts, t4.client_counts);
+TEST(StreamingCampaign, ArtifactsByteIdenticalAcrossReruns) {
+  // A campaign is a pure function of (config, seed): rerunning the same
+  // seed must reproduce the streaming JSONL and the sketch-accounted
+  // client counts exactly. No scenario golden pins the streaming output,
+  // so this is its determinism check.
+  const auto first = run_campaign(21, /*streaming=*/true);
+  const auto second = run_campaign(21, /*streaming=*/true);
+  ASSERT_FALSE(first.streaming_jsonl.empty());
+  EXPECT_EQ(first.streaming_jsonl, second.streaming_jsonl);
+  EXPECT_EQ(first.client_counts, second.client_counts);
 }
 
 TEST(StreamingCampaign, DisabledStreamingIsRngNeutral) {
   // The streaming layer only observes; turning it off must not change
   // the simulation's event stream.
-  const auto on = run_campaign(31, 1, /*streaming=*/true);
-  const auto off = run_campaign(31, 1, /*streaming=*/false);
+  const auto on = run_campaign(31, /*streaming=*/true);
+  const auto off = run_campaign(31, /*streaming=*/false);
   EXPECT_EQ(on.events_processed, off.events_processed);
 }
 

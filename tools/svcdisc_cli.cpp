@@ -70,36 +70,6 @@
 namespace svcdisc {
 namespace {
 
-struct Scenario {
-  const char* name;
-  workload::CampusConfig (*make)();
-  const char* summary;
-};
-
-const Scenario kScenarios[] = {
-    {"tiny", &workload::CampusConfig::tiny,
-     "small test campus (~600 static addrs, 2 days)"},
-    {"dtcp1_18d", &workload::CampusConfig::dtcp1_18d,
-     "the paper's main dataset: 18 days, ~15.6k addrs, scans every 12h"},
-    {"dtcp1_90d", &workload::CampusConfig::dtcp1_90d,
-     "90 days of passive monitoring"},
-    {"dtcp_break", &workload::CampusConfig::dtcp_break,
-     "11 days over winter break (reduced population, Internet2)"},
-    {"dtcp_all", &workload::CampusConfig::dtcp_all,
-     "one /24 of lab machines, services on any port, 10 days"},
-    {"dudp", &workload::CampusConfig::dudp,
-     "UDP service discovery, 24 hours"},
-    {"scale1m", &workload::CampusConfig::scale1m,
-     "tiny campus + 1,048,576-address scale universe, 1 day"},
-};
-
-const Scenario* find_scenario(const std::string& name) {
-  for (const Scenario& s : kScenarios) {
-    if (name == s.name) return &s;
-  }
-  return nullptr;
-}
-
 // Uniform argument handling for every subcommand: parse flags, require
 // exactly `positionals` non-flag arguments, and on any problem print the
 // usage (stdout for --help, stderr + non-zero otherwise). Returns true
@@ -131,23 +101,20 @@ bool parse_or_usage(util::Flags& flags, int argc, const char* const* argv,
   return false;
 }
 
-// Shared --threads flag (engine shard count, DESIGN.md §13): registered
-// identically on every campaign-running subcommand so the flag reads the
-// same everywhere. 1 = classic serial engine, 0 = all hardware threads,
-// N >= 2 = sharded pipeline. Output is byte-identical at every value.
-void add_threads_flag(util::Flags& flags, std::int64_t* threads) {
-  flags.add_int64("threads",
-                  "engine shard threads per campaign "
-                  "(1 = serial, 0 = all hardware threads)",
-                  threads);
+// Range checks after parse (non-numeric values already exit 2 inside
+// parse_or_usage).
+bool validate_jobs(std::int64_t jobs) {
+  if (jobs < 0) {
+    std::fprintf(stderr, "error: --jobs must be >= 0 (got %lld)\n",
+                 static_cast<long long>(jobs));
+    return false;
+  }
+  return true;
 }
 
-// Range check after parse (non-integer values already exit 2 inside
-// parse_or_usage).
-bool validate_threads(std::int64_t threads) {
-  if (threads < 0) {
-    std::fprintf(stderr, "error: --threads must be >= 0 (got %lld)\n",
-                 static_cast<long long>(threads));
+bool validate_days(double days) {
+  if (!(days >= 0)) {  // also rejects NaN
+    std::fprintf(stderr, "error: --days must be >= 0 (got %g)\n", days);
     return false;
   }
   return true;
@@ -204,7 +171,9 @@ int cmd_scenarios(int argc, const char* const* argv) {
     return exit_code;
   }
   analysis::TextTable table({"name", "description"});
-  for (const Scenario& s : kScenarios) table.add_row({s.name, s.summary});
+  for (const workload::Preset& p : workload::presets()) {
+    table.add_row({p.name, p.summary});
+  }
   std::fputs(table.render().c_str(), stdout);
   return 0;
 }
@@ -254,7 +223,6 @@ int cmd_run(int argc, const char* const* argv) {
   std::string provenance_path;
   std::string log_level_text;
   std::string streaming_path;
-  std::int64_t threads = 1;
   bool scan_report = false;
   bool streaming = false;
   bool verbose = false;
@@ -290,7 +258,6 @@ int cmd_run(int argc, const char* const* argv) {
                    "write streaming snapshots + change-points (JSONL) here "
                    "(implies --streaming)",
                    &streaming_path);
-  add_threads_flag(flags, &threads);
   add_prober_flags(flags, &prober, &probe_budget, &no_verify);
   add_log_level_flag(flags, &log_level_text);
   int exit_code = 0;
@@ -298,8 +265,8 @@ int cmd_run(int argc, const char* const* argv) {
     return exit_code;
   }
   if (!streaming_path.empty()) streaming = true;
-  if (!validate_threads(threads)) return 2;
-  const Scenario* scenario = find_scenario(scenario_name);
+  if (!validate_days(days)) return 2;
+  const workload::Preset* scenario = workload::find_preset(scenario_name);
   if (!scenario) {
     std::fprintf(stderr, "unknown scenario %s (try `scenarios`)\n",
                  scenario_name.c_str());
@@ -319,7 +286,6 @@ int cmd_run(int argc, const char* const* argv) {
   engine_cfg.scan_count =
       scans >= 0 ? static_cast<int>(scans)
                  : static_cast<int>(cfg.duration.days() * 2);
-  engine_cfg.threads = static_cast<std::size_t>(threads);
   if (!apply_prober_flags(prober, probe_budget, no_verify, &engine_cfg)) {
     return 2;
   }
@@ -490,7 +456,6 @@ int cmd_campaign(int argc, const char* const* argv) {
   std::string scenario_name = "tiny";
   std::string seeds_text = "1..4";
   std::int64_t jobs = 0;  // 0 = SVCDISC_JOBS env / hardware threads
-  std::int64_t threads = 1;
   std::int64_t scans = -1;
   double days = 0;
   std::string json_path;
@@ -510,7 +475,6 @@ int cmd_campaign(int argc, const char* const* argv) {
                    &seeds_text);
   flags.add_int64("jobs", "worker threads (0 = SVCDISC_JOBS or hardware)",
                   &jobs);
-  add_threads_flag(flags, &threads);
   flags.add_int64("scans", "number of 12-hourly scans (-1 = preset)",
                   &scans);
   flags.add_double("days", "override campaign duration in days", &days);
@@ -533,8 +497,8 @@ int cmd_campaign(int argc, const char* const* argv) {
   if (!parse_or_usage(flags, argc, argv, 0, nullptr, &exit_code)) {
     return exit_code;
   }
-  if (!validate_threads(threads)) return 2;
-  const Scenario* scenario = find_scenario(scenario_name);
+  if (!validate_jobs(jobs) || !validate_days(days)) return 2;
+  const workload::Preset* scenario = workload::find_preset(scenario_name);
   if (!scenario) {
     std::fprintf(stderr, "unknown scenario %s (try `scenarios`)\n",
                  scenario_name.c_str());
@@ -556,7 +520,6 @@ int cmd_campaign(int argc, const char* const* argv) {
   engine_cfg.scan_count =
       scans >= 0 ? static_cast<int>(scans)
                  : static_cast<int>(cfg.duration.days() * 2);
-  engine_cfg.threads = static_cast<std::size_t>(threads);
   if (!apply_prober_flags(prober, probe_budget, no_verify, &engine_cfg)) {
     return 2;
   }
@@ -724,7 +687,8 @@ int cmd_loss_sweep(int argc, const char* const* argv) {
   if (!parse_or_usage(flags, argc, argv, 0, nullptr, &exit_code)) {
     return exit_code;
   }
-  const Scenario* scenario = find_scenario(scenario_name);
+  if (!validate_jobs(jobs) || !validate_days(days)) return 2;
+  const workload::Preset* scenario = workload::find_preset(scenario_name);
   if (!scenario) {
     std::fprintf(stderr, "unknown scenario %s (try `scenarios`)\n",
                  scenario_name.c_str());
@@ -991,8 +955,9 @@ int cmd_explain(int argc, const char* const* argv) {
                  flags.positional()[0].c_str());
     return 2;
   }
+  if (!validate_days(days)) return 2;
   if (!apply_log_level(log_level_text)) return 2;
-  const Scenario* scenario = find_scenario(scenario_name);
+  const workload::Preset* scenario = workload::find_preset(scenario_name);
   if (!scenario) {
     std::fprintf(stderr, "unknown scenario %s (try `scenarios`)\n",
                  scenario_name.c_str());
@@ -1319,17 +1284,14 @@ int cmd_scenario_list(int argc, const char* const* argv) {
 
 int cmd_scenario_run(int argc, const char* const* argv) {
   std::string log_level_text;
-  std::int64_t threads = 1;
   util::Flags flags("svcdisc_cli scenario run",
                     "run a scenario pack and print its artifacts");
-  add_threads_flag(flags, &threads);
   add_log_level_flag(flags, &log_level_text);
   int exit_code = 0;
   if (!parse_or_usage(flags, argc, argv, 1,
                       "usage: scenario run <dir> [flags]\n", &exit_code)) {
     return exit_code;
   }
-  if (!validate_threads(threads)) return 2;
   if (!apply_log_level(log_level_text)) return 2;
   core::ScenarioSpec spec;
   std::string error;
@@ -1338,8 +1300,7 @@ int cmd_scenario_run(int argc, const char* const* argv) {
     return 2;
   }
   core::ScenarioArtifacts artifacts;
-  if (!core::run_scenario(spec, &artifacts, &error,
-                          static_cast<std::size_t>(threads))) {
+  if (!core::run_scenario(spec, &artifacts, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
@@ -1388,18 +1349,15 @@ int cmd_scenario_record(int argc, const char* const* argv) {
 
 int cmd_scenario_verify(int argc, const char* const* argv) {
   std::string log_level_text;
-  std::int64_t threads = 1;
   util::Flags flags("svcdisc_cli scenario verify",
                     "run a scenario pack and byte-compare against its "
                     "goldens");
-  add_threads_flag(flags, &threads);
   add_log_level_flag(flags, &log_level_text);
   int exit_code = 0;
   if (!parse_or_usage(flags, argc, argv, 1,
                       "usage: scenario verify <dir>\n", &exit_code)) {
     return exit_code;
   }
-  if (!validate_threads(threads)) return 2;
   if (!apply_log_level(log_level_text)) return 2;
   core::ScenarioSpec spec;
   std::string error;
@@ -1408,8 +1366,7 @@ int cmd_scenario_verify(int argc, const char* const* argv) {
     return 2;
   }
   core::ScenarioArtifacts artifacts;
-  if (!core::run_scenario(spec, &artifacts, &error,
-                          static_cast<std::size_t>(threads))) {
+  if (!core::run_scenario(spec, &artifacts, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
