@@ -205,17 +205,7 @@ void AdaptiveProber::send_next(std::size_t machine) {
   current_.outcomes.push_back(
       {{c.addr, c.proto, c.port}, ProbeStatus::kPending, now});
 
-  const net::Ipv4 source = config_.source_addrs[machine];
-  const net::Port sport = take_ephemeral();
-  if (c.proto == net::Proto::kTcp) {
-    network_.send(net::make_tcp(source, sport, c.addr, c.port,
-                                net::flags_syn()));
-    if (m_probes_tcp_) m_probes_tcp_->inc();
-  } else {
-    const std::uint16_t payload = spec_.udp_service_probes ? 48 : 0;
-    network_.send(net::make_udp(source, sport, c.addr, c.port, payload));
-    if (m_probes_udp_) m_probes_udp_->inc();
-  }
+  send_probe(config_.source_addrs[machine], c.addr, c.proto, c.port);
   --budget_left_;
   ++budget_spent_total_;
   if (m_budget_spent_) m_budget_spent_->inc();
@@ -369,23 +359,9 @@ void AdaptiveProber::finalize_scan() {
     return;
   }
 
-  // §4.5 classification of unanswered first-stage probes, as in the
-  // fixed sweep; every silence is also negative evidence for the priors.
-  util::FlatSet<net::Ipv4> alive;
-  for (const ProbeOutcome& o : current_.outcomes) {
-    if (o.status != ProbeStatus::kPending) alive.insert(o.key.addr);
-  }
-  for (auto& outcome : current_.outcomes) {
-    if (outcome.status != ProbeStatus::kPending) continue;
-    if (outcome.key.proto == net::Proto::kTcp) {
-      outcome.status = ProbeStatus::kFiltered;
-    } else {
-      outcome.status = alive.contains(outcome.key.addr)
-                           ? ProbeStatus::kMaybeOpen
-                           : ProbeStatus::kNoHost;
-    }
-    note_outcome(outcome);
-  }
+  // Unanswered first-stage probes; every silence is also negative
+  // evidence for the priors (note_outcome).
+  classify_unanswered({});
 
   pending_.clear();
   if (m_entropy_) {

@@ -129,6 +129,36 @@ void ProberBase::record_open(const ProbeOutcome& outcome, bool udp) {
 
 void ProberBase::note_outcome(const ProbeOutcome& /*outcome*/) {}
 
+void ProberBase::send_probe(net::Ipv4 source, net::Ipv4 addr,
+                            net::Proto proto, net::Port port) {
+  const net::Port sport = take_ephemeral();
+  if (proto == net::Proto::kTcp) {
+    network_.send(net::make_tcp(source, sport, addr, port, net::flags_syn()));
+    if (m_probes_tcp_) m_probes_tcp_->inc();
+  } else {
+    const std::uint16_t payload = spec_.udp_service_probes ? 48 : 0;
+    network_.send(net::make_udp(source, sport, addr, port, payload));
+    if (m_probes_udp_) m_probes_udp_->inc();
+  }
+}
+
+void ProberBase::classify_unanswered(util::FlatSet<net::Ipv4> alive) {
+  for (const ProbeOutcome& o : current_.outcomes) {
+    if (o.status != ProbeStatus::kPending) alive.insert(o.key.addr);
+  }
+  for (ProbeOutcome& outcome : current_.outcomes) {
+    if (outcome.status != ProbeStatus::kPending) continue;
+    if (outcome.key.proto == net::Proto::kTcp) {
+      outcome.status = ProbeStatus::kFiltered;
+    } else {
+      outcome.status = alive.contains(outcome.key.addr)
+                           ? ProbeStatus::kMaybeOpen
+                           : ProbeStatus::kNoHost;
+    }
+    note_outcome(outcome);
+  }
+}
+
 net::Port ProberBase::take_ephemeral() {
   next_ephemeral_ = next_ephemeral_ >= 60000 ? net::Port{40000}
                                              : net::Port(next_ephemeral_ + 1);
@@ -313,21 +343,7 @@ void Prober::send_next(std::size_t machine) {
           {{task.addr, task.proto, task.port}, ProbeStatus::kPending, now});
       cell = static_cast<std::uint32_t>(current_.outcomes.size());
     }
-
-    const net::Port sport = take_ephemeral();
-    if (task.proto == net::Proto::kTcp) {
-      network_.send(net::make_tcp(source, sport, task.addr, task.port,
-                                  net::flags_syn()));
-      if (m_probes_tcp_) m_probes_tcp_->inc();
-    } else {
-      // Generic (zero-payload) UDP probe by default (§4.5); a
-      // service-specific probe carries a well-formed application request
-      // that any live implementation answers.
-      const std::uint16_t payload = spec_.udp_service_probes ? 48 : 0;
-      network_.send(net::make_udp(source, sport, task.addr,
-                                  task.port, payload));
-      if (m_probes_udp_) m_probes_udp_->inc();
-    }
+    send_probe(source, task.addr, task.proto, task.port);
   }
   buckets_[machine].consume(now);
 
@@ -399,25 +415,9 @@ void Prober::resolve(net::Ipv4 addr, net::Port port, net::Proto proto,
 }
 
 void Prober::finalize_scan() {
-  // Hosts that answered anything are alive; their unanswered UDP probes
-  // are "possibly open", everyone else's are "no host" (§4.5). A host
-  // that answered only the ICMP host-discovery ping proved itself alive
-  // too — alive_hosts_ joins the port-probe responders.
-  util::FlatSet<net::Ipv4> alive;
-  for (const net::Ipv4 addr : alive_hosts_) alive.insert(addr);
-  for (const ProbeOutcome& o : current_.outcomes) {
-    if (o.status != ProbeStatus::kPending) alive.insert(o.key.addr);
-  }
-  for (auto& outcome : current_.outcomes) {
-    if (outcome.status != ProbeStatus::kPending) continue;
-    if (outcome.key.proto == net::Proto::kTcp) {
-      outcome.status = ProbeStatus::kFiltered;
-    } else {
-      outcome.status = alive.contains(outcome.key.addr)
-                           ? ProbeStatus::kMaybeOpen
-                           : ProbeStatus::kNoHost;
-    }
-  }
+  // A host that answered only the ICMP host-discovery ping proved
+  // itself alive too.
+  classify_unanswered(alive_hosts_);
   // Free the grid rather than clear it: it is sized by this scan alone.
   cell_outcome_ = {};
   target_row_ = {};

@@ -176,6 +176,18 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
   /// Hook invoked for every resolved outcome (the adaptive prober's
   /// online prior updates). Default: nothing.
   virtual void note_outcome(const ProbeOutcome& outcome);
+  /// Sends one port probe from `source` and counts it: a SYN, or a
+  /// generic (zero-payload) UDP datagram (§4.5) — service-specific with
+  /// spec_.udp_service_probes, a well-formed application request that
+  /// any live implementation answers.
+  void send_probe(net::Ipv4 source, net::Ipv4 addr, net::Proto proto,
+                  net::Port port);
+  /// §4.5 classification of every outcome still pending at scan end:
+  /// unanswered TCP is filtered; unanswered UDP is "possibly open" when
+  /// the host proved alive — it is in `alive`, or answered any probe of
+  /// this scan — else "no host". Each classified outcome reaches
+  /// note_outcome().
+  void classify_unanswered(util::FlatSet<net::Ipv4> alive);
 
   /// Next client-side source port, cycling through 40000-60000.
   net::Port take_ephemeral();

@@ -1,7 +1,6 @@
 #include "core/provenance.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "util/sim_time.h"
@@ -146,17 +145,6 @@ std::string ProvenanceLedger::to_jsonl(const std::string& label) const {
     out += "]}\n";
   }
   return out;
-}
-
-bool ProvenanceLedger::write_jsonl(const std::string& path,
-                                   const std::string& label) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::string body = to_jsonl(label);
-  const std::size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = written == body.size() && std::fclose(f) == 0;
-  if (!ok && written != body.size()) std::fclose(f);
-  return ok;
 }
 
 std::string ProvenanceLedger::explain(const ServiceKey& key,

@@ -124,9 +124,6 @@ class ProvenanceLedger {
   /// of every line (campaign sweeps concatenate several ledgers).
   /// Byte-identical across identical campaigns.
   std::string to_jsonl(const std::string& label = {}) const;
-  /// Writes to_jsonl() to `path`. False if the file can't be written.
-  bool write_jsonl(const std::string& path,
-                   const std::string& label = {}) const;
 
   /// Human-readable evidence timeline for one service (the CLI
   /// `explain` subcommand). Empty string when the key is unknown.

@@ -1,20 +1,20 @@
 #include "core/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 
 #include "analysis/export.h"
 #include "capture/impairment.h"
-#include "core/campaign_runner.h"
 #include "core/categorize.h"
 #include "core/completeness.h"
 #include "core/report.h"
 #include "passive/table_io.h"
-#include "util/json.h"
 
 namespace svcdisc::core {
 namespace {
@@ -30,10 +30,13 @@ bool read_file(const std::string& path, std::string* out) {
   return in.good() || in.eof();
 }
 
-// One scalar override read from JSON with type checking. `where` names
-// the enclosing object in error messages.
+// One scalar override read from JSON with type and range checking.
+// `where` names the enclosing object in error messages.
 class FieldReader {
  public:
+  /// The range a numeric override must fall in.
+  enum class Bound : std::uint8_t { kAny, kPositive, kNonNegative };
+
   FieldReader(const util::JsonValue& object, const char* where,
               std::string* error)
       : object_(object), where_(where), error_(error) {}
@@ -54,11 +57,18 @@ class FieldReader {
     *out = static_cast<std::uint32_t>(v->as_integer());
   }
 
-  void read_int(const char* key, int* out) {
+  /// Values outside int are rejected, never truncated.
+  void read_int(const char* key, int* out, Bound bound = Bound::kAny) {
+    static constexpr const char* kExpected[] = {
+        "an integer in int range", "a positive integer",
+        "a non-negative integer"};
     const util::JsonValue* v = take(key);
     if (!v) return;
-    if (!v->is_integer()) {
-      fail(key, "an integer");
+    if (!v->is_integer() ||
+        v->as_integer() < std::numeric_limits<int>::min() ||
+        v->as_integer() > std::numeric_limits<int>::max() ||
+        !within(static_cast<double>(v->as_integer()), bound)) {
+      fail(key, kExpected[static_cast<int>(bound)]);
       return;
     }
     *out = static_cast<int>(v->as_integer());
@@ -74,11 +84,15 @@ class FieldReader {
     *out = static_cast<std::uint64_t>(v->as_integer());
   }
 
-  void read_double(const char* key, double* out) {
+  /// Non-finite values (a literal like 1e999 parses to inf) are rejected.
+  void read_double(const char* key, double* out, Bound bound = Bound::kAny) {
+    static constexpr const char* kExpected[] = {
+        "a finite number", "a finite number > 0", "a finite number >= 0"};
     const util::JsonValue* v = take(key);
     if (!v) return;
-    if (!v->is_number()) {
-      fail(key, "a number");
+    if (!v->is_number() || !std::isfinite(v->as_number()) ||
+        !within(v->as_number(), bound)) {
+      fail(key, kExpected[static_cast<int>(bound)]);
       return;
     }
     *out = v->as_number();
@@ -120,6 +134,11 @@ class FieldReader {
   }
 
  private:
+  static bool within(double v, Bound bound) {
+    return bound == Bound::kAny || v > 0 ||
+           (bound == Bound::kNonNegative && v == 0);
+  }
+
   const util::JsonValue* take(const char* key) {
     seen_.insert(key);
     return failed_ ? nullptr : object_.find(key);
@@ -142,9 +161,10 @@ class FieldReader {
 bool apply_campus_overrides(const util::JsonValue& obj,
                             workload::CampusConfig* cfg,
                             std::string* error) {
+  using Bound = FieldReader::Bound;
   FieldReader r(obj, "campus", error);
-  double duration_days = -1;
-  r.read_double("duration_days", &duration_days);
+  double duration_days = -1;  // absent: the preset's duration
+  r.read_double("duration_days", &duration_days, Bound::kPositive);
   r.read_u32("static_addresses", &cfg->static_addresses);
   r.read_u32("static_plain", &cfg->static_plain);
   r.read_u32("ssh_only", &cfg->ssh_only);
@@ -198,14 +218,17 @@ bool apply_campus_overrides(const util::JsonValue& obj,
 
 bool apply_engine_overrides(const util::JsonValue& obj, EngineConfig* cfg,
                             bool* scans_set, std::string* error) {
+  using Bound = FieldReader::Bound;
   FieldReader r(obj, "engine", error);
+  // -1: absent, keep the default.
   int scans = -1;
   double period_hours = -1;
   double offset_hours = -1;
   std::string prober = "fixed";
-  r.read_int("scans", &scans);
-  r.read_double("scan_period_hours", &period_hours);
-  r.read_double("first_scan_offset_hours", &offset_hours);
+  r.read_int("scans", &scans, Bound::kNonNegative);
+  r.read_double("scan_period_hours", &period_hours, Bound::kPositive);
+  r.read_double("first_scan_offset_hours", &offset_hours,
+                Bound::kNonNegative);
   r.read_bool("scanner_excluded_monitor", &cfg->scanner_excluded_monitor);
   r.read_string("prober", &prober);
   r.read_u64("probe_budget", &cfg->adaptive.probe_budget);
@@ -264,9 +287,9 @@ bool apply_impairment(const util::JsonValue& obj, EngineConfig* cfg,
   return true;
 }
 
+// Rendered only after the ledger audit passed, hence "audit ok".
 std::string render_summary(const ScenarioSpec& spec,
-                           const CampaignResult& result,
-                           const ProvenanceAudit& audit) {
+                           const CampaignResult& result) {
   const auto end = util::kEpoch + result.campus->config().duration;
   const auto passive =
       addresses_found(result.engine->monitor().table(), end);
@@ -310,8 +333,8 @@ std::string render_summary(const ScenarioSpec& spec,
       << " addresses " << active.size() << "\n";
   out << "scanners flagged "
       << result.engine->scan_detector().scanner_count() << "\n";
-  out << "provenance services " << result.provenance->size() << " audit "
-      << (audit.ok() ? "ok" : "FAILED") << "\n";
+  out << "provenance services " << result.provenance->size()
+      << " audit ok\n";
   return out.str();
 }
 
@@ -343,32 +366,33 @@ bool load_scenario(const std::string& dir, ScenarioSpec* spec,
     if (error) *error = spec_path + ": " + parse_error;
     return false;
   }
-  if (!json->is_object()) {
-    if (error) *error = spec_path + ": top level must be an object";
-    return false;
-  }
-
   ScenarioSpec out;
   out.dir = dir;
   out.name = fs::path(dir).filename().string();
   if (out.name.empty()) {  // trailing slash
     out.name = fs::path(dir).parent_path().filename().string();
   }
+  if (!scenario_from_json(*json, &out, error)) return false;
+  *spec = std::move(out);
+  return true;
+}
 
-  FieldReader r(*json, "scenario", error);
-  std::uint64_t seed = 0;
-  bool seed_given = false;
-  {
-    // Track whether "seed" appears: the preset default applies otherwise.
-    seed_given = json->find("seed") != nullptr;
+bool scenario_from_json(const util::JsonValue& json, ScenarioSpec* spec,
+                        std::string* error) {
+  if (!json.is_object()) {
+    if (error) *error = "scenario: top level must be an object";
+    return false;
   }
+  ScenarioSpec out;
+  out.dir = spec->dir;
+  out.name = spec->name;
+
+  FieldReader r(json, "scenario", error);
+  std::uint64_t seed = 0;
   r.read_string("name", &out.name);
   r.read_string("description", &out.description);
   r.read_string("preset", &out.preset);
   r.read_u64("seed", &seed);
-  const util::JsonValue* campus_obj = json->find("campus");
-  const util::JsonValue* engine_obj = json->find("engine");
-  const util::JsonValue* impairment_obj = json->find("impairment");
   if (r.failed()) return false;
 
   // Top-level unknown keys (the nested objects are validated by their
@@ -376,7 +400,7 @@ bool load_scenario(const std::string& dir, ScenarioSpec* spec,
   static const std::unordered_set<std::string> kTopLevel{
       "name", "description", "preset", "seed",
       "campus", "engine", "impairment"};
-  for (const auto& [key, value] : json->members()) {
+  for (const auto& [key, value] : json.members()) {
     if (!kTopLevel.contains(key)) {
       if (error) *error = "scenario: unknown key \"" + key + "\"";
       return false;
@@ -391,7 +415,7 @@ bool load_scenario(const std::string& dir, ScenarioSpec* spec,
     return false;
   }
   out.campus = preset->make();
-  if (campus_obj) {
+  if (const util::JsonValue* campus_obj = json.find("campus")) {
     if (!campus_obj->is_object()) {
       if (error) *error = "scenario.campus: expected an object";
       return false;
@@ -400,10 +424,11 @@ bool load_scenario(const std::string& dir, ScenarioSpec* spec,
       return false;
     }
   }
-  if (seed_given) out.campus.seed = seed;
+  // Absent: the preset's default seed.
+  if (json.find("seed")) out.campus.seed = seed;
 
   bool scans_set = false;
-  if (engine_obj) {
+  if (const util::JsonValue* engine_obj = json.find("engine")) {
     if (!engine_obj->is_object()) {
       if (error) *error = "scenario.engine: expected an object";
       return false;
@@ -414,10 +439,10 @@ bool load_scenario(const std::string& dir, ScenarioSpec* spec,
     }
   }
   if (!scans_set) {
-    // Same default schedule the CLI uses: two 12-hourly scans per day.
+    // The default schedule: two 12-hourly scans per simulated day.
     out.engine.scan_count = static_cast<int>(out.campus.duration.days() * 2);
   }
-  if (impairment_obj) {
+  if (const util::JsonValue* impairment_obj = json.find("impairment")) {
     if (!impairment_obj->is_object()) {
       if (error) *error = "scenario.impairment: expected an object";
       return false;
@@ -429,13 +454,32 @@ bool load_scenario(const std::string& dir, ScenarioSpec* spec,
   return true;
 }
 
-bool run_scenario(const ScenarioSpec& spec, ScenarioArtifacts* out,
-                  std::string* error) {
+CampaignJob scenario_job(const ScenarioSpec& spec) {
   CampaignJob job;
   job.campus_cfg = spec.campus;
   job.engine_cfg = spec.engine;
   job.seed = spec.campus.seed;
   job.label = spec.name;
+  return job;
+}
+
+bool audit_provenance(const CampaignResult& result, std::string* error) {
+  const ProvenanceAudit audit = result.provenance->audit(
+      result.engine->monitor().table(), result.engine->prober().table());
+  if (audit.ok()) return true;
+  if (error) {
+    std::ostringstream msg;
+    msg << "provenance audit failed (" << audit.matched << " matched, "
+        << audit.missing_in_ledger << " missing, " << audit.extra_in_ledger
+        << " extra, " << audit.time_mismatch << " time mismatches)";
+    *error = msg.str();
+  }
+  return false;
+}
+
+bool run_scenario(const ScenarioSpec& spec, ScenarioArtifacts* out,
+                  std::string* error) {
+  CampaignJob job = scenario_job(spec);
   job.provenance = true;
   std::vector<CampaignJob> jobs;
   jobs.push_back(std::move(job));
@@ -445,24 +489,15 @@ bool run_scenario(const ScenarioSpec& spec, ScenarioArtifacts* out,
     if (error) *error = spec.name + ": campaign failed: " + result.error;
     return false;
   }
-
-  const ProvenanceAudit audit = result.provenance->audit(
-      result.engine->monitor().table(), result.engine->prober().table());
-  if (!audit.ok()) {
-    if (error) {
-      std::ostringstream msg;
-      msg << spec.name << ": provenance audit failed (" << audit.matched
-          << " matched, " << audit.missing_in_ledger << " missing, "
-          << audit.extra_in_ledger << " extra, " << audit.time_mismatch
-          << " time mismatches)";
-      *error = msg.str();
-    }
+  std::string audit_error;
+  if (!audit_provenance(result, &audit_error)) {
+    if (error) *error = spec.name + ": " + audit_error;
     return false;
   }
 
   ScenarioArtifacts artifacts;
   artifacts.files.emplace_back("summary.txt",
-                               render_summary(spec, result, audit));
+                               render_summary(spec, result));
   {
     std::ostringstream tsv;
     passive::save_table(result.engine->monitor().table(), tsv);

@@ -25,7 +25,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/campaign_runner.h"
 #include "core/engine.h"
+#include "util/json.h"
 #include "workload/campus.h"
 
 namespace svcdisc::core {
@@ -53,11 +55,30 @@ struct ScenarioArtifacts {
   const std::string* find(std::string_view name) const;
 };
 
-/// Loads `dir`/scenario.json. On failure returns false and describes the
-/// problem (missing directory, malformed JSON with line/col, unknown
+/// Loads `dir`/scenario.json: reads and parses the file, then applies
+/// it with scenario_from_json. On failure returns false and describes
+/// the problem (missing directory, malformed JSON with line/col, unknown
 /// key, bad value) in `*error`.
 bool load_scenario(const std::string& dir, ScenarioSpec* spec,
                    std::string* error);
+
+/// Resolves a scenario document onto the config structs: preset lookup,
+/// campus/engine/impairment overrides, the prober rules, and the default
+/// schedule of two scans per simulated day when "engine.scans" is absent.
+/// Every override is range-checked; a bad value is an error naming its
+/// key. `spec->dir` is kept, and so is `spec->name` unless the document
+/// sets one. Scenario packs and the CLI's preset subcommands both build
+/// their campaigns here (DESIGN.md §12).
+bool scenario_from_json(const util::JsonValue& json, ScenarioSpec* spec,
+                        std::string* error);
+
+/// The spec as one CampaignRunner job (seed = campus seed, label = name).
+CampaignJob scenario_job(const ScenarioSpec& spec);
+
+/// Audits a finished job's provenance ledger 1:1 against its final
+/// tables. On drift returns false with "provenance audit failed (...)"
+/// in `*error` — a drifted ledger means an instrumentation gap.
+bool audit_provenance(const CampaignResult& result, std::string* error);
 
 /// Runs the campaign the spec describes and renders all artifacts. The
 /// provenance ledger is audited 1:1 against the final tables before

@@ -34,6 +34,15 @@ class ScenarioTest : public ::testing::Test {
     out << json;
   }
 
+  // Loading `json` must fail with an error naming `key`.
+  void expect_rejected(const std::string& json, const std::string& key) {
+    write_spec(json);
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(load_scenario(path(), &spec, &error)) << json;
+    EXPECT_NE(error.find(key), std::string::npos) << json << ": " << error;
+  }
+
   fs::path dir_;
 };
 
@@ -98,6 +107,120 @@ TEST_F(ScenarioTest, WrongValueTypeNamesTheField) {
   std::string error;
   EXPECT_FALSE(load_scenario(path(), &spec, &error));
   EXPECT_NE(error.find("duration_days"), std::string::npos) << error;
+}
+
+// 1e999 parses to inf; a non-finite override used to reach the clock.
+TEST_F(ScenarioTest, NonFiniteDurationIsRejected) {
+  expect_rejected(R"({"campus": {"duration_days": 1e999}})",
+                  "campus.duration_days");
+}
+
+TEST_F(ScenarioTest, NonFiniteNumberOverrideIsRejected) {
+  expect_rejected(R"({"campus": {"traffic_scale": -1e999}})",
+                  "campus.traffic_scale");
+}
+
+TEST_F(ScenarioTest, NegativeDurationIsRejected) {
+  expect_rejected(R"({"campus": {"duration_days": -3}})",
+                  "campus.duration_days");
+}
+
+TEST_F(ScenarioTest, ZeroDurationIsRejected) {
+  expect_rejected(R"({"campus": {"duration_days": 0}})",
+                  "campus.duration_days");
+}
+
+TEST_F(ScenarioTest, NegativeScanCountIsRejected) {
+  expect_rejected(R"({"engine": {"scans": -5}})", "engine.scans");
+}
+
+// 2^32 + 1 used to truncate to one scan.
+TEST_F(ScenarioTest, ScanCountOutsideIntIsRejected) {
+  expect_rejected(R"({"engine": {"scans": 4294967297}})", "engine.scans");
+}
+
+TEST_F(ScenarioTest, IntOverrideOutsideIntIsRejected) {
+  expect_rejected(R"({"campus": {"scale_block_bits": -4294967297}})",
+                  "campus.scale_block_bits");
+}
+
+TEST_F(ScenarioTest, ZeroScanPeriodIsRejected) {
+  expect_rejected(R"({"engine": {"scan_period_hours": 0}})",
+                  "engine.scan_period_hours");
+}
+
+TEST_F(ScenarioTest, NegativeScanPeriodIsRejected) {
+  expect_rejected(R"({"engine": {"scan_period_hours": -12}})",
+                  "engine.scan_period_hours");
+}
+
+TEST_F(ScenarioTest, NonFiniteScanPeriodIsRejected) {
+  expect_rejected(R"({"engine": {"scan_period_hours": 1e999}})",
+                  "engine.scan_period_hours");
+}
+
+TEST_F(ScenarioTest, NegativeFirstScanOffsetIsRejected) {
+  expect_rejected(R"({"engine": {"first_scan_offset_hours": -1}})",
+                  "engine.first_scan_offset_hours");
+}
+
+// Boundary values that stay legal: zero scans, a zero offset.
+TEST_F(ScenarioTest, ZeroScansAndZeroOffsetLoad) {
+  write_spec(R"({"engine": {"scans": 0, "first_scan_offset_hours": 0}})");
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(load_scenario(path(), &spec, &error)) << error;
+  EXPECT_EQ(spec.engine.scan_count, 0);
+  EXPECT_EQ(spec.engine.first_scan_offset, util::Duration{});
+}
+
+// The CLI hands its flags to scenario_from_json as an in-memory
+// document; it must resolve exactly like the equivalent pack on disk.
+TEST_F(ScenarioTest, InMemoryDocumentMatchesThePackOnDisk) {
+  using util::JsonValue;
+  ScenarioSpec from_json;
+  from_json.name = "kept";
+  std::string error;
+  ASSERT_TRUE(scenario_from_json(
+      JsonValue::make_object(
+          {{"preset", JsonValue::make_string("tiny")},
+           {"seed", JsonValue::make_integer(42)},
+           {"campus",
+            JsonValue::make_object(
+                {{"duration_days", JsonValue::make_number(1.0)}})},
+           {"engine", JsonValue::make_object(
+                          {{"scans", JsonValue::make_integer(2)}})}}),
+      &from_json, &error))
+      << error;
+  EXPECT_EQ(from_json.name, "kept");
+
+  ScenarioSpec pack;
+  ASSERT_TRUE(load_scenario(std::string(SVCDISC_SCENARIO_DIR) + "/usc_tiny",
+                            &pack, &error))
+      << error;
+  EXPECT_EQ(from_json.preset, pack.preset);
+  EXPECT_EQ(from_json.campus.seed, pack.campus.seed);
+  EXPECT_EQ(from_json.campus.duration, pack.campus.duration);
+  EXPECT_EQ(from_json.engine.scan_count, pack.engine.scan_count);
+  EXPECT_EQ(from_json.engine.scan_period, pack.engine.scan_period);
+  EXPECT_EQ(from_json.engine.first_scan_offset,
+            pack.engine.first_scan_offset);
+}
+
+TEST_F(ScenarioTest, DefaultScheduleIsTwoScansPerDay) {
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(scenario_from_json(
+      util::JsonValue::make_object(
+          {{"campus", util::JsonValue::make_object(
+                          {{"duration_days",
+                            util::JsonValue::make_number(3.0)}})}}),
+      &spec, &error))
+      << error;
+  EXPECT_EQ(spec.engine.scan_count, 6);
+  EXPECT_FALSE(scenario_from_json(util::JsonValue::make_integer(1), &spec,
+                                  &error));
+  EXPECT_NE(error.find("top level"), std::string::npos) << error;
 }
 
 TEST_F(ScenarioTest, UnknownPresetFails) {

@@ -41,10 +41,15 @@
 //   svcdisc_cli explain 128.125.0.17:80 --scenario=tiny
 //   svcdisc_cli replay border.pcap
 //   svcdisc_cli filter "tcp and synack" border.pcap
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "active/scan_report.h"
@@ -63,6 +68,7 @@
 #include "core/scenario.h"
 #include "passive/table_io.h"
 #include "util/flags.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/trace.h"
 #include "workload/campus.h"
@@ -112,56 +118,94 @@ bool validate_jobs(std::int64_t jobs) {
   return true;
 }
 
-bool validate_days(double days) {
-  if (!(days >= 0)) {  // also rejects NaN
-    std::fprintf(stderr, "error: --days must be >= 0 (got %g)\n", days);
-    return false;
-  }
-  return true;
+// Writes `body` to `path`; on failure prints "cannot write PATH".
+bool write_file(const std::string& path, const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  bool ok = f && std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  if (f && std::fclose(f) != 0) ok = false;
+  if (!ok) std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return ok;
+}
+
+// The flags that describe one campaign (run, campaign, loss-sweep,
+// explain); each subcommand registers the ones it offers.
+struct CampaignFlags {
+  std::string preset{"tiny"};
+  std::int64_t seed{24301};
+  std::int64_t scans{-1};  // -1 = the preset's default schedule
+  double days{0};          // 0 = the preset's duration
+  std::string prober{"fixed"};
+  std::int64_t probe_budget{0};
+  bool no_verify{false};
+};
+
+void add_schedule_flags(util::Flags& flags, CampaignFlags* campaign) {
+  flags.add_int64("scans", "number of 12-hourly scans (-1 = preset)",
+                  &campaign->scans);
+  flags.add_double("days", "override campaign duration in days",
+                   &campaign->days);
 }
 
 // Shared prober-selection flags (run, campaign): the paper's fixed
 // exhaustive sweep, or the budgeted adaptive prober (DESIGN.md §16).
-void add_prober_flags(util::Flags& flags, std::string* prober,
-                      std::int64_t* budget, bool* no_verify) {
+void add_prober_flags(util::Flags& flags, CampaignFlags* campaign) {
   flags.add_string("prober",
                    "probing strategy: fixed (paper sweep) or adaptive "
                    "(passive-seeded, prior-ranked, budgeted)",
-                   prober);
+                   &campaign->prober);
   flags.add_int64("probe-budget",
                   "adaptive prober: max first-stage probes per scan "
                   "(0 = unlimited)",
-                  budget);
+                  &campaign->probe_budget);
   flags.add_bool("no-verify",
                  "adaptive prober: count SYN-ACKs as open without the "
                  "LZR-style data-probe verification",
-                 no_verify);
+                 &campaign->no_verify);
 }
 
-bool apply_prober_flags(const std::string& prober, std::int64_t budget,
-                        bool no_verify, core::EngineConfig* cfg) {
-  if (prober == "adaptive") {
-    cfg->adaptive_prober = true;
-  } else if (prober != "fixed") {
-    std::fprintf(stderr,
-                 "error: --prober must be fixed or adaptive (got %s)\n",
-                 prober.c_str());
-    return false;
+// Turns the flags the user changed into scenario-document overrides and
+// resolves them with the scenario loader, so a CLI campaign is defaulted
+// and validated exactly like a scenario pack. On a rejected value prints
+// the loader's error and returns false (exit 2).
+bool resolve_campaign(const CampaignFlags& f, core::ScenarioSpec* spec) {
+  using util::JsonValue;
+  std::vector<std::pair<std::string, JsonValue>> campus;
+  std::vector<std::pair<std::string, JsonValue>> engine;
+  if (f.days != 0) {
+    campus.emplace_back("duration_days", JsonValue::make_number(f.days));
   }
-  if (budget < 0) {
-    std::fprintf(stderr, "error: --probe-budget must be >= 0 (got %lld)\n",
-                 static_cast<long long>(budget));
-    return false;
+  if (f.scans != -1) {
+    engine.emplace_back("scans", JsonValue::make_integer(f.scans));
   }
-  if (!cfg->adaptive_prober && (budget > 0 || no_verify)) {
-    std::fprintf(
-        stderr,
-        "error: --probe-budget/--no-verify require --prober=adaptive\n");
-    return false;
+  if (f.prober != "fixed") {
+    engine.emplace_back("prober", JsonValue::make_string(f.prober));
   }
-  cfg->adaptive.probe_budget = static_cast<std::uint64_t>(budget);
-  cfg->adaptive.verify = !no_verify;
-  return true;
+  if (f.probe_budget != 0) {
+    engine.emplace_back("probe_budget",
+                        JsonValue::make_integer(f.probe_budget));
+  }
+  if (f.no_verify) {
+    engine.emplace_back("adaptive_verify", JsonValue::make_bool(false));
+  }
+  const JsonValue overrides = JsonValue::make_object(
+      {{"preset", JsonValue::make_string(f.preset)},
+       {"seed", JsonValue::make_integer(f.seed)},
+       {"campus", JsonValue::make_object(std::move(campus))},
+       {"engine", JsonValue::make_object(std::move(engine))}});
+  std::string error;
+  if (core::scenario_from_json(overrides, spec, &error)) return true;
+  std::fprintf(stderr, "error: %s\n", error.c_str());
+  return false;
+}
+
+// Runs one job on the campaign runner; prints the error when it threw.
+bool run_job(core::CampaignJob job, core::CampaignResult* result) {
+  std::vector<core::CampaignJob> jobs;
+  jobs.push_back(std::move(job));
+  *result = std::move(core::CampaignRunner(1).run(std::move(jobs)).front());
+  if (result->ok()) return true;
+  std::fprintf(stderr, "error: campaign failed: %s\n", result->error.c_str());
+  return false;
 }
 
 int cmd_scenarios(int argc, const char* const* argv) {
@@ -213,10 +257,7 @@ bool finish_trace(const std::string& path) {
 }
 
 int cmd_run(int argc, const char* const* argv) {
-  std::string scenario_name = "tiny";
-  std::int64_t seed = 24301;
-  std::int64_t scans = -1;  // -1 = scenario default schedule
-  double days = 0;          // 0 = scenario default duration
+  CampaignFlags campaign;
   std::string pcap_path;
   std::string table_path;
   std::string trace_path;
@@ -226,17 +267,12 @@ int cmd_run(int argc, const char* const* argv) {
   bool scan_report = false;
   bool streaming = false;
   bool verbose = false;
-  std::string prober = "fixed";
-  std::int64_t probe_budget = 0;
-  bool no_verify = false;
 
   util::Flags flags("svcdisc_cli run", "run a discovery campaign");
   flags.add_string("scenario", "scenario preset (see `scenarios`)",
-                   &scenario_name);
-  flags.add_int64("seed", "campaign seed", &seed);
-  flags.add_int64("scans", "number of 12-hourly scans (-1 = preset)",
-                  &scans);
-  flags.add_double("days", "override campaign duration in days", &days);
+                   &campaign.preset);
+  flags.add_int64("seed", "campaign seed", &campaign.seed);
+  add_schedule_flags(flags, &campaign);
   flags.add_string("pcap", "also record the border capture to this file",
                    &pcap_path);
   flags.add_string("table", "save the passive service table (TSV) here",
@@ -258,47 +294,20 @@ int cmd_run(int argc, const char* const* argv) {
                    "write streaming snapshots + change-points (JSONL) here "
                    "(implies --streaming)",
                    &streaming_path);
-  add_prober_flags(flags, &prober, &probe_budget, &no_verify);
+  add_prober_flags(flags, &campaign);
   add_log_level_flag(flags, &log_level_text);
   int exit_code = 0;
   if (!parse_or_usage(flags, argc, argv, 0, nullptr, &exit_code)) {
     return exit_code;
   }
-  if (!streaming_path.empty()) streaming = true;
-  if (!validate_days(days)) return 2;
-  const workload::Preset* scenario = workload::find_preset(scenario_name);
-  if (!scenario) {
-    std::fprintf(stderr, "unknown scenario %s (try `scenarios`)\n",
-                 scenario_name.c_str());
-    return 2;
-  }
+  core::ScenarioSpec spec;
+  if (!resolve_campaign(campaign, &spec)) return 2;
   if (verbose) util::set_log_level(util::LogLevel::kInfo);
   if (!apply_log_level(log_level_text)) return 2;
-  if (!trace_path.empty()) util::trace::start();
 
-  auto cfg = scenario->make();
-  cfg.seed = static_cast<std::uint64_t>(seed);
-  if (days > 0) cfg.duration = util::seconds_f(days * 86400.0);
-  workload::Campus campus(cfg);
-
-  core::ProvenanceLedger ledger;
-  core::EngineConfig engine_cfg;
-  engine_cfg.scan_count =
-      scans >= 0 ? static_cast<int>(scans)
-                 : static_cast<int>(cfg.duration.days() * 2);
-  if (!apply_prober_flags(prober, probe_budget, no_verify, &engine_cfg)) {
-    return 2;
-  }
-  if (!provenance_path.empty()) engine_cfg.provenance = &ledger;
-  std::unique_ptr<analysis::StreamingAnalytics> stream;
-  if (streaming) {
-    stream = std::make_unique<analysis::StreamingAnalytics>(
-        core::streaming_config_for(campus));
-    engine_cfg.streaming = stream.get();
-    engine_cfg.sketch_tables = true;
-  }
-  core::DiscoveryEngine engine(campus, engine_cfg);
-
+  core::CampaignJob job = core::scenario_job(spec);
+  job.provenance = !provenance_path.empty();
+  job.streaming = streaming || !streaming_path.empty();
   std::unique_ptr<capture::PcapWriter> writer;
   if (!pcap_path.empty()) {
     writer = std::make_unique<capture::PcapWriter>(pcap_path);
@@ -306,10 +315,15 @@ int cmd_run(int argc, const char* const* argv) {
       std::fprintf(stderr, "cannot open %s\n", pcap_path.c_str());
       return 1;
     }
-    engine.add_tap_consumer(writer.get());
+    job.setup = [&writer](workload::Campus&, core::DiscoveryEngine& engine) {
+      engine.add_tap_consumer(writer.get());
+    };
   }
-
-  engine.run();
+  if (!trace_path.empty()) util::trace::start();
+  core::CampaignResult result;
+  if (!run_job(std::move(job), &result)) return 1;
+  const workload::Campus& campus = result.c();
+  core::DiscoveryEngine& engine = result.e();
 
   const auto end = util::kEpoch + campus.config().duration;
   const auto passive = core::addresses_found(engine.monitor().table(), end);
@@ -317,7 +331,7 @@ int cmd_run(int argc, const char* const* argv) {
   const auto c = core::completeness(passive, active);
 
   std::printf("scenario %s, seed %lld, %.1f days, %zu scans\n",
-              scenario_name.c_str(), static_cast<long long>(seed),
+              spec.preset.c_str(), static_cast<long long>(campaign.seed),
               campus.config().duration.days(),
               engine.prober().scans().size());
   analysis::TextTable table({"measure", "value"});
@@ -364,7 +378,7 @@ int cmd_run(int argc, const char* const* argv) {
       std::fprintf(stderr, "cannot write %s\n", table_path.c_str());
     }
   }
-  if (stream) {
+  if (const analysis::StreamingAnalytics* stream = result.streaming.get()) {
     const auto& snaps = stream->snapshots();
     std::printf(
         "streaming: %zu windows, %llu services, "
@@ -382,15 +396,10 @@ int cmd_run(int argc, const char* const* argv) {
         static_cast<unsigned long long>(stream->burst_count()),
         stream->memory_bytes());
     if (!streaming_path.empty()) {
-      const std::string body =
-          stream->snapshots_jsonl() + stream->events_jsonl();
-      std::FILE* f = std::fopen(streaming_path.c_str(), "wb");
-      if (!f || std::fwrite(body.data(), 1, body.size(), f) != body.size()) {
-        std::fprintf(stderr, "cannot write %s\n", streaming_path.c_str());
-        if (f) std::fclose(f);
+      if (!write_file(streaming_path,
+                      stream->snapshots_jsonl() + stream->events_jsonl())) {
         return 1;
       }
-      std::fclose(f);
       std::printf("streaming: %zu snapshots + %zu events -> %s\n",
                   snaps.size(), stream->change_points().size(),
                   streaming_path.c_str());
@@ -405,26 +414,14 @@ int cmd_run(int argc, const char* const* argv) {
                stdout);
   }
   if (!trace_path.empty() && !finish_trace(trace_path)) return 1;
-  if (!provenance_path.empty()) {
-    // The ledger must agree 1:1 with the final tables — any drift means
-    // an instrumentation gap, which would silently poison forensics.
-    const auto audit =
-        ledger.audit(engine.monitor().table(), engine.prober().table());
-    if (!audit.ok()) {
-      std::fprintf(stderr,
-                   "error: provenance audit failed (%llu matched, "
-                   "%llu missing, %llu extra, %llu time mismatches)\n",
-                   static_cast<unsigned long long>(audit.matched),
-                   static_cast<unsigned long long>(audit.missing_in_ledger),
-                   static_cast<unsigned long long>(audit.extra_in_ledger),
-                   static_cast<unsigned long long>(audit.time_mismatch));
+  if (const core::ProvenanceLedger* ledger = result.provenance.get()) {
+    std::string error;
+    if (!core::audit_provenance(result, &error)) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
-    if (!ledger.write_jsonl(provenance_path)) {
-      std::fprintf(stderr, "cannot write %s\n", provenance_path.c_str());
-      return 1;
-    }
-    std::printf("provenance: %zu services (audit ok) -> %s\n", ledger.size(),
+    if (!write_file(provenance_path, ledger->to_jsonl())) return 1;
+    std::printf("provenance: %zu services (audit ok) -> %s\n", ledger->size(),
                 provenance_path.c_str());
   }
   return 0;
@@ -453,31 +450,24 @@ bool parse_seed_range(const std::string& text, std::uint64_t* first,
 }
 
 int cmd_campaign(int argc, const char* const* argv) {
-  std::string scenario_name = "tiny";
+  CampaignFlags campaign;
   std::string seeds_text = "1..4";
   std::int64_t jobs = 0;  // 0 = SVCDISC_JOBS env / hardware threads
-  std::int64_t scans = -1;
-  double days = 0;
   std::string json_path;
   std::string trace_path;
   std::string provenance_path;
   std::string streaming_path;
   std::string log_level_text;
-  std::string prober = "fixed";
-  std::int64_t probe_budget = 0;
-  bool no_verify = false;
 
   util::Flags flags("svcdisc_cli campaign",
                     "run a seed sweep on the parallel campaign runner");
   flags.add_string("scenario", "scenario preset (see `scenarios`)",
-                   &scenario_name);
+                   &campaign.preset);
   flags.add_string("seeds", "inclusive seed range, e.g. 1..8 (or one seed)",
                    &seeds_text);
   flags.add_int64("jobs", "worker threads (0 = SVCDISC_JOBS or hardware)",
                   &jobs);
-  flags.add_int64("scans", "number of 12-hourly scans (-1 = preset)",
-                  &scans);
-  flags.add_double("days", "override campaign duration in days", &days);
+  add_schedule_flags(flags, &campaign);
   flags.add_string("json", "export per-seed metrics JSON to this file",
                    &json_path);
   flags.add_string("trace-out",
@@ -491,19 +481,14 @@ int cmd_campaign(int argc, const char* const* argv) {
                    "run every job with streaming analytics and write the "
                    "concatenated snapshots + change-points (JSONL) here",
                    &streaming_path);
-  add_prober_flags(flags, &prober, &probe_budget, &no_verify);
+  add_prober_flags(flags, &campaign);
   add_log_level_flag(flags, &log_level_text);
   int exit_code = 0;
   if (!parse_or_usage(flags, argc, argv, 0, nullptr, &exit_code)) {
     return exit_code;
   }
-  if (!validate_jobs(jobs) || !validate_days(days)) return 2;
-  const workload::Preset* scenario = workload::find_preset(scenario_name);
-  if (!scenario) {
-    std::fprintf(stderr, "unknown scenario %s (try `scenarios`)\n",
-                 scenario_name.c_str());
-    return 2;
-  }
+  core::ScenarioSpec spec;
+  if (!validate_jobs(jobs) || !resolve_campaign(campaign, &spec)) return 2;
   if (!apply_log_level(log_level_text)) return 2;
   std::uint64_t first_seed = 0;
   std::size_t seed_count = 0;
@@ -514,23 +499,11 @@ int cmd_campaign(int argc, const char* const* argv) {
   }
   if (!trace_path.empty()) util::trace::start();
 
-  auto cfg = scenario->make();
-  if (days > 0) cfg.duration = util::seconds_f(days * 86400.0);
-  core::EngineConfig engine_cfg;
-  engine_cfg.scan_count =
-      scans >= 0 ? static_cast<int>(scans)
-                 : static_cast<int>(cfg.duration.days() * 2);
-  if (!apply_prober_flags(prober, probe_budget, no_verify, &engine_cfg)) {
-    return 2;
-  }
-
   auto sweep_jobs =
-      core::seed_sweep_jobs(cfg, engine_cfg, first_seed, seed_count);
-  if (!provenance_path.empty()) {
-    for (auto& job : sweep_jobs) job.provenance = true;
-  }
-  if (!streaming_path.empty()) {
-    for (auto& job : sweep_jobs) job.streaming = true;
+      core::seed_sweep_jobs(spec.campus, spec.engine, first_seed, seed_count);
+  for (auto& job : sweep_jobs) {
+    job.provenance = !provenance_path.empty();
+    job.streaming = !streaming_path.empty();
   }
   const core::CampaignRunner runner(
       jobs > 0 ? static_cast<std::size_t>(jobs) : 0);
@@ -542,7 +515,7 @@ int cmd_campaign(int argc, const char* const* argv) {
 
   std::printf("scenario %s, seeds %s, %zu campaign(s) on %zu thread(s), "
               "%.1f s\n",
-              scenario_name.c_str(), seeds_text.c_str(), results.size(),
+              spec.preset.c_str(), seeds_text.c_str(), results.size(),
               runner.threads(), total_sec);
   analysis::TextTable table({"seed", "sim events", "passive disc",
                              "probes sent", "scanners", "wall s"});
@@ -595,13 +568,7 @@ int cmd_campaign(int argc, const char* const* argv) {
       body += result.provenance->to_jsonl(result.label);
       services += result.provenance->size();
     }
-    std::FILE* f = std::fopen(provenance_path.c_str(), "wb");
-    if (!f || std::fwrite(body.data(), 1, body.size(), f) != body.size()) {
-      std::fprintf(stderr, "cannot write %s\n", provenance_path.c_str());
-      if (f) std::fclose(f);
-      return 1;
-    }
-    std::fclose(f);
+    if (!write_file(provenance_path, body)) return 1;
     std::printf("provenance: %zu services over %zu campaign(s) -> %s\n",
                 services, results.size(), provenance_path.c_str());
   }
@@ -616,13 +583,7 @@ int cmd_campaign(int argc, const char* const* argv) {
       body += result.streaming->events_jsonl();
       events += result.streaming->change_points().size();
     }
-    std::FILE* f = std::fopen(streaming_path.c_str(), "wb");
-    if (!f || std::fwrite(body.data(), 1, body.size(), f) != body.size()) {
-      std::fprintf(stderr, "cannot write %s\n", streaming_path.c_str());
-      if (f) std::fclose(f);
-      return 1;
-    }
-    std::fclose(f);
+    if (!write_file(streaming_path, body)) return 1;
     std::printf("streaming: %zu change-points over %zu campaign(s) -> %s\n",
                 events, results.size(), streaming_path.c_str());
   }
@@ -646,12 +607,9 @@ bool parse_rate_list(const std::string& text, std::vector<double>* out) {
 }
 
 int cmd_loss_sweep(int argc, const char* const* argv) {
-  std::string scenario_name = "tiny";
-  std::int64_t seed = 24301;
+  CampaignFlags campaign;
   std::string rates_text = "0,1,2,5,10,15,20";
   double burst_len = 8.0;
-  std::int64_t scans = -1;
-  double days = 0;
   std::int64_t jobs = 0;
   std::string tsv_path;
   std::string trace_path;
@@ -662,16 +620,15 @@ int cmd_loss_sweep(int argc, const char* const* argv) {
                     "rerun the completeness comparison under injected "
                     "capture loss (i.i.d. and Gilbert-Elliott bursty)");
   flags.add_string("scenario", "scenario preset (see `scenarios`)",
-                   &scenario_name);
+                   &campaign.preset);
   flags.add_int64("seed", "campaign seed (identical traffic in every row)",
-                  &seed);
+                  &campaign.seed);
   flags.add_string("rates", "loss rates to sweep, percent (comma-separated)",
                    &rates_text);
   flags.add_double("burst-len",
                    "mean loss-burst length in packets (bursty model)",
                    &burst_len);
-  flags.add_int64("scans", "number of 12-hourly scans (-1 = preset)", &scans);
-  flags.add_double("days", "override campaign duration in days", &days);
+  add_schedule_flags(flags, &campaign);
   flags.add_int64("jobs", "worker threads (0 = SVCDISC_JOBS or hardware)",
                   &jobs);
   flags.add_string("tsv", "export the sweep table (TSV) to this file",
@@ -687,13 +644,8 @@ int cmd_loss_sweep(int argc, const char* const* argv) {
   if (!parse_or_usage(flags, argc, argv, 0, nullptr, &exit_code)) {
     return exit_code;
   }
-  if (!validate_jobs(jobs) || !validate_days(days)) return 2;
-  const workload::Preset* scenario = workload::find_preset(scenario_name);
-  if (!scenario) {
-    std::fprintf(stderr, "unknown scenario %s (try `scenarios`)\n",
-                 scenario_name.c_str());
-    return 2;
-  }
+  core::ScenarioSpec spec;
+  if (!validate_jobs(jobs) || !resolve_campaign(campaign, &spec)) return 2;
   std::vector<double> rates;
   if (!parse_rate_list(rates_text, &rates)) {
     std::fprintf(stderr, "bad rate list %s (expected e.g. 0,1,5,20)\n",
@@ -707,50 +659,34 @@ int cmd_loss_sweep(int argc, const char* const* argv) {
   if (!apply_log_level(log_level_text)) return 2;
   if (!trace_path.empty()) util::trace::start();
 
-  auto cfg = scenario->make();
-  cfg.seed = static_cast<std::uint64_t>(seed);
-  if (days > 0) cfg.duration = util::seconds_f(days * 86400.0);
-  core::EngineConfig engine_cfg;
-  engine_cfg.scan_count =
-      scans >= 0 ? static_cast<int>(scans)
-                 : static_cast<int>(cfg.duration.days() * 2);
-
+  const std::uint64_t seed = spec.campus.seed;
   // Every row replays the SAME campus traffic (one campaign seed); only
   // the impairment differs, so completeness deltas are attributable to
-  // loss alone. The impairment rng is forked per row.
-  struct RowSpec {
-    const char* model;
-    double rate_pct;
-  };
-  std::vector<RowSpec> specs;
+  // loss alone. The impairment rng is forked per row. A row's model
+  // ("none", "iid", "bursty") is its job label.
+  std::vector<double> row_rate;
   std::vector<core::CampaignJob> sweep;
   for (std::size_t i = 0; i < rates.size(); ++i) {
     const double frac = rates[i] / 100.0;
     const auto row_seed = [&](std::uint64_t model_tag) {
-      return static_cast<std::uint64_t>(seed) * 0x9e3779b97f4a7c15ULL +
+      return seed * 0x9e3779b97f4a7c15ULL +
              model_tag * 0x100000001b3ULL + i;
     };
-    const char* models[] = {"iid", "bursty"};
     for (std::uint64_t m = 0; m < (rates[i] > 0 ? 2u : 1u); ++m) {
-      core::CampaignJob job;
-      job.campus_cfg = cfg;
-      job.engine_cfg = engine_cfg;
-      job.seed = cfg.seed;
+      core::CampaignJob job = core::scenario_job(spec);
       if (rates[i] == 0) {
         job.label = "none";
-        specs.push_back({"none", 0});
       } else if (m == 0) {
         job.engine_cfg.impairment =
             capture::ImpairmentConfig::iid(frac, row_seed(1));
         job.label = "iid";
-        specs.push_back({models[m], rates[i]});
       } else {
         job.engine_cfg.impairment =
             capture::ImpairmentConfig::bursty(frac, burst_len, row_seed(2));
         job.label = "bursty";
-        specs.push_back({models[m], rates[i]});
       }
       job.provenance = !provenance_path.empty();
+      row_rate.push_back(rates[i]);
       sweep.push_back(std::move(job));
     }
   }
@@ -763,7 +699,7 @@ int cmd_loss_sweep(int argc, const char* const* argv) {
   // column); absent when the user swept only non-zero rates.
   double baseline_passive = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
-    if (specs[i].rate_pct == 0 && results[i].ok()) {
+    if (row_rate[i] == 0 && results[i].ok()) {
       const auto end = util::kEpoch + results[i].c().config().duration;
       baseline_passive = static_cast<double>(
           core::addresses_found(results[i].e().monitor().table(), end)
@@ -774,7 +710,7 @@ int cmd_loss_sweep(int argc, const char* const* argv) {
 
   std::printf("loss sweep: scenario %s, seed %lld, burst len %.1f, "
               "%zu campaign(s) on %zu thread(s)\n",
-              scenario_name.c_str(), static_cast<long long>(seed), burst_len,
+              spec.preset.c_str(), static_cast<long long>(seed), burst_len,
               results.size(), runner.threads());
   analysis::TextTable table({"model", "loss%", "observed%", "passive",
                              "union%", "vs lossless%", "disc t50 d",
@@ -787,8 +723,8 @@ int cmd_loss_sweep(int argc, const char* const* argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     auto& result = results[i];
     if (!result.ok()) {
-      std::fprintf(stderr, "%s %.1f%% failed: %s\n", specs[i].model,
-                   specs[i].rate_pct, result.error.c_str());
+      std::fprintf(stderr, "%s %.1f%% failed: %s\n", result.label.c_str(),
+                   row_rate[i], result.error.c_str());
       ++failures;
       continue;
     }
@@ -832,19 +768,19 @@ int cmd_loss_sweep(int argc, const char* const* argv) {
                            : 0.0;
 
     char loss_s[16], obs_s[16], union_s[16], rel_s[16], t50_s[16], t90_s[16];
-    std::snprintf(loss_s, sizeof loss_s, "%.1f", specs[i].rate_pct);
+    std::snprintf(loss_s, sizeof loss_s, "%.1f", row_rate[i]);
     std::snprintf(obs_s, sizeof obs_s, "%.2f", observed_pct);
     std::snprintf(union_s, sizeof union_s, "%.1f", c.passive_pct());
     std::snprintf(rel_s, sizeof rel_s, "%.1f", rel);
     std::snprintf(t50_s, sizeof t50_s, "%.2f", t50);
     std::snprintf(t90_s, sizeof t90_s, "%.2f", t90);
-    table.add_row({specs[i].model, loss_s, obs_s,
+    table.add_row({result.label, loss_s, obs_s,
                    analysis::fmt_count(c.passive_total), union_s, rel_s,
                    t50_s, t90_s, balanced ? "ok" : "VIOLATED"});
     char line[256];
     std::snprintf(line, sizeof line,
                   "%s\t%.1f\t%.2f\t%llu\t%llu\t%.1f\t%.1f\t%.3f\t%.3f\n",
-                  specs[i].model, specs[i].rate_pct, observed_pct,
+                  result.label.c_str(), row_rate[i], observed_pct,
                   static_cast<unsigned long long>(c.passive_total),
                   static_cast<unsigned long long>(c.union_count),
                   c.passive_pct(), rel, t50, t90);
@@ -857,13 +793,7 @@ int cmd_loss_sweep(int argc, const char* const* argv) {
                  "(pushed + duplicated != delivered + dropped)\n");
   }
   if (!tsv_path.empty()) {
-    std::FILE* f = std::fopen(tsv_path.c_str(), "w");
-    if (!f || std::fputs(tsv.c_str(), f) == EOF) {
-      std::fprintf(stderr, "cannot write %s\n", tsv_path.c_str());
-      if (f) std::fclose(f);
-      return 1;
-    }
-    std::fclose(f);
+    if (!write_file(tsv_path, tsv)) return 1;
     std::printf("sweep table -> %s\n", tsv_path.c_str());
   }
   if (!trace_path.empty() && !finish_trace(trace_path)) return 1;
@@ -873,18 +803,12 @@ int cmd_loss_sweep(int argc, const char* const* argv) {
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (!results[i].ok() || !results[i].provenance) continue;
       char label[48];
-      std::snprintf(label, sizeof label, "%s-%.1f", specs[i].model,
-                    specs[i].rate_pct);
+      std::snprintf(label, sizeof label, "%s-%.1f",
+                    results[i].label.c_str(), row_rate[i]);
       body += results[i].provenance->to_jsonl(label);
       services += results[i].provenance->size();
     }
-    std::FILE* f = std::fopen(provenance_path.c_str(), "wb");
-    if (!f || std::fwrite(body.data(), 1, body.size(), f) != body.size()) {
-      std::fprintf(stderr, "cannot write %s\n", provenance_path.c_str());
-      if (f) std::fclose(f);
-      return 1;
-    }
-    std::fclose(f);
+    if (!write_file(provenance_path, body)) return 1;
     std::printf("provenance: %zu services over %zu row(s) -> %s\n", services,
                 results.size(), provenance_path.c_str());
   }
@@ -921,21 +845,16 @@ bool parse_service_key(const std::string& text, passive::ServiceKey* key) {
 }
 
 int cmd_explain(int argc, const char* const* argv) {
-  std::string scenario_name = "tiny";
-  std::int64_t seed = 24301;
-  std::int64_t scans = -1;
-  double days = 0;
+  CampaignFlags campaign;
   bool streaming = false;
   std::string log_level_text;
   util::Flags flags("svcdisc_cli explain",
                     "re-run a campaign with the provenance ledger on and "
                     "print one service's evidence timeline");
   flags.add_string("scenario", "scenario preset (see `scenarios`)",
-                   &scenario_name);
-  flags.add_int64("seed", "campaign seed", &seed);
-  flags.add_int64("scans", "number of 12-hourly scans (-1 = preset)",
-                  &scans);
-  flags.add_double("days", "override campaign duration in days", &days);
+                   &campaign.preset);
+  flags.add_int64("seed", "campaign seed", &campaign.seed);
+  add_schedule_flags(flags, &campaign);
   flags.add_bool("streaming",
                  "also run streaming analytics and merge its change-point "
                  "events into the timeline",
@@ -955,39 +874,24 @@ int cmd_explain(int argc, const char* const* argv) {
                  flags.positional()[0].c_str());
     return 2;
   }
-  if (!validate_days(days)) return 2;
+  core::ScenarioSpec spec;
+  if (!resolve_campaign(campaign, &spec)) return 2;
   if (!apply_log_level(log_level_text)) return 2;
-  const workload::Preset* scenario = workload::find_preset(scenario_name);
-  if (!scenario) {
-    std::fprintf(stderr, "unknown scenario %s (try `scenarios`)\n",
-                 scenario_name.c_str());
-    return 2;
-  }
 
-  auto cfg = scenario->make();
-  cfg.seed = static_cast<std::uint64_t>(seed);
-  if (days > 0) cfg.duration = util::seconds_f(days * 86400.0);
-  workload::Campus campus(cfg);
-
-  core::ProvenanceLedger ledger;
-  core::EngineConfig engine_cfg;
-  engine_cfg.scan_count =
-      scans >= 0 ? static_cast<int>(scans)
-                 : static_cast<int>(cfg.duration.days() * 2);
-  engine_cfg.provenance = &ledger;
-  std::unique_ptr<analysis::StreamingAnalytics> stream;
-  if (streaming) {
-    stream = std::make_unique<analysis::StreamingAnalytics>(
-        core::streaming_config_for(campus));
-    engine_cfg.streaming = stream.get();
-    engine_cfg.sketch_tables = true;
-  }
-  core::DiscoveryEngine engine(campus, engine_cfg);
-  engine.run();
+  core::CampaignJob job = core::scenario_job(spec);
+  job.provenance = true;
+  job.streaming = streaming;
+  core::CampaignResult result;
+  if (!run_job(std::move(job), &result)) return 1;
+  const workload::Campus& campus = result.c();
+  const core::ProvenanceLedger& ledger = *result.provenance;
+  const long long seed = campaign.seed;
 
   const std::string out = ledger.explain(key, campus.calendar());
   std::vector<std::string> stream_lines;
-  if (stream) stream_lines = stream->explain_lines(key, campus.calendar());
+  if (result.streaming) {
+    stream_lines = result.streaming->explain_lines(key, campus.calendar());
+  }
   if (out.empty() && stream_lines.empty()) {
     // Scale-universe addresses have no Host and may never be contacted,
     // but their behavior is still fully determined — explain it instead
@@ -1012,20 +916,20 @@ int cmd_explain(int argc, const char* const* argv) {
       if (contacted == 0) {
         std::printf("  no evidence this campaign (seed %lld): "
                     "the address was never contacted\n",
-                    static_cast<long long>(seed));
+                    seed);
       } else {
         std::printf("  no service evidence this campaign (seed %lld): "
                     "%u packets reached the address but none proved a "
                     "service on this port\n",
-                    static_cast<long long>(seed), contacted);
+                    seed, contacted);
       }
       return 0;
     }
     std::fprintf(stderr,
                  "%s: no evidence recorded (scenario %s, seed %lld, "
                  "%zu services seen)\n",
-                 flags.positional()[0].c_str(), scenario_name.c_str(),
-                 static_cast<long long>(seed), ledger.size());
+                 flags.positional()[0].c_str(), spec.preset.c_str(), seed,
+                 ledger.size());
     return 1;
   }
   std::fputs(out.c_str(), stdout);
@@ -1263,18 +1167,13 @@ int cmd_scenario_list(int argc, const char* const* argv) {
       load_failed = true;
       continue;
     }
-    core::ScenarioArtifacts none;
     // Recorded = every golden file present (content not checked here).
-    bool recorded = true;
-    for (const char* name : core::kScenarioArtifactNames) {
-      std::FILE* f =
-          std::fopen((dir + "/expected/" + name).c_str(), "rb");
-      if (!f) {
-        recorded = false;
-        break;
-      }
-      std::fclose(f);
-    }
+    const bool recorded = std::all_of(
+        std::begin(core::kScenarioArtifactNames),
+        std::end(core::kScenarioArtifactNames), [&dir](const char* name) {
+          std::error_code ec;
+          return std::filesystem::exists(dir + "/expected/" + name, ec);
+        });
     table.add_row({spec.name, spec.preset, recorded ? "yes" : "no",
                    spec.description});
   }
@@ -1282,27 +1181,43 @@ int cmd_scenario_list(int argc, const char* const* argv) {
   return load_failed ? 2 : 0;
 }
 
-int cmd_scenario_run(int argc, const char* const* argv) {
+// The shared front half of `scenario run|record|verify <dir>`: parses
+// the flags (callers register their own first), loads the pack and runs
+// it. Returns false with *exit_code set when the action must stop.
+bool load_and_run_pack(util::Flags& flags, int argc, const char* const* argv,
+                       const char* pos_usage, core::ScenarioSpec* spec,
+                       core::ScenarioArtifacts* artifacts, int* exit_code) {
   std::string log_level_text;
+  add_log_level_flag(flags, &log_level_text);
+  if (!parse_or_usage(flags, argc, argv, 1, pos_usage, exit_code)) {
+    return false;
+  }
+  *exit_code = 2;
+  if (!apply_log_level(log_level_text)) return false;
+  std::string error;
+  if (!core::load_scenario(flags.positional()[0], spec, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return false;
+  }
+  *exit_code = 1;
+  if (!core::run_scenario(*spec, artifacts, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return false;
+  }
+  *exit_code = 0;
+  return true;
+}
+
+int cmd_scenario_run(int argc, const char* const* argv) {
   util::Flags flags("svcdisc_cli scenario run",
                     "run a scenario pack and print its artifacts");
-  add_log_level_flag(flags, &log_level_text);
-  int exit_code = 0;
-  if (!parse_or_usage(flags, argc, argv, 1,
-                      "usage: scenario run <dir> [flags]\n", &exit_code)) {
-    return exit_code;
-  }
-  if (!apply_log_level(log_level_text)) return 2;
   core::ScenarioSpec spec;
-  std::string error;
-  if (!core::load_scenario(flags.positional()[0], &spec, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
   core::ScenarioArtifacts artifacts;
-  if (!core::run_scenario(spec, &artifacts, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
+  int exit_code = 0;
+  if (!load_and_run_pack(flags, argc, argv,
+                         "usage: scenario run <dir> [flags]\n", &spec,
+                         &artifacts, &exit_code)) {
+    return exit_code;
   }
   if (const std::string* summary = artifacts.find("summary.txt")) {
     std::fputs(summary->c_str(), stdout);
@@ -1315,29 +1230,18 @@ int cmd_scenario_run(int argc, const char* const* argv) {
 
 int cmd_scenario_record(int argc, const char* const* argv) {
   bool force = false;
-  std::string log_level_text;
   util::Flags flags("svcdisc_cli scenario record",
                     "run a scenario pack and write its expected/ goldens");
   flags.add_bool("force", "overwrite existing goldens", &force);
-  add_log_level_flag(flags, &log_level_text);
+  core::ScenarioSpec spec;
+  core::ScenarioArtifacts artifacts;
   int exit_code = 0;
-  if (!parse_or_usage(flags, argc, argv, 1,
-                      "usage: scenario record <dir> [--force]\n",
-                      &exit_code)) {
+  if (!load_and_run_pack(flags, argc, argv,
+                         "usage: scenario record <dir> [--force]\n", &spec,
+                         &artifacts, &exit_code)) {
     return exit_code;
   }
-  if (!apply_log_level(log_level_text)) return 2;
-  core::ScenarioSpec spec;
   std::string error;
-  if (!core::load_scenario(flags.positional()[0], &spec, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
-  core::ScenarioArtifacts artifacts;
-  if (!core::run_scenario(spec, &artifacts, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
-  }
   if (!core::record_scenario(spec, artifacts, force, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
@@ -1348,27 +1252,15 @@ int cmd_scenario_record(int argc, const char* const* argv) {
 }
 
 int cmd_scenario_verify(int argc, const char* const* argv) {
-  std::string log_level_text;
   util::Flags flags("svcdisc_cli scenario verify",
                     "run a scenario pack and byte-compare against its "
                     "goldens");
-  add_log_level_flag(flags, &log_level_text);
-  int exit_code = 0;
-  if (!parse_or_usage(flags, argc, argv, 1,
-                      "usage: scenario verify <dir>\n", &exit_code)) {
-    return exit_code;
-  }
-  if (!apply_log_level(log_level_text)) return 2;
   core::ScenarioSpec spec;
-  std::string error;
-  if (!core::load_scenario(flags.positional()[0], &spec, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
   core::ScenarioArtifacts artifacts;
-  if (!core::run_scenario(spec, &artifacts, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
+  int exit_code = 0;
+  if (!load_and_run_pack(flags, argc, argv, "usage: scenario verify <dir>\n",
+                         &spec, &artifacts, &exit_code)) {
+    return exit_code;
   }
   const core::VerifyReport report = core::verify_scenario(spec, artifacts);
   if (!report.ok()) {
@@ -1427,7 +1319,7 @@ int dispatch(int argc, const char* const* argv) {
                "  dump <pcap>           print packets, tcpdump-style\n"
                "  diff <a.tsv> <b.tsv>  compare two saved service tables\n",
                argc > 0 ? argv[0] : "svcdisc_cli");
-  return command.empty() ? 2 : 2;
+  return 2;
 }
 
 }  // namespace
