@@ -52,6 +52,11 @@ run_asan() {
   # arithmetic over targets x ports, replayed against a reference model.
   echo "== ASan + UBSan: fixed prober =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L prober)
+  # The event_core label covers the event heap's index arithmetic and
+  # slab reuse, the dense address-owner tables and the scan detector's
+  # capped sets, each replayed against a reference model.
+  echo "== ASan + UBSan: event core =="
+  (cd build-asan && ctest --output-on-failure -j "$jobs" -L event_core)
   # The scale label runs the universe suite; SVCDISC_SCALE_SMOKE shrinks
   # its million-address campaign to one /16 block so the ASan pass stays
   # fast (the RSS ceiling is skipped under ASan anyway — shadow memory

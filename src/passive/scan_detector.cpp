@@ -34,6 +34,25 @@ void ScanDetector::attach_metrics(util::MetricsRegistry& registry,
   m_flagged_ = &registry.counter(base + ".scanners_flagged");
 }
 
+void ScanDetector::CappedSet::insert(net::Ipv4 addr, std::uint32_t cap) {
+  if (count_ >= cap) return;
+  if (count_ == 0) {
+    first_ = addr;
+    count_ = 1;
+    return;
+  }
+  if (addr == first_) return;
+  if (!rest_) rest_ = std::make_unique<util::FlatSet<net::Ipv4>>();
+  if (rest_->insert(addr)) ++count_;
+}
+
+void ScanDetector::flag(net::Ipv4 src, util::TimePoint t) {
+  SVCDISC_TRACE_INSTANT("scan_detector.flagged", t.usec);
+  scanners_.insert(src);
+  window_state_.erase(src);
+  if (m_flagged_) m_flagged_->inc();
+}
+
 void ScanDetector::observe(const net::Packet& p) {
   if (p.proto != net::Proto::kTcp) return;
   if (m_packets_) m_packets_->inc();
@@ -44,27 +63,15 @@ void ScanDetector::observe(const net::Packet& p) {
     if (is_internal(p.src) || !is_internal(p.dst)) return;
     if (scanners_.contains(p.src)) return;  // already flagged
     SourceState& state = window_state_[p.src];
-    state.targets.insert(p.dst);
-    if (state.targets.size() >= config_.target_threshold &&
-        state.rst_from.size() >= config_.rst_threshold) {
-      SVCDISC_TRACE_INSTANT("scan_detector.flagged", p.time.usec);
-      scanners_.insert(p.src);
-      window_state_.erase(p.src);
-      if (m_flagged_) m_flagged_->inc();
-    }
+    state.targets.insert(p.dst, config_.target_threshold);
+    if (crossed(state)) flag(p.src, p.time);
   } else if (p.flags.rst()) {
     // Refusal flowing back out: internal host -> external source.
     if (!is_internal(p.src) || is_internal(p.dst)) return;
     if (scanners_.contains(p.dst)) return;
     SourceState& state = window_state_[p.dst];
-    state.rst_from.insert(p.src);
-    if (state.targets.size() >= config_.target_threshold &&
-        state.rst_from.size() >= config_.rst_threshold) {
-      SVCDISC_TRACE_INSTANT("scan_detector.flagged", p.time.usec);
-      scanners_.insert(p.dst);
-      window_state_.erase(p.dst);
-      if (m_flagged_) m_flagged_->inc();
-    }
+    state.rst_from.insert(p.src, config_.rst_threshold);
+    if (crossed(state)) flag(p.dst, p.time);
   }
 }
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -63,10 +64,33 @@ class ScanDetector final : public sim::PacketObserver {
   std::vector<net::Prefix> internal_;
   util::FlatSet<net::Ipv4> scanners_;
 
-  struct SourceState {
-    util::FlatSet<net::Ipv4> targets;
-    util::FlatSet<net::Ipv4> rst_from;
+  /// Distinct addresses seen, counted up to a cap. The thresholds are
+  /// only ever compared against (`count() >= threshold`), so once the
+  /// count reaches the cap further addresses change nothing and are not
+  /// stored. Most sources contact one address per window: the first is
+  /// kept inline and the spill set is allocated only for a second.
+  class CappedSet {
+   public:
+    /// Adds `addr` unless it was seen or the count already reached `cap`.
+    void insert(net::Ipv4 addr, std::uint32_t cap);
+    std::uint32_t count() const { return count_; }
+
+   private:
+    std::uint32_t count_{0};
+    net::Ipv4 first_{};
+    std::unique_ptr<util::FlatSet<net::Ipv4>> rest_;  ///< the others
   };
+  struct SourceState {
+    CappedSet targets;
+    CappedSet rst_from;
+  };
+  /// True when `state` crosses both thresholds.
+  bool crossed(const SourceState& state) const {
+    return state.targets.count() >= config_.target_threshold &&
+           state.rst_from.count() >= config_.rst_threshold;
+  }
+  /// Flags `src` and drops its window state.
+  void flag(net::Ipv4 src, util::TimePoint t);
   // Tumbling-window state: cleared at each window boundary. A burst scan
   // (minutes) always lands inside one window; a scan straddling a
   // boundary is still caught once its post-boundary portion crosses the

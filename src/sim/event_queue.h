@@ -11,8 +11,10 @@
 //     components (probers, hosts, flow generators), no allocation;
 //   * callback — the generic escape hatch: a util::SmallFn, which stays
 //     allocation-free for captures up to 48 bytes.
-// The heap itself orders small (time, seq, slot) keys; event payloads
-// live in a slab indexed by slot, so sift operations never move them.
+// The heap itself is a 4-ary min-heap of small (time, seq, slot) keys;
+// event payloads live in a slab indexed by slot, so sift operations never
+// move them. Keys are unique, so the heap's arity cannot change the pop
+// order: it is always ascending (time, seq).
 #pragma once
 
 #include <cstdint>
@@ -107,6 +109,9 @@ class EventQueue {
 
   /// Removes and returns the earliest event.
   Event pop();
+  /// Removes the earliest event without moving it out: for callers that
+  /// already copied what they need from top(). Undefined when empty.
+  void drop_top();
 
  private:
   /// Heap element: ordering key plus the slab slot of the payload.
@@ -119,6 +124,8 @@ class EventQueue {
   /// Grabs a free slab slot (growing the slab if needed) and stamps its
   /// (time, seq); returns the slot's Event for payload assignment.
   Event& emplace(util::TimePoint t);
+  /// Removes heap_[0] and returns the slot it named.
+  std::uint32_t remove_top_key();
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   static bool before(const Key& a, const Key& b) {

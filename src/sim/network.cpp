@@ -5,13 +5,38 @@
 namespace svcdisc::sim {
 
 Network::Network(Simulator& sim, std::vector<net::Prefix> internal)
-    : sim_(sim), internal_(std::move(internal)) {}
+    : sim_(sim), internal_(std::move(internal)) {
+  for (const net::Prefix& prefix : internal_) {
+    if (32 - prefix.bits() <= kDenseMaxHostBits) {
+      dense_.push_back(DenseBlock{prefix, {}});
+    }
+  }
+}
+
+const Network::DenseBlock* Network::dense_block(net::Ipv4 addr) const {
+  for (const DenseBlock& block : dense_) {
+    if (block.prefix.contains(addr)) return &block;
+  }
+  return nullptr;
+}
 
 void Network::attach(net::Ipv4 addr, PacketSink* sink) {
-  owners_[addr] = sink;
+  DenseBlock* block = dense_block(addr);
+  if (block == nullptr) {
+    owners_[addr] = sink;
+    return;
+  }
+  if (block->owners.empty()) block->owners.resize(block->prefix.size());
+  block->owners[addr - block->prefix.base()] = sink;
 }
 
 void Network::detach(net::Ipv4 addr, const PacketSink* sink) {
+  if (DenseBlock* block = dense_block(addr)) {
+    if (block->owners.empty()) return;
+    PacketSink*& slot = block->owners[addr - block->prefix.base()];
+    if (slot == sink) slot = nullptr;
+    return;
+  }
   const auto it = owners_.find(addr);
   if (it != owners_.end() && it->second == sink) owners_.erase(it);
 }
@@ -21,8 +46,16 @@ void Network::attach_prefix(net::Prefix prefix, PacketSink* sink) {
 }
 
 PacketSink* Network::owner(net::Ipv4 addr) const {
-  const auto it = owners_.find(addr);
-  if (it != owners_.end()) return it->second;
+  if (const DenseBlock* block = dense_block(addr)) {
+    if (!block->owners.empty()) {
+      if (PacketSink* sink = block->owners[addr - block->prefix.base()]) {
+        return sink;
+      }
+    }
+  } else {
+    const auto it = owners_.find(addr);
+    if (it != owners_.end()) return it->second;
+  }
   for (const auto& [prefix, sink] : prefix_owners_) {
     if (prefix.contains(addr)) return sink;
   }

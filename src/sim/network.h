@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -29,6 +30,9 @@ class Network final : public PacketEventTarget {
 
   /// Registers `sink` as the owner of `addr`. A later attach for the same
   /// address replaces the earlier one (address reuse in dynamic pools).
+  /// `sink` must be non-null. Inside an internal prefix of length >= /16
+  /// the owner goes into that prefix's dense table, allocated on the
+  /// first attach into it.
   void attach(net::Ipv4 addr, PacketSink* sink);
   /// Unregisters `addr` if owned by `sink` (no-op otherwise, so a host
   /// releasing a reassigned lease cannot evict the new owner).
@@ -70,11 +74,29 @@ class Network final : public PacketEventTarget {
   std::uint64_t packets_dropped() const { return packets_dropped_; }
 
  private:
+  /// Per-address owners of one internal prefix of length >= /16
+  /// (kDenseMaxHostBits host bits at most), indexed by offset from the
+  /// prefix base. `owners` stays empty until the first attach() into the
+  /// prefix, so a block routed only through attach_prefix() costs nothing.
+  struct DenseBlock {
+    net::Prefix prefix;
+    std::vector<PacketSink*> owners;
+  };
+  static constexpr int kDenseMaxHostBits = 16;
+
+  /// The first dense block containing `addr`, or nullptr.
+  const DenseBlock* dense_block(net::Ipv4 addr) const;
+  DenseBlock* dense_block(net::Ipv4 addr) {
+    return const_cast<DenseBlock*>(std::as_const(*this).dense_block(addr));
+  }
+
   Simulator& sim_;
   std::vector<net::Prefix> internal_;
   BorderRouter border_;
+  std::vector<DenseBlock> dense_;
+  /// Per-address owners outside every dense block.
   std::unordered_map<net::Ipv4, PacketSink*> owners_;
-  /// Block owners, consulted after the exact map misses. A handful of
+  /// Block owners, consulted after the per-address owners miss. A handful of
   /// entries at most (one per scale block), so a linear scan beats any
   /// trie here.
   std::vector<std::pair<net::Prefix, PacketSink*>> prefix_owners_;

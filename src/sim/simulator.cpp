@@ -48,44 +48,62 @@ void Simulator::after_packet(util::Duration d, PacketEventTarget* target,
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  now_ = queue_.next_time();
-  Event ev = queue_.pop();
-  ++processed_;
-  if (m_events_) m_events_->inc();
-  ev.fire();
+  dispatch_next(/*coalesce=*/false);
   return true;
 }
 
-void Simulator::dispatch_next() {
-  now_ = queue_.next_time();
-  Event ev = queue_.pop();
-  if (ev.kind != Event::Kind::kPacket) {
-    ++processed_;
-    if (m_events_) m_events_->inc();
-    ev.fire();
-    return;
+void Simulator::count_processed(std::size_t n) {
+  processed_ += n;
+  if (m_events_) m_events_->inc(n);
+}
+
+void Simulator::dispatch_next(bool coalesce) {
+  // Timer and packet payloads are copied straight out of the queue's
+  // slab and the slot dropped in place; only callbacks, which own a
+  // SmallFn, are moved out through pop().
+  const Event& top = queue_.top();
+  now_ = top.time;
+  switch (top.kind) {
+    case Event::Kind::kTimer: {
+      TimerTarget* const target = top.pod.timer.target;
+      const std::uint64_t tag = top.pod.timer.tag;
+      queue_.drop_top();
+      count_processed(1);
+      target->on_timer(tag);
+      return;
+    }
+    case Event::Kind::kCallback: {
+      Event ev = queue_.pop();
+      count_processed(1);
+      ev.fn();
+      return;
+    }
+    case Event::Kind::kPacket:
+      break;
   }
 
   // Coalesce the run of consecutive deliveries sharing this event's
   // (time, target, external, crossed). Any event scheduled by the
   // handlers gets a later seq than everything absorbed here, so batching
   // preserves the exact serial order.
-  PacketEventTarget* const target = ev.pod.packet.target;
+  PacketEventTarget* const target = top.pod.packet.target;
+  const net::Ipv4 external = top.external;
+  const bool crossed = top.crossed;
   batch_.clear();
-  batch_.push_back(ev.pod.packet.packet);
-  while (!queue_.empty()) {
+  batch_.push_back(top.pod.packet.packet);
+  queue_.drop_top();
+  while (coalesce && !queue_.empty()) {
     const Event& next = queue_.top();
-    if (next.time != ev.time || next.kind != Event::Kind::kPacket ||
-        next.pod.packet.target != target || next.external != ev.external ||
-        next.crossed != ev.crossed) {
+    if (next.time != now_ || next.kind != Event::Kind::kPacket ||
+        next.pod.packet.target != target || next.external != external ||
+        next.crossed != crossed) {
       break;
     }
     batch_.push_back(next.pod.packet.packet);
-    queue_.pop();
+    queue_.drop_top();
   }
-  processed_ += batch_.size();
-  if (m_events_) m_events_->inc(batch_.size());
-  target->deliver_packets(batch_, ev.external, ev.crossed);
+  count_processed(batch_.size());
+  target->deliver_packets(batch_, external, crossed);
 }
 
 void Simulator::run_until(util::TimePoint t) {

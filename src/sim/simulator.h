@@ -59,10 +59,12 @@ class Simulator {
                       std::string_view prefix);
 
  private:
-  /// Pops the earliest event and dispatches it; packet events absorb any
-  /// directly following deliveries with identical (time, target,
-  /// external, crossed) into one batch.
-  void dispatch_next();
+  /// Removes the earliest event and dispatches it. With `coalesce`, a
+  /// packet event absorbs any directly following deliveries with
+  /// identical (time, target, external, crossed) into one batch; without
+  /// it (step()), it is delivered as a batch of one.
+  void dispatch_next(bool coalesce = true);
+  void count_processed(std::size_t n);
   void note_push();
 
   EventQueue queue_;

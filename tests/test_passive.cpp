@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "passive/scan_detector.h"
 #include "passive/service_table.h"
 #include "util/flat_hash.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace svcdisc::passive {
@@ -287,6 +290,159 @@ TEST(ScanDetector, InternalSourcesNeverFlagged) {
                         kEpoch));
   }
   EXPECT_FALSE(detector.is_scanner(internal_scanner));
+}
+
+// ---------------------------------------------- ScanDetector reference --
+// The detector stops storing a source's addresses once a count reaches
+// its threshold. This reference keeps every distinct address in
+// unbounded std::sets, exactly as the §4.3 rule reads, and must flag the
+// same sources in the same order.
+
+class ReferenceScanDetector {
+ public:
+  ReferenceScanDetector(ScanDetectorConfig cfg, Prefix campus)
+      : cfg_(cfg), campus_(campus) {}
+
+  void observe(const Packet& p) {
+    if (p.proto != net::Proto::kTcp) return;
+    ++packets_seen;
+    const std::int64_t window = util::floor_div(p.time.usec, cfg_.window.usec);
+    if (window != window_) {
+      window_ = window;
+      state_.clear();
+    }
+    Ipv4 source;
+    if (p.flags.is_syn_only()) {
+      if (campus_.contains(p.src) || !campus_.contains(p.dst)) return;
+      source = p.src;
+      if (is_flagged(source)) return;
+      state_[source].first.insert(p.dst);
+    } else if (p.flags.rst()) {
+      if (!campus_.contains(p.src) || campus_.contains(p.dst)) return;
+      source = p.dst;
+      if (is_flagged(source)) return;
+      state_[source].second.insert(p.src);
+    } else {
+      return;
+    }
+    const auto& [targets, rst_from] = state_[source];
+    if (targets.size() >= cfg_.target_threshold &&
+        rst_from.size() >= cfg_.rst_threshold) {
+      flagged.push_back(source);
+    }
+  }
+
+  std::vector<Ipv4> flagged;
+  std::uint64_t packets_seen{0};
+
+ private:
+  bool is_flagged(Ipv4 a) const {
+    return std::find(flagged.begin(), flagged.end(), a) != flagged.end();
+  }
+
+  ScanDetectorConfig cfg_;
+  Prefix campus_;
+  std::int64_t window_{0};
+  std::map<Ipv4, std::pair<std::set<Ipv4>, std::set<Ipv4>>> state_;
+};
+
+TEST(ScanDetectorModel, MatchesUnboundedReference) {
+  const std::uint32_t thresholds[] = {0, 1, 2, 100};
+  std::size_t flagged_at_paper_thresholds = 0;
+  for (const std::uint32_t target_threshold : thresholds) {
+    for (const std::uint32_t rst_threshold : thresholds) {
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(::testing::Message()
+                     << "targets>=" << target_threshold << " rsts>="
+                     << rst_threshold << " seed " << seed);
+        ScanDetectorConfig cfg;
+        cfg.target_threshold = target_threshold;
+        cfg.rst_threshold = rst_threshold;
+        cfg.window = hours(12);
+        ScanDetector detector(cfg, {kCampus});
+        util::MetricsRegistry registry;
+        detector.attach_metrics(registry, "scan");
+        ReferenceScanDetector reference(cfg, kCampus);
+
+        util::Rng rng(seed * 1000 + target_threshold * 10 + rst_threshold);
+        util::TimePoint t = kEpoch;
+        for (int i = 0; i < 8000; ++i) {
+          // ~40 h of traffic: three window rolls, with an occasional
+          // step back in time (a skewed tap) thrown in.
+          t = t + util::seconds(static_cast<std::int64_t>(rng.below(36)));
+          if (rng.chance(0.001)) t = t - hours(13);
+          // Source 0 scans hard enough to cross 100 distinct targets in
+          // a window; 1 and 2 come near; 3-11 are light. With only 150
+          // internal hosts every source revisits targets it has seen.
+          const double pick = rng.uniform();
+          const std::uint64_t source_index =
+              pick < 0.4 ? 0 : pick < 0.6 ? 1 + rng.below(2) : 3 + rng.below(9);
+          const Ipv4 external =
+              Ipv4::from_octets(7, 7, 7, static_cast<std::uint8_t>(source_index));
+          const Ipv4 internal = Ipv4::from_octets(
+              128, 125, 1, static_cast<std::uint8_t>(rng.below(150)));
+          Packet p;
+          switch (rng.below(10)) {
+            case 0:
+              p = net::make_tcp(internal, 80, external, 1,
+                                net::flags_syn_ack());
+              break;
+            case 1:
+              p = net::make_udp(external, 1, internal, 53, 0);
+              break;
+            case 2:  // internal-to-internal: ignored by both
+              p = net::make_tcp(internal, 1, Ipv4::from_octets(128, 125, 9, 9),
+                                22, net::flags_syn());
+              break;
+            case 3:
+            case 4:
+            case 5:
+              p = net::make_tcp(external, 1, internal, 22, net::flags_syn());
+              break;
+            default:
+              p = net::make_tcp(internal, 22, external, 1, net::flags_rst());
+              break;
+          }
+          p.time = t;
+          detector.observe(p);
+          reference.observe(p);
+        }
+        std::vector<Ipv4> got;
+        for (const Ipv4 a : detector.scanners()) got.push_back(a);
+        EXPECT_EQ(got, reference.flagged);
+        EXPECT_EQ(registry.counter("scan.packets_seen").value(),
+                  reference.packets_seen);
+        EXPECT_EQ(registry.counter("scan.scanners_flagged").value(),
+                  reference.flagged.size());
+        if (target_threshold == 100 && rst_threshold == 100) {
+          flagged_at_paper_thresholds += got.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(flagged_at_paper_thresholds, 0u);
+}
+
+TEST(ScanDetectorModel, RepeatedSynsToOneTargetCountOnce) {
+  ScanDetectorConfig cfg;
+  cfg.target_threshold = 3;
+  cfg.rst_threshold = 0;
+  ScanDetector detector(cfg, {kCampus});
+  const Ipv4 source = Ipv4::from_octets(7, 7, 7, 7);
+  const auto syn_to = [&](std::uint8_t host) {
+    detector.observe(at(net::make_tcp(source, 1,
+                                      Ipv4::from_octets(128, 125, 1, host),
+                                      22, net::flags_syn()),
+                        kEpoch));
+  };
+  // The first target (held inline) and the second (the first address
+  // in the spill set) are each repeated: still two distinct targets.
+  for (int i = 0; i < 5; ++i) syn_to(1);
+  for (int i = 0; i < 5; ++i) syn_to(2);
+  syn_to(1);
+  EXPECT_FALSE(detector.is_scanner(source));
+  syn_to(3);
+  EXPECT_TRUE(detector.is_scanner(source));
 }
 
 TEST(PassiveMonitor, ScannerExclusionSuppressesDiscovery) {

@@ -2,9 +2,11 @@
 // border-crossing observation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "net/packet.h"
@@ -12,6 +14,7 @@
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace svcdisc::sim {
 namespace {
@@ -114,6 +117,171 @@ TEST(EventQueue, LargeCaptureCallbackStillFires) {
   });
   q.pop().fire();
   EXPECT_EQ(sum, 42u * 16);
+}
+
+// ------------------------------------------------- EventQueue properties --
+// Random traces against a reference model. Times come from a range of a
+// few microseconds, so most pops are decided by the seq tie-break.
+
+/// Appends each fired event's id to one shared log: timer tags and
+/// packet `seq` fields carry the id.
+struct LogTimer final : TimerTarget {
+  std::vector<std::uint64_t>* log;
+  explicit LogTimer(std::vector<std::uint64_t>* l) : log(l) {}
+  void on_timer(std::uint64_t tag) override { log->push_back(tag); }
+};
+
+struct LogTarget final : PacketEventTarget {
+  std::vector<std::uint64_t>* log;
+  explicit LogTarget(std::vector<std::uint64_t>* l) : log(l) {}
+  void deliver_packets(std::span<Packet> packets, net::Ipv4,
+                       bool) override {
+    for (const Packet& p : packets) log->push_back(p.seq);
+  }
+};
+
+Packet tagged_packet(std::uint64_t id) {
+  Packet p = net::make_tcp(Ipv4(1), 1, Ipv4(2), 2, net::flags_syn());
+  p.seq = static_cast<std::uint32_t>(id);
+  return p;
+}
+
+TEST(EventQueueProperty, RandomTracesMatchSortedReference) {
+  struct Pending {
+    std::int64_t time;
+    std::uint64_t seq;
+    std::uint64_t id;
+  };
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    EventQueue q;
+    std::vector<std::uint64_t> log;
+    LogTimer timer(&log);
+    LogTarget target(&log);
+    std::vector<Pending> ref;  // every pending event, in push order
+    std::uint64_t pushed = 0;
+    const std::uint64_t pushes = 20 + rng.below(400);
+    while (pushed < pushes || !ref.empty()) {
+      if (pushed < pushes && (ref.empty() || rng.chance(0.6))) {
+        const util::TimePoint t =
+            kEpoch + util::usec(static_cast<std::int64_t>(rng.below(4)));
+        const std::uint64_t id = pushed;
+        switch (rng.below(3)) {
+          case 0:
+            q.push(t, [&log, id] { log.push_back(id); });
+            break;
+          case 1:
+            q.push_timer(t, &timer, id);
+            break;
+          default:
+            q.push_packet(t, &target, tagged_packet(id), Ipv4(9), true);
+            break;
+        }
+        ref.push_back({t.usec, pushed, id});
+        ++pushed;
+        continue;
+      }
+      const auto it = std::min_element(
+          ref.begin(), ref.end(), [](const Pending& a, const Pending& b) {
+            return std::tie(a.time, a.seq) < std::tie(b.time, b.seq);
+          });
+      const Pending want = *it;
+      ref.erase(it);
+      ASSERT_EQ(q.size(), ref.size() + 1);
+      ASSERT_EQ(q.next_time().usec, want.time);
+      ASSERT_EQ(q.top().seq, want.seq);
+      if (rng.chance(0.5)) {
+        q.drop_top();
+      } else {
+        q.pop().fire();
+        ASSERT_FALSE(log.empty());
+        ASSERT_EQ(log.back(), want.id);
+      }
+    }
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+/// Ids below this are scheduled up front; larger ones are follow-ups.
+constexpr std::uint64_t kFirstGeneration = 300;
+
+/// Logs every timer and packet it receives, like LogTimer/LogTarget.
+/// Each up-front event whose id is a multiple of 3 schedules a follow-up
+/// of the other kind at the current instant, the case coalescing must
+/// not reorder.
+struct FollowUpNode final : TimerTarget, PacketEventTarget {
+  FollowUpNode(Simulator* s, std::vector<std::uint64_t>* l,
+               std::uint64_t* next)
+      : sim(s), log(l), next_id(next) {}
+  void on_timer(std::uint64_t tag) override {
+    log->push_back(tag);
+    if (tag < kFirstGeneration && tag % 3 == 0) {
+      sim->after_packet(util::usec(0), this, tagged_packet((*next_id)++),
+                        Ipv4(9), true);
+    }
+  }
+  void deliver_packets(std::span<Packet> packets, net::Ipv4,
+                       bool) override {
+    if (packets.size() > 1) batched += packets.size();
+    for (const Packet& p : packets) {
+      log->push_back(p.seq);
+      if (p.seq < kFirstGeneration && p.seq % 3 == 0) {
+        sim->after_timer(util::usec(0), this, (*next_id)++);
+      }
+    }
+  }
+  Simulator* sim;
+  std::vector<std::uint64_t>* log;
+  std::uint64_t* next_id;
+  std::size_t batched{0};  ///< packets delivered in batches of > 1
+};
+
+TEST(EventQueueProperty, RunAndStepFireTheSameSequence) {
+  // One random schedule, replayed twice: run() coalesces same-time
+  // deliveries into batches, step() fires one event at a time.
+  std::size_t batched = 0;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE(seed);
+    const auto replay = [seed, &batched](bool stepwise) {
+      Simulator sim;
+      std::vector<std::uint64_t> log;
+      std::uint64_t next_id = kFirstGeneration;
+      std::array<FollowUpNode, 2> nodes{FollowUpNode(&sim, &log, &next_id),
+                                        FollowUpNode(&sim, &log, &next_id)};
+      util::Rng rng(seed);
+      for (std::uint64_t id = 0; id < kFirstGeneration; ++id) {
+        const util::Duration at =
+            util::usec(static_cast<std::int64_t>(rng.below(6)));
+        FollowUpNode& node = nodes[rng.below(2)];
+        switch (rng.below(4)) {
+          case 0:
+            sim.after(at, [&log, id] { log.push_back(id); });
+            break;
+          case 1:
+            sim.after_timer(at, &node, id);
+            break;
+          default:
+            // Few distinct (target, external, crossed) triples, so
+            // same-time deliveries often share one and coalesce.
+            sim.after_packet(at, &node, tagged_packet(id),
+                             Ipv4(9 + rng.below(2)), rng.chance(0.8));
+            break;
+        }
+      }
+      if (stepwise) {
+        while (sim.step()) {
+        }
+      } else {
+        sim.run();
+        batched += nodes[0].batched + nodes[1].batched;
+      }
+      EXPECT_EQ(sim.events_processed(), log.size());
+      return log;
+    };
+    EXPECT_EQ(replay(false), replay(true));
+  }
+  EXPECT_GT(batched, 0u);  // coalescing was actually exercised
 }
 
 TEST(Simulator, CoalescesSameTimeDeliveriesToOneTarget) {
@@ -368,6 +536,102 @@ TEST_F(NetworkFixture, InternalLatencyShorterThanExternal) {
   ASSERT_EQ(far_sink.received.size(), 1u);
   EXPECT_EQ(internal_sink.received[0].time, kEpoch + msec(1));
   EXPECT_EQ(far_sink.received[0].time, kEpoch + msec(50));
+}
+
+// --------------------------------------------------------- Network owners --
+// Per-address owners live in a dense table inside internal prefixes of
+// length >= /16 and in a hash map elsewhere; prefix owners back both.
+
+TEST(NetworkOwners, AttachReplaceDetachInsideDensePrefix) {
+  Simulator sim;
+  Network network(sim, {Prefix(Ipv4::from_octets(10, 0, 0, 0), 16)});
+  SinkRecorder a, b;
+  const Ipv4 first = Ipv4::from_octets(10, 0, 0, 0);
+  const Ipv4 last = Ipv4::from_octets(10, 0, 255, 255);
+  EXPECT_EQ(network.owner(first), nullptr);
+  network.attach(first, &a);
+  network.attach(last, &a);
+  EXPECT_EQ(network.owner(first), &a);
+  EXPECT_EQ(network.owner(last), &a);
+  EXPECT_EQ(network.owner(Ipv4::from_octets(10, 0, 0, 1)), nullptr);
+  network.attach(last, &b);  // replace
+  EXPECT_EQ(network.owner(last), &b);
+  network.detach(last, &b);
+  EXPECT_EQ(network.owner(last), nullptr);
+  EXPECT_EQ(network.owner(first), &a);
+}
+
+TEST(NetworkOwners, DetachByNonOwnerIsNoOp) {
+  Simulator sim;
+  Network network(sim, {Prefix(Ipv4::from_octets(10, 0, 0, 0), 16)});
+  SinkRecorder owner, other;
+  const Ipv4 dense = Ipv4::from_octets(10, 0, 3, 4);
+  const Ipv4 stray = Ipv4::from_octets(66, 1, 1, 1);
+  network.attach(dense, &owner);
+  network.attach(stray, &owner);
+  network.detach(dense, &other);
+  network.detach(stray, &other);
+  network.detach(Ipv4::from_octets(10, 0, 3, 5), &other);  // unowned
+  EXPECT_EQ(network.owner(dense), &owner);
+  EXPECT_EQ(network.owner(stray), &owner);
+  EXPECT_EQ(network.owner(Ipv4::from_octets(10, 0, 3, 5)), nullptr);
+}
+
+TEST(NetworkOwners, PerAddressAttachBeatsPrefixOwnerOfInternalBlock) {
+  const Prefix block(Ipv4::from_octets(10, 0, 0, 0), 16);
+  Simulator sim;
+  Network network(sim, {block});
+  SinkRecorder universe, host;
+  network.attach_prefix(block, &universe);
+  const Ipv4 carved = Ipv4::from_octets(10, 0, 7, 7);
+  EXPECT_EQ(network.owner(carved), &universe);
+  network.attach(carved, &host);
+  EXPECT_EQ(network.owner(carved), &host);
+  EXPECT_EQ(network.owner(Ipv4::from_octets(10, 0, 7, 8)), &universe);
+  network.detach(carved, &host);
+  EXPECT_EQ(network.owner(carved), &universe);
+
+  network.send(net::make_tcp(Ipv4::from_octets(66, 1, 1, 1), 1, carved, 80,
+                             net::flags_syn()));
+  network.attach(carved, &host);
+  sim.run();
+  EXPECT_EQ(host.received.size(), 1u);
+  EXPECT_TRUE(universe.received.empty());
+}
+
+TEST(NetworkOwners, AddressOutsideInternalPrefixesUsesTheMap) {
+  Simulator sim;
+  Network network(sim, {Prefix(Ipv4::from_octets(10, 0, 0, 0), 16)});
+  SinkRecorder external, block_owner;
+  const Ipv4 outside = Ipv4::from_octets(66, 1, 1, 1);
+  network.attach_prefix(Prefix(Ipv4::from_octets(66, 1, 0, 0), 16),
+                        &block_owner);
+  EXPECT_EQ(network.owner(outside), &block_owner);
+  network.attach(outside, &external);
+  EXPECT_EQ(network.owner(outside), &external);
+  EXPECT_EQ(network.owner(Ipv4::from_octets(66, 1, 1, 2)), &block_owner);
+  network.detach(outside, &external);
+  EXPECT_EQ(network.owner(outside), &block_owner);
+}
+
+TEST(NetworkOwners, ShortInternalPrefixTakesTheMapPath) {
+  // A /8 would need a 16M-entry table; its owners stay in the map and
+  // behave exactly as in a dense prefix.
+  const Prefix wide(Ipv4::from_octets(20, 0, 0, 0), 8);
+  Simulator sim;
+  Network network(sim, {wide, Prefix(Ipv4::from_octets(10, 0, 0, 0), 16)});
+  SinkRecorder a, b, block_owner;
+  const Ipv4 addr = Ipv4::from_octets(20, 200, 1, 1);
+  network.attach(addr, &a);
+  EXPECT_EQ(network.owner(addr), &a);
+  network.attach(addr, &b);
+  network.detach(addr, &a);  // stale
+  EXPECT_EQ(network.owner(addr), &b);
+  network.attach_prefix(wide, &block_owner);
+  EXPECT_EQ(network.owner(addr), &b);
+  network.detach(addr, &b);
+  EXPECT_EQ(network.owner(addr), &block_owner);
+  EXPECT_TRUE(network.is_internal(addr));
 }
 
 }  // namespace
