@@ -53,8 +53,9 @@ run_asan() {
   echo "== ASan + UBSan: fixed prober =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L prober)
   # The event_core label covers the event heap's index arithmetic and
-  # slab reuse, the dense address-owner tables and the scan detector's
-  # capped sets, each replayed against a reference model.
+  # slab reuse, the packet lanes' ring wrap and growth, the dense
+  # address-owner tables and the scan detector's capped sets, each
+  # replayed against a reference model.
   echo "== ASan + UBSan: event core =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L event_core)
   # The scale label runs the universe suite; SVCDISC_SCALE_SMOKE shrinks

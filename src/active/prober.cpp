@@ -142,16 +142,28 @@ void ProberBase::send_probe(net::Ipv4 source, net::Ipv4 addr,
   }
 }
 
-void ProberBase::classify_unanswered(util::FlatSet<net::Ipv4> alive) {
-  for (const ProbeOutcome& o : current_.outcomes) {
-    if (o.status != ProbeStatus::kPending) alive.insert(o.key.addr);
+void ProberBase::classify_unanswered(const util::FlatSet<net::Ipv4>& alive) {
+  // Only an unanswered UDP probe asks whether its host proved alive, so
+  // the set of answering hosts is built only when one is left.
+  const bool udp_pending = std::any_of(
+      current_.outcomes.begin(), current_.outcomes.end(),
+      [](const ProbeOutcome& o) {
+        return o.status == ProbeStatus::kPending &&
+               o.key.proto != net::Proto::kTcp;
+      });
+  util::FlatSet<net::Ipv4> answered;
+  if (udp_pending) {
+    for (const ProbeOutcome& o : current_.outcomes) {
+      if (o.status != ProbeStatus::kPending) answered.insert(o.key.addr);
+    }
   }
   for (ProbeOutcome& outcome : current_.outcomes) {
     if (outcome.status != ProbeStatus::kPending) continue;
     if (outcome.key.proto == net::Proto::kTcp) {
       outcome.status = ProbeStatus::kFiltered;
     } else {
-      outcome.status = alive.contains(outcome.key.addr)
+      const net::Ipv4 addr = outcome.key.addr;
+      outcome.status = alive.contains(addr) || answered.contains(addr)
                            ? ProbeStatus::kMaybeOpen
                            : ProbeStatus::kNoHost;
     }
@@ -264,12 +276,11 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
   // shares the first one's cells.
   const std::vector<net::Ipv4>& targets = *phase_targets_;
   columns_ = columns;
-  row_of_.reserve(target_count);
   target_row_.resize(target_count);
   for (std::size_t i = 0; i < target_count; ++i) {
-    target_row_[i] = row_of_
-                         .emplace(targets[i], static_cast<std::uint32_t>(i))
-                         .first->second;
+    std::uint32_t& slot = row_slot(targets[i]);
+    if (slot == 0) slot = static_cast<std::uint32_t>(i) + 1;
+    target_row_[i] = slot - 1;
   }
   port_column_.resize(columns);
   for (std::size_t c = 0; c < columns; ++c) {
@@ -284,6 +295,27 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
             .first->second;
   }
   cell_outcome_.assign(target_count * columns, 0);
+}
+
+std::uint32_t* Prober::find_row(net::Ipv4 addr) {
+  const std::uint32_t prefix = addr.value() >> 8;
+  if (memo_page_ == nullptr || prefix != memo_prefix_) {
+    const auto it = page_of_.find(prefix);
+    if (it == page_of_.end()) return nullptr;
+    memo_prefix_ = prefix;
+    memo_page_ = row_pages_[it->second].get();
+  }
+  return &(*memo_page_)[addr.value() & 0xff];
+}
+
+std::uint32_t& Prober::row_slot(net::Ipv4 addr) {
+  if (std::uint32_t* slot = find_row(addr)) return *slot;
+  const std::uint32_t prefix = addr.value() >> 8;
+  page_of_.emplace(prefix, static_cast<std::uint32_t>(row_pages_.size()));
+  row_pages_.push_back(std::make_unique<RowPage>());  // zeroed: no rows
+  memo_prefix_ = prefix;
+  memo_page_ = row_pages_.back().get();
+  return (*memo_page_)[addr.value() & 0xff];
 }
 
 Prober::ProbeTask Prober::task_at(std::size_t machine,
@@ -399,12 +431,12 @@ void Prober::on_packet(const net::Packet& p) {
 void Prober::resolve(net::Ipv4 addr, net::Port port, net::Proto proto,
                      ProbeStatus status) {
   // Before the port phase (pinging) the index is empty.
-  const auto row = row_of_.find(addr);
-  if (row == row_of_.end()) return;
+  const std::uint32_t* row = find_row(addr);
+  if (row == nullptr || *row == 0) return;
   const auto column = column_of_.find(column_key(proto, port));
   if (column == column_of_.end()) return;
   const std::uint32_t cell =
-      cell_outcome_[std::size_t{row->second} * columns_ + column->second];
+      cell_outcome_[std::size_t{*row - 1} * columns_ + column->second];
   // Unprobed, or its latest outcome already answered: a stray, late or
   // duplicate reply.
   if (cell == 0 ||
@@ -422,7 +454,9 @@ void Prober::finalize_scan() {
   cell_outcome_ = {};
   target_row_ = {};
   port_column_ = {};
-  row_of_ = {};
+  row_pages_ = decltype(row_pages_)();
+  page_of_ = {};
+  memo_page_ = nullptr;
   column_of_ = {};
   finish_scan_record();
 }

@@ -19,8 +19,10 @@
 //     priors and LZR-style verification (active/adaptive_prober.h).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -187,7 +189,7 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
   /// the host proved alive — it is in `alive`, or answered any probe of
   /// this scan — else "no host". Each classified outcome reaches
   /// note_outcome().
-  void classify_unanswered(util::FlatSet<net::Ipv4> alive);
+  void classify_unanswered(const util::FlatSet<net::Ipv4>& alive);
 
   /// Next client-side source port, cycling through 40000-60000.
   net::Port take_ephemeral();
@@ -275,6 +277,14 @@ class Prober final : public ProberBase {
   util::FlatSet<net::Ipv4> alive_hosts_;
   std::vector<net::Ipv4> alive_targets_;
 
+  /// A row page: the rows of one /24's 256 addresses, each 0 (no row)
+  /// or 1 + the row of the address's first occurrence.
+  using RowPage = std::array<std::uint32_t, 256>;
+  /// The row slot of `addr`, or null when its /24 holds no target.
+  std::uint32_t* find_row(net::Ipv4 addr);
+  /// The row slot of `addr`, allocating its /24's page if needed.
+  std::uint32_t& row_slot(net::Ipv4 addr);
+
   // The port phase's probe grid (DESIGN.md §16), built by plan_phase and
   // freed when the scan finishes. Row r is the r-th phase target, column
   // c the c-th port-list entry (TCP ports, then UDP); a repeated target
@@ -285,7 +295,12 @@ class Prober final : public ProberBase {
   std::vector<std::uint32_t> cell_outcome_;
   std::vector<std::uint32_t> target_row_;   // per phase target: its row
   std::vector<std::uint32_t> port_column_;  // per port-list entry: column
-  util::FlatMap<net::Ipv4, std::uint32_t> row_of_;
+  // Address -> row: one 1 KiB page per /24 holding a target, found
+  // through a /24 -> page directory and a memo of the last page used.
+  std::vector<std::unique_ptr<RowPage>> row_pages_;
+  util::FlatMap<std::uint32_t, std::uint32_t> page_of_;  // /24 -> page
+  std::uint32_t memo_prefix_{0};
+  RowPage* memo_page_{nullptr};  // page of memo_prefix_; null: no memo
   util::FlatMap<std::uint32_t, std::uint32_t> column_of_;  // (proto, port)
 };
 

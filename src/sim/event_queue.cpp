@@ -18,7 +18,15 @@ Event& EventQueue::emplace(util::TimePoint t) {
   ev.seq = next_seq_++;
   heap_.push_back(Key{t, ev.seq, slot});
   sift_up(heap_.size() - 1);
+  note_pushed(t, kHeap);
   return ev;
+}
+
+void EventQueue::note_pushed(util::TimePoint t, std::size_t source) {
+  // The new event has the largest seq, so it precedes the cached earliest
+  // only with a strictly earlier time; then it precedes every event, and
+  // is the top of the heap or the front of its (previously empty) lane.
+  if (size_++ == 0 || t < top().time) best_ = source;
 }
 
 void EventQueue::push(util::TimePoint t, util::SmallFn fn) {
@@ -34,36 +42,84 @@ void EventQueue::push_timer(util::TimePoint t, TimerTarget* target,
   ev.pod.timer = {target, tag};
 }
 
-void EventQueue::push_packet(util::TimePoint t, PacketEventTarget* target,
-                             const net::Packet& p, net::Ipv4 external,
-                             bool crossed) {
-  Event& ev = emplace(t);
-  ev.kind = Event::Kind::kPacket;
-  ev.crossed = crossed;
-  ev.external = external;
-  ev.pod.packet = {target, p};
+Event& EventQueue::Lane::push_back() {
+  if (count == ring.size()) {
+    // Unroll the full ring into a twice-larger one, front at index 0.
+    std::vector<Event> grown(ring.empty() ? 16 : 2 * ring.size());
+    for (std::size_t i = 0; i < count; ++i) {
+      grown[i] = std::move(ring[(head + i) & (ring.size() - 1)]);
+    }
+    ring = std::move(grown);
+    head = 0;
+  }
+  return ring[(head + count++) & (ring.size() - 1)];
 }
 
-std::uint32_t EventQueue::remove_top_key() {
-  const std::uint32_t slot = heap_[0].slot;
-  heap_[0] = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-  return slot;
+EventQueue::Lane* EventQueue::lane_for(util::TimePoint t,
+                                       util::Duration delay) {
+  Lane* empty = nullptr;
+  for (Lane& lane : lanes_) {
+    if (lane.delay == delay) {
+      return lane.count == 0 || lane.back().time <= t ? &lane : nullptr;
+    }
+    if (empty == nullptr && lane.count == 0) empty = &lane;
+  }
+  if (empty != nullptr) empty->delay = delay;
+  return empty;
+}
+
+void EventQueue::push_packet(util::TimePoint t, util::Duration delay,
+                             PacketEventTarget* target, const net::Packet& p,
+                             net::Ipv4 external, bool crossed) {
+  Event* ev;
+  if (Lane* lane = lane_for(t, delay)) {
+    ev = &lane->push_back();
+    ev->time = t;
+    ev->seq = next_seq_++;
+    note_pushed(t, static_cast<std::size_t>(lane - lanes_.data()));
+  } else {
+    ev = &emplace(t);
+  }
+  ev->kind = Event::Kind::kPacket;
+  ev->crossed = crossed;
+  ev->external = external;
+  ev->pod.packet = {target, p};
+}
+
+void EventQueue::select_best() {
+  best_ = kHeap;
+  const Event* best = heap_.empty() ? nullptr : &slab_[heap_[0].slot];
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    if (lanes_[i].count == 0) continue;
+    const Event& front = lanes_[i].front();
+    if (best == nullptr || front.time < best->time ||
+        (front.time == best->time && front.seq < best->seq)) {
+      best = &front;
+      best_ = i;
+    }
+  }
 }
 
 Event EventQueue::pop() {
-  const std::uint32_t slot = remove_top_key();
-  Event out = std::move(slab_[slot]);
-  slab_[slot].fn.reset();  // release any non-inline callback remnant
-  free_slots_.push_back(slot);
+  Event& first = best_ == kHeap ? slab_[heap_[0].slot] : lanes_[best_].front();
+  Event out = std::move(first);
+  drop_top();  // also releases any non-inline callback remnant
   return out;
 }
 
 void EventQueue::drop_top() {
-  const std::uint32_t slot = remove_top_key();
-  if (slab_[slot].kind == Event::Kind::kCallback) slab_[slot].fn.reset();
-  free_slots_.push_back(slot);
+  if (best_ == kHeap) {
+    const std::uint32_t slot = heap_[0].slot;
+    heap_[0] = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0);
+    if (slab_[slot].kind == Event::Kind::kCallback) slab_[slot].fn.reset();
+    free_slots_.push_back(slot);
+  } else {
+    lanes_[best_].pop_front();
+  }
+  --size_;
+  select_best();
 }
 
 // 4-ary layout: the parent of i is (i - 1) / 4, its children are

@@ -11,12 +11,20 @@
 //     components (probers, hosts, flow generators), no allocation;
 //   * callback — the generic escape hatch: a util::SmallFn, which stays
 //     allocation-free for captures up to 48 bytes.
-// The heap itself is a 4-ary min-heap of small (time, seq, slot) keys;
-// event payloads live in a slab indexed by slot, so sift operations never
-// move them. Keys are unique, so the heap's arity cannot change the pop
-// order: it is always ascending (time, seq).
+// Timers and callbacks go to a 4-ary min-heap of small (time, seq, slot)
+// keys; their payloads live in a slab indexed by slot, so sift operations
+// never move them. Packet deliveries go to a few FIFO lanes beside the
+// heap, one per delivery delay: the network has only a handful of path
+// latencies, and deliveries pushed `delay` after a nondecreasing clock
+// arrive in time order, so a ring buffer holds them sorted for free. A
+// delivery that would break its lane's order, or that finds no lane,
+// goes to the heap. Every push takes the next seq, and the heap and each
+// lane are sorted by (time, seq), so merging their fronts pops in
+// exactly ascending (time, seq) order: lanes change the cost, never the
+// order.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -87,7 +95,8 @@ struct Event {
   }
 };
 
-/// Min-heap of timestamped events with FIFO tie-breaking.
+/// Min-heap of timestamped events with FIFO tie-breaking, plus FIFO
+/// lanes for packet deliveries.
 class EventQueue {
  public:
   /// Enqueue a generic callback to fire at time `t`.
@@ -95,17 +104,23 @@ class EventQueue {
   /// Enqueue a timer event for `target` at time `t`.
   void push_timer(util::TimePoint t, TimerTarget* target,
                   std::uint64_t tag = 0);
-  /// Enqueue delivery of `p` to `target` at time `t`.
-  void push_packet(util::TimePoint t, PacketEventTarget* target,
-                   const net::Packet& p, net::Ipv4 external, bool crossed);
+  /// Enqueue delivery of `p` to `target` at time `t`. `delay` is the
+  /// lane key: deliveries pushed with one delay share a FIFO lane while
+  /// their times do not decrease.
+  void push_packet(util::TimePoint t, util::Duration delay,
+                   PacketEventTarget* target, const net::Packet& p,
+                   net::Ipv4 external, bool crossed);
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return size_ == 0; }
+  /// Pending events, heap and lanes together.
+  std::size_t size() const { return size_; }
 
   /// Timestamp of the earliest event; undefined when empty.
-  util::TimePoint next_time() const { return heap_[0].time; }
+  util::TimePoint next_time() const { return top().time; }
   /// The earliest event (for coalescing peeks); undefined when empty.
-  const Event& top() const { return slab_[heap_[0].slot]; }
+  const Event& top() const {
+    return best_ == kHeap ? slab_[heap_[0].slot] : lanes_[best_].front();
+  }
 
   /// Removes and returns the earliest event.
   Event pop();
@@ -121,11 +136,44 @@ class EventQueue {
     std::uint32_t slot;
   };
 
-  /// Grabs a free slab slot (growing the slab if needed) and stamps its
-  /// (time, seq); returns the slot's Event for payload assignment.
+  /// A FIFO of packet deliveries sharing one delay, sorted by (time,
+  /// seq): a power-of-two ring of events, grown by doubling.
+  struct Lane {
+    util::Duration delay{-1};  ///< key, kept while empty until rekeyed
+    std::vector<Event> ring;
+    std::size_t head{0};
+    std::size_t count{0};
+
+    Event& front() { return ring[head]; }
+    const Event& front() const { return ring[head]; }
+    const Event& back() const {
+      return ring[(head + count - 1) & (ring.size() - 1)];
+    }
+    /// Appends a slot at the tail (growing the ring if full).
+    Event& push_back();
+    void pop_front() {
+      head = (head + 1) & (ring.size() - 1);
+      --count;
+    }
+  };
+
+  static constexpr std::size_t kLanes = 4;
+  /// best_ value naming the heap top.
+  static constexpr std::size_t kHeap = kLanes;
+
+  /// Grabs a free slab slot (growing the slab if needed), stamps its
+  /// (time, seq) and pushes its key; returns the slot's Event for payload
+  /// assignment.
   Event& emplace(util::TimePoint t);
-  /// Removes heap_[0] and returns the slot it named.
-  std::uint32_t remove_top_key();
+  /// The lane a delivery at `t` with `delay` joins, or null for the heap:
+  /// the delay's lane if empty or its tail is not after `t`; else, when
+  /// no lane holds the delay, the first empty lane, rekeyed.
+  Lane* lane_for(util::TimePoint t, util::Duration delay);
+  /// Records that a pushed event (`t`, the largest seq so far) sits in
+  /// `source`: it is the new earliest only if strictly earlier in time.
+  void note_pushed(util::TimePoint t, std::size_t source);
+  /// Recomputes best_ over the heap top and the lane fronts.
+  void select_best();
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   static bool before(const Key& a, const Key& b) {
@@ -136,6 +184,9 @@ class EventQueue {
   std::vector<Key> heap_;
   std::vector<Event> slab_;
   std::vector<std::uint32_t> free_slots_;
+  std::array<Lane, kLanes> lanes_;
+  std::size_t best_{kHeap};  ///< source of the earliest event
+  std::size_t size_{0};
   std::uint64_t next_seq_{0};
 };
 

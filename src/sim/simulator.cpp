@@ -42,7 +42,9 @@ void Simulator::after_timer(util::Duration d, TimerTarget* target,
 void Simulator::after_packet(util::Duration d, PacketEventTarget* target,
                              const net::Packet& p, net::Ipv4 external,
                              bool crossed) {
-  queue_.push_packet(now_ + d, target, p, external, crossed);
+  // `d` keys the delivery's FIFO lane: the clock never runs backwards,
+  // so deliveries with one delay are pushed in time order.
+  queue_.push_packet(now_ + d, d, target, p, external, crossed);
   note_push();
 }
 

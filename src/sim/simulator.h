@@ -38,7 +38,8 @@ class Simulator {
   /// Schedule a timer event `d` after now.
   void after_timer(util::Duration d, TimerTarget* target,
                    std::uint64_t tag = 0);
-  /// Schedule delivery of `p` to `target` `d` after now.
+  /// Schedule delivery of `p` to `target` `d` after now. Deliveries with
+  /// one `d` share a FIFO lane of the queue (see EventQueue).
   void after_packet(util::Duration d, PacketEventTarget* target,
                     const net::Packet& p, net::Ipv4 external, bool crossed);
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <map>
 #include <optional>
@@ -718,6 +719,302 @@ TEST_F(BookkeepingFixture, MatchesReferenceModelOnRandomScans) {
       EXPECT_EQ(record->hosts_alive, ping_alive.size());
     }
   }
+}
+
+// Property: the reference model above, on scans whose targets spread over
+// several /24 row pages in two internal /16s. Host octets include 0 and
+// 255 (page edges), the same /24 appears in both /16s, and strays come
+// from unprobed addresses in allocated pages and from /24s with no page.
+TEST_F(BookkeepingFixture, MatchesReferenceModelAcrossRowPages) {
+  constexpr util::Duration kLatency = util::msec(1);  // campus one-way
+  const std::array<Ipv4, 4> blocks = {
+      Ipv4::from_octets(128, 125, 9, 0), Ipv4::from_octets(128, 126, 9, 0),
+      Ipv4::from_octets(128, 125, 200, 0), Ipv4::from_octets(128, 126, 41, 0)};
+  const std::uint8_t host_octets[] = {0, 1, 2, 77, 128, 255};
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Simulator s;
+    sim::Network net(s, {Prefix(Ipv4::from_octets(128, 125, 0, 0), 16),
+                         Prefix(Ipv4::from_octets(128, 126, 0, 0), 16),
+                         Prefix(Ipv4::from_octets(10, 1, 0, 0), 24)});
+    net.set_internal_latency(kLatency);
+    util::Rng rng(seed);
+
+    std::vector<Ipv4> machines = {Ipv4::from_octets(10, 1, 0, 1)};
+    if (rng.below(2) == 1) machines.push_back(Ipv4::from_octets(10, 1, 0, 2));
+    ScanSpec spec;
+    const auto pick_host = [&](std::size_t block) {
+      return Ipv4(blocks[block].value() | host_octets[rng.below(6)]);
+    };
+    // The first three targets come from three distinct /24s in both
+    // /16s; the rest from any block, repeats included.
+    const std::size_t skip = 2 + rng.below(2);  // block 2 or 3 left out
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      if (b != skip) spec.targets.push_back(pick_host(b));
+    }
+    for (std::uint64_t n = rng.below(12); n > 0; --n) {
+      spec.targets.push_back(pick_host(rng.below(blocks.size())));
+    }
+    const net::Port tcp_pool[] = {21, 22, 80, 443};
+    const net::Port udp_pool[] = {53, 137, 161};
+    for (std::uint64_t n = rng.below(5); n > 0; --n) {
+      spec.tcp_ports.push_back(tcp_pool[rng.below(4)]);
+    }
+    for (std::uint64_t n = rng.below(4); n > 0; --n) {
+      spec.udp_ports.push_back(udp_pool[rng.below(3)]);
+    }
+    // Even-microsecond sends, odd-microsecond reply delays: no ties.
+    spec.probes_per_sec = 100.0;
+    spec.timeout = util::msec(50);
+    spec.host_discovery = rng.chance(0.3);
+
+    struct Event {
+      util::TimePoint at;
+      bool sent;
+      net::Packet p;
+    };
+    std::vector<Event> log;
+
+    const auto odd_delay = [&rng] {
+      return util::usec(2 * static_cast<std::int64_t>(rng.below(100000)) + 1);
+    };
+    ScriptedSink responder;
+    responder.reply = [&](const net::Packet& probe) {
+      log.push_back({probe.time - kLatency, true, probe});
+      const auto send = [&](net::Packet p) {
+        s.after(odd_delay(), [&net, p] { net.send(p); });
+      };
+      const int copies = rng.chance(0.2) ? 2 : 1;
+      for (int c = 0; c < copies; ++c) {
+        if (probe.proto == net::Proto::kIcmp) {
+          if (rng.chance(0.6)) send(echo_reply(probe));
+        } else if (probe.proto == net::Proto::kTcp) {
+          const std::uint64_t pick = rng.below(10);
+          if (pick < 3) {
+            send(tcp_reply(probe, net::flags_syn_ack()));
+          } else if (pick < 5) {
+            send(tcp_reply(probe, net::flags_rst()));
+          } else if (pick < 6) {
+            send(net::make_icmp_port_unreachable(probe));
+          }
+        } else {
+          const std::uint64_t pick = rng.below(10);
+          if (pick < 4) {
+            send(net::make_udp(probe.dst, probe.dport, probe.src,
+                               probe.sport, 8));
+          } else if (pick < 7) {
+            send(net::make_icmp_port_unreachable(probe));
+          }
+        }
+      }
+      if (probe.proto != net::Proto::kIcmp && rng.chance(0.3)) {
+        // A stray answer for the probed port from another address: the
+        // other host octets of the probed /24 (an allocated page), the
+        // next /24 (never a page), or the same /24 in the other /16.
+        net::Packet stray = probe.proto == net::Proto::kTcp
+                                ? tcp_reply(probe, net::flags_syn_ack())
+                                : net::make_udp(probe.dst, probe.dport,
+                                                probe.src, probe.sport, 8);
+        const std::uint32_t a = probe.dst.value();
+        switch (rng.below(3)) {
+          case 0:
+            stray.src = Ipv4((a & ~0xffu) | host_octets[rng.below(6)]);
+            break;
+          case 1: stray.src = Ipv4(a + 0x100); break;
+          default: stray.src = Ipv4(a ^ 0x30000); break;  // .125 <-> .126
+        }
+        send(stray);
+      }
+    };
+    for (const Ipv4 block : blocks) net.attach_prefix(Prefix(block, 24), &responder);
+
+    Prober prober(net, {machines});
+    util::MetricsRegistry metrics;
+    prober.attach_metrics(metrics, "active");
+    struct Relay final : sim::PacketSink {
+      Prober* prober{nullptr};
+      std::vector<Event>* log{nullptr};
+      void on_packet(const net::Packet& p) override {
+        log->push_back({p.time, false, p});
+        prober->on_packet(p);
+      }
+    } relay;
+    relay.prober = &prober;
+    relay.log = &log;
+    for (const Ipv4 machine : machines) net.attach(machine, &relay);
+
+    std::optional<ScanRecord> record;
+    prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+    s.run();
+    ASSERT_TRUE(record.has_value());
+
+    // ---- Reference model, replaying the log in time order.
+    std::stable_sort(
+        log.begin(), log.end(),
+        [](const Event& x, const Event& y) { return x.at < y.at; });
+    using Key = std::tuple<std::uint32_t, net::Port, net::Proto>;
+    std::vector<ProbeOutcome> outcomes;
+    std::map<Key, std::size_t> pending;
+    std::set<std::uint32_t> ping_alive;
+    std::uint64_t responses = 0;
+    util::TimePoint port_phase = kEpoch;
+    if (spec.host_discovery) {
+      util::TimePoint last_ping = kEpoch;
+      for (const Event& e : log) {
+        if (e.sent && e.p.proto == net::Proto::kIcmp) last_ping = e.at;
+      }
+      port_phase = last_ping + spec.timeout + util::msec(100);
+    }
+    const auto respond = [&](Key key, ProbeStatus status, util::TimePoint at) {
+      const auto it = pending.find(key);
+      if (it == pending.end()) return;
+      outcomes[it->second].status = status;
+      outcomes[it->second].when = at;
+      pending.erase(it);
+      ++responses;
+    };
+    for (const Event& e : log) {
+      if (e.at > record->finished) break;
+      const net::Packet& p = e.p;
+      if (e.sent) {
+        if (p.proto == net::Proto::kIcmp) continue;
+        const Key key{p.dst.value(), p.dport, p.proto};
+        if (!pending.contains(key)) {
+          pending[key] = outcomes.size();
+          outcomes.push_back(
+              {{p.dst, p.proto, p.dport}, ProbeStatus::kPending, e.at});
+        }
+        continue;
+      }
+      switch (p.proto) {
+        case net::Proto::kTcp:
+          if (p.flags.is_syn_ack()) {
+            respond({p.src.value(), p.sport, p.proto}, ProbeStatus::kOpen,
+                    e.at);
+          } else if (p.flags.rst()) {
+            respond({p.src.value(), p.sport, p.proto}, ProbeStatus::kClosed,
+                    e.at);
+          }
+          break;
+        case net::Proto::kUdp:
+          respond({p.src.value(), p.sport, p.proto}, ProbeStatus::kOpenUdp,
+                  e.at);
+          break;
+        case net::Proto::kIcmp:
+          if (p.icmp_type == net::IcmpType::kEchoReply) {
+            if (e.at < port_phase) ping_alive.insert(p.src.value());
+          } else {
+            respond({p.src.value(), p.icmp_orig_dport, p.icmp_orig_proto},
+                    ProbeStatus::kClosed, e.at);
+          }
+          break;
+      }
+    }
+    std::set<std::uint32_t> alive = ping_alive;
+    for (const ProbeOutcome& o : outcomes) {
+      if (o.status != ProbeStatus::kPending) alive.insert(o.key.addr.value());
+    }
+    for (ProbeOutcome& o : outcomes) {
+      if (o.status != ProbeStatus::kPending) continue;
+      if (o.key.proto == net::Proto::kTcp) {
+        o.status = ProbeStatus::kFiltered;
+      } else {
+        o.status = alive.contains(o.key.addr.value()) ? ProbeStatus::kMaybeOpen
+                                                      : ProbeStatus::kNoHost;
+      }
+    }
+
+    ASSERT_EQ(record->outcomes.size(), outcomes.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      const ProbeOutcome& got = record->outcomes[i];
+      EXPECT_EQ(got.key, outcomes[i].key) << "outcome " << i;
+      EXPECT_EQ(got.status, outcomes[i].status) << "outcome " << i;
+      EXPECT_EQ(got.when, outcomes[i].when) << "outcome " << i;
+    }
+    EXPECT_EQ(metrics.snapshot().value_of("active.responses_received"),
+              static_cast<double>(responses));
+    if (spec.host_discovery) {
+      EXPECT_EQ(record->hosts_alive, ping_alive.size());
+    }
+  }
+}
+
+// Directed row-page cases. a and b share the /24 page 128.125.5; c sits
+// on page 128.125.77, allocated after it.
+
+TEST_F(BookkeepingFixture, DuplicateTargetAcrossRowPagesSharesFirstRow) {
+  // The repeat of a comes after c's page was allocated (and memoized), and
+  // c's repeat after a's page is back in the memo. a answers, so its
+  // repeat gets fresh outcomes; c is dark, so its repeat folds into the
+  // first, still pending.
+  const Ipv4 c = Ipv4::from_octets(128, 125, 77, 1);
+  Host& up = add_host(a);  // 80 open, 22 closed (RST)
+  up.add_service(tcp(80));
+  Prober prober(network, {{prober_addr}});
+  prober.attach_metrics(registry, "active");
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec_for({a, c, a, c, b}),
+                    [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  const std::vector<std::pair<Ipv4, ProbeStatus>> want = {
+      {a, ProbeStatus::kOpen},     {a, ProbeStatus::kClosed},
+      {c, ProbeStatus::kFiltered}, {c, ProbeStatus::kFiltered},
+      {a, ProbeStatus::kOpen},     {a, ProbeStatus::kClosed},
+      {b, ProbeStatus::kFiltered}, {b, ProbeStatus::kFiltered}};
+  ASSERT_EQ(record->outcomes.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(record->outcomes[i].key.addr, want[i].first) << i;
+    EXPECT_EQ(record->outcomes[i].status, want[i].second) << i;
+  }
+  EXPECT_EQ(registry.snapshot().value_of("active.probes_tcp_sent"), 10.0);
+  EXPECT_EQ(responses(), 4u);
+}
+
+TEST_F(BookkeepingFixture, IgnoresStrayFromNonTargetInAllocatedPage) {
+  // a is row 0 and dark. 128.125.5.9 shares a's page but has no row: its
+  // SYN-ACK and port-unreachable for a's ports must not reach row 0.
+  const Ipv4 neighbour = Ipv4::from_octets(128, 125, 5, 9);
+  send_after(util::msec(5),
+             net::make_tcp(neighbour, 80, prober_addr, 40001,
+                           net::flags_syn_ack()));
+  send_after(util::msec(15), net::make_icmp_port_unreachable(net::make_tcp(
+                                 prober_addr, 40002, neighbour, 22,
+                                 net::flags_syn())));
+  Prober prober(network, {{prober_addr}});
+  prober.attach_metrics(registry, "active");
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec_for({a}), [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 2u);
+  EXPECT_EQ(record->count(ProbeStatus::kFiltered), 2u);
+  EXPECT_EQ(responses(), 0u);
+}
+
+TEST_F(BookkeepingFixture, IgnoresReplyFromUnallocatedPage) {
+  // 128.125.6.1 has a's host octet on a /24 with no page (and, checked
+  // after a's page is memoized, 10.1.0.1 too), so nothing resolves; a's
+  // own SYN-ACK afterwards still does.
+  const Ipv4 off_page = Ipv4::from_octets(128, 125, 6, 1);
+  send_after(util::msec(5), net::make_tcp(off_page, 80, prober_addr, 40001,
+                                          net::flags_syn_ack()));
+  send_after(util::msec(6), net::make_tcp(Ipv4::from_octets(10, 1, 0, 1), 80,
+                                          prober_addr, 40001,
+                                          net::flags_syn_ack()));
+  send_after(util::msec(7),
+             net::make_tcp(a, 80, prober_addr, 40001, net::flags_syn_ack()));
+  Prober prober(network, {{prober_addr}});
+  prober.attach_metrics(registry, "active");
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec_for({a}), [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 2u);
+  EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
+  EXPECT_EQ(record->outcomes[0].when, kEpoch + util::msec(8));
+  EXPECT_EQ(record->outcomes[1].status, ProbeStatus::kFiltered);
+  EXPECT_EQ(responses(), 1u);
 }
 
 TEST_F(BookkeepingFixture, OneProbeMachineBeforeIdleMachineFinishes) {

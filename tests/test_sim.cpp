@@ -14,6 +14,7 @@
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace svcdisc::sim {
@@ -75,7 +76,7 @@ TEST(EventQueue, MixedKindsKeepFifoAtSameTime) {
   std::vector<int> order;  // 0 = callback, 1 = timer, 2 = packet
   q.push(kEpoch + seconds(1), [&] { order.push_back(0); });
   q.push_timer(kEpoch + seconds(1), &timer, 7);
-  q.push_packet(kEpoch + seconds(1), &target,
+  q.push_packet(kEpoch + seconds(1), seconds(1), &target,
                 net::make_tcp(Ipv4(1), 1, Ipv4(2), 2, net::flags_syn()),
                 Ipv4(9), true);
   while (!q.empty()) {
@@ -175,7 +176,8 @@ TEST(EventQueueProperty, RandomTracesMatchSortedReference) {
             q.push_timer(t, &timer, id);
             break;
           default:
-            q.push_packet(t, &target, tagged_packet(id), Ipv4(9), true);
+            q.push_packet(t, t - kEpoch, &target, tagged_packet(id),
+                          Ipv4(9), true);
             break;
         }
         ref.push_back({t.usec, pushed, id});
@@ -201,6 +203,83 @@ TEST(EventQueueProperty, RandomTracesMatchSortedReference) {
     }
     EXPECT_TRUE(q.empty());
   }
+}
+
+TEST(EventQueueProperty, LanesMatchSortedReference) {
+  // Packet pushes take one of up to six delays (the queue has four
+  // lanes), usually `delay` after a clock that only moves forward, so
+  // most land in their delay's lane; a fifth are pushed up to 2 us early,
+  // often below their lane's tail, which sends them to the heap. Timers
+  // and callbacks always take the heap. Times span a few microseconds,
+  // so ties are the rule.
+  struct Pending {
+    std::int64_t time;
+    std::uint64_t seq;
+    std::uint64_t id;
+  };
+  std::size_t max_pending = 0;
+  for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    EventQueue q;
+    std::vector<std::uint64_t> log;
+    LogTimer timer(&log);
+    LogTarget target(&log);
+    std::vector<std::int64_t> delays(1 + rng.below(6));
+    for (std::int64_t& d : delays) {
+      d = static_cast<std::int64_t>(rng.below(5));
+    }
+    // Deep traces (push-heavy) wrap and grow the lane rings.
+    const double push_chance = 0.5 + 0.1 * static_cast<double>(rng.below(5));
+    std::vector<Pending> ref;  // every pending event, in push order
+    std::int64_t now = 0;      // time of the last pop
+    std::uint64_t pushed = 0;
+    const std::uint64_t pushes = 20 + rng.below(600);
+    while (pushed < pushes || !ref.empty()) {
+      if (pushed < pushes && (ref.empty() || rng.chance(push_chance))) {
+        const std::uint64_t id = pushed;
+        std::int64_t at = now + static_cast<std::int64_t>(rng.below(3));
+        const std::uint64_t kind = rng.below(5);
+        if (kind == 0) {
+          q.push(kEpoch + util::usec(at), [&log, id] { log.push_back(id); });
+        } else if (kind == 1) {
+          q.push_timer(kEpoch + util::usec(at), &timer, id);
+        } else {
+          const std::int64_t delay = delays[rng.below(delays.size())];
+          at = now + delay;
+          if (rng.chance(0.2)) {
+            at -= static_cast<std::int64_t>(rng.below(3));  // below the tail
+          }
+          q.push_packet(kEpoch + util::usec(at), util::usec(delay), &target,
+                        tagged_packet(id), Ipv4(9), true);
+        }
+        ref.push_back({at, pushed, id});
+        ++pushed;
+        ASSERT_EQ(q.size(), ref.size());
+        max_pending = std::max(max_pending, ref.size());
+        continue;
+      }
+      const auto it = std::min_element(
+          ref.begin(), ref.end(), [](const Pending& a, const Pending& b) {
+            return std::tie(a.time, a.seq) < std::tie(b.time, b.seq);
+          });
+      const Pending want = *it;
+      ref.erase(it);
+      ASSERT_EQ(q.next_time().usec, want.time);
+      ASSERT_EQ(q.top().seq, want.seq);
+      now = want.time;
+      if (rng.chance(0.5)) {
+        q.drop_top();
+      } else {
+        q.pop().fire();
+        ASSERT_FALSE(log.empty());
+        ASSERT_EQ(log.back(), want.id);
+      }
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    EXPECT_TRUE(q.empty());
+  }
+  EXPECT_GT(max_pending, 200u);  // some lane rings grew past their start
 }
 
 /// Ids below this are scheduled up front; larger ones are follow-ups.
@@ -632,6 +711,155 @@ TEST(NetworkOwners, ShortInternalPrefixTakesTheMapPath) {
   network.detach(addr, &b);
   EXPECT_EQ(network.owner(addr), &block_owner);
   EXPECT_TRUE(network.is_internal(addr));
+}
+
+// ------------------------------------------------------- Simulator lanes --
+// Packet deliveries ride FIFO lanes keyed by their delay; these pin that
+// the simulator's observable order is still ascending (time, seq).
+
+TEST(SimulatorLanes, LatencyChangeMidRunKeepsDeliveryOrder) {
+  // Internal sends every 500 us while the latency steps 5 ms -> 1 ms ->
+  // 5 ms, plus crossing sends at 20 ms: 1 ms deliveries overtake pending
+  // 5 ms ones, and many pairs arrive at the same instant. Deliveries must
+  // come in ascending (arrival, send order), send order being the seq.
+  Simulator sim;
+  Network network(sim, {Prefix(Ipv4::from_octets(128, 125, 0, 0), 16)});
+  network.set_external_latency(msec(20));
+  SinkRecorder sink;
+  const Ipv4 dst = Ipv4::from_octets(128, 125, 1, 1);
+  const Ipv4 src = Ipv4::from_octets(128, 125, 2, 2);
+  const Ipv4 outside = Ipv4::from_octets(66, 1, 1, 1);
+  network.attach(dst, &sink);
+
+  struct Sent {
+    std::int64_t arrival;
+    std::uint32_t id;
+  };
+  std::vector<Sent> sent;
+  util::Duration latency = msec(5);
+  for (std::uint32_t id = 0; id < 300; ++id) {
+    const util::Duration at = util::usec(500 * static_cast<std::int64_t>(id));
+    if (id == 100) latency = msec(1);
+    if (id == 200) latency = msec(5);
+    const bool crossing = id % 7 == 3;
+    const util::Duration path = crossing ? msec(20) : latency;
+    sim.after(at, [&network, &sink, dst, src, outside, id, latency,
+                   crossing] {
+      network.set_internal_latency(latency);
+      Packet p = net::make_tcp(crossing ? outside : src, 1, dst, 80,
+                               net::flags_syn());
+      p.seq = id;
+      network.send(p);
+    });
+    sent.push_back({(at + path).usec, id});
+  }
+  sim.run();
+
+  std::stable_sort(sent.begin(), sent.end(), [](const Sent& a, const Sent& b) {
+    return a.arrival < b.arrival;
+  });
+  ASSERT_EQ(sink.received.size(), sent.size());
+  std::size_t ties = 0;
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(sink.received[i].seq, sent[i].id) << "delivery " << i;
+    EXPECT_EQ(sink.received[i].time.usec, (kEpoch.usec + sent[i].arrival))
+        << "delivery " << i;
+    if (i > 0 && sent[i].arrival == sent[i - 1].arrival) ++ties;
+  }
+  EXPECT_GT(ties, 0u);  // same-instant arrivals were exercised
+}
+
+/// Logs every delivery and timer, and answers each first-generation
+/// delivery with deliveries of its own at random delays from a set wider
+/// than the queue's lane count.
+struct EchoNode final : TimerTarget, PacketEventTarget {
+  EchoNode(Simulator* s, std::vector<std::uint64_t>* l, std::uint64_t* next,
+           util::Rng* r)
+      : sim(s), log(l), next_id(next), rng(r) {}
+  void on_timer(std::uint64_t tag) override { log->push_back(tag); }
+  void deliver_packets(std::span<Packet> packets, net::Ipv4,
+                       bool) override {
+    for (const Packet& p : packets) {
+      log->push_back(p.seq);
+      if (p.seq >= kFirstGeneration) continue;
+      for (std::uint64_t n = rng->below(3); n > 0; --n) {
+        const std::uint64_t id = (*next_id)++;
+        if (rng->chance(0.2)) {
+          sim->after_timer(util::usec(static_cast<std::int64_t>(
+                               rng->below(4))),
+                           this, id);
+        } else {
+          sim->after_packet(
+              util::usec(static_cast<std::int64_t>(rng->below(6))), this,
+              tagged_packet(id), Ipv4(9), true);
+        }
+      }
+    }
+  }
+  Simulator* sim;
+  std::vector<std::uint64_t>* log;
+  std::uint64_t* next_id;
+  util::Rng* rng;
+};
+
+TEST(SimulatorLanes, RunAndStepFireTheSameSequence) {
+  // Six delivery delays against four lanes: some delays find no free
+  // lane and take the heap, and lanes are rekeyed as they drain. run()
+  // (coalescing) and step() must still fire one sequence.
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE(seed);
+    const auto replay = [seed](bool stepwise) {
+      Simulator sim;
+      std::vector<std::uint64_t> log;
+      std::uint64_t next_id = kFirstGeneration;
+      util::Rng rng(seed);
+      EchoNode node(&sim, &log, &next_id, &rng);
+      for (std::uint64_t id = 0; id < kFirstGeneration; ++id) {
+        const util::Duration at =
+            util::usec(static_cast<std::int64_t>(rng.below(8)));
+        if (rng.chance(0.2)) {
+          sim.after_timer(at, &node, id);
+        } else {
+          sim.after_packet(at, &node, tagged_packet(id), Ipv4(9), true);
+        }
+      }
+      if (stepwise) {
+        while (sim.step()) {
+        }
+      } else {
+        sim.run();
+      }
+      EXPECT_EQ(sim.events_processed(), log.size());
+      return log;
+    };
+    const std::vector<std::uint64_t> run = replay(false);
+    EXPECT_GT(run.size(), kFirstGeneration);
+    EXPECT_EQ(run, replay(true));
+  }
+}
+
+TEST(SimulatorLanes, QueueDepthGaugeCountsLaneEvents) {
+  Simulator sim;
+  util::MetricsRegistry registry;
+  sim.attach_metrics(registry, "sim");
+  RecordingTarget target;
+  RecordingTimer timer;
+  const Packet p = net::make_tcp(Ipv4(1), 1, Ipv4(2), 2, net::flags_syn());
+  // 100 deliveries in one lane, 50 in another, 10 timers in the heap.
+  for (int i = 0; i < 100; ++i) {
+    sim.after_packet(msec(1), &target, p, Ipv4(9), true);
+  }
+  for (int i = 0; i < 50; ++i) {
+    sim.after_packet(msec(20), &target, p, Ipv4(9), true);
+  }
+  for (int i = 0; i < 10; ++i) sim.after_timer(msec(5), &timer, 0);
+  EXPECT_EQ(sim.pending(), 160u);
+  EXPECT_EQ(registry.snapshot().value_of("sim.queue_depth_hwm"), 160.0);
+  sim.run();
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_processed(), 160u);
+  EXPECT_EQ(target.delivered.size(), 150u);
+  EXPECT_EQ(registry.snapshot().value_of("sim.queue_depth_hwm"), 160.0);
 }
 
 }  // namespace
