@@ -42,10 +42,11 @@ run_asan() {
   # arithmetic worth an explicit sanitized pass.
   echo "== ASan + UBSan: streaming label =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L streaming)
-  # The adaptive label covers the budgeted prober: priority-queue
-  # draining, the verification state machine's pending/verifying maps,
-  # and full fixed-vs-adaptive campaigns — plus the completeness bench
-  # smoke, which asserts the recall-at-half-budget bar.
+  # The adaptive label covers the budgeted prober: the score-bucket
+  # queue (bucket release and slot reuse) against its flat-heap model,
+  # the per-candidate pending cells and the verifying map, and full
+  # fixed-vs-adaptive campaigns — plus the completeness bench smoke,
+  # which asserts the recall-at-half-budget bar.
   echo "== ASan + UBSan: adaptive prober =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L adaptive)
   # The prober label covers the fixed sweep's probe grid: raw index

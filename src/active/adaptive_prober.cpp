@@ -1,6 +1,7 @@
 #include "active/adaptive_prober.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "util/logging.h"
@@ -89,7 +90,6 @@ void AdaptiveProber::observe_passive(const net::Packet& p) {
 void AdaptiveProber::start_scan(
     ScanSpec spec, std::function<void(const ScanRecord&)> on_complete) {
   begin_scan_record(std::move(spec), std::move(on_complete));
-  pending_.clear();
   reset_buckets();
   build_candidates();
   budget_left_ = adaptive_.probe_budget == 0 ? ~std::uint64_t{0}
@@ -110,42 +110,38 @@ void AdaptiveProber::start_scan(
 
 void AdaptiveProber::build_candidates() {
   candidates_.clear();
-  probed_.clear();
-  util::FlatSet<PendingKey, PendingKeyHash> seen;
-  seen.reserve(hints_.size() +
-               spec_.targets.size() *
-                   (spec_.tcp_ports.size() + spec_.udp_ports.size()));
+  candidate_of_.clear();
+  candidate_of_.reserve(hints_.size() +
+                        spec_.targets.size() *
+                            (spec_.tcp_ports.size() + spec_.udp_ports.size()));
+  const auto add = [this](const PendingKey& key, bool seeded) {
+    const auto index = static_cast<std::uint32_t>(candidates_.size());
+    if (candidate_of_.emplace(key, index).second) {
+      candidates_.push_back({key.addr, key.port, key.proto, seeded});
+    }
+  };
 
   // Passive hints first, in first-observed order: they outrank every
   // prior-scored grid candidate (something already spoke to them).
-  for (const PendingKey& hint : hints_) {
-    if (seen.insert(hint)) {
-      candidates_.push_back({hint.addr, hint.port, hint.proto, true});
-    }
-  }
+  for (const PendingKey& hint : hints_) add(hint, true);
   // The target x port grid in the fixed sweep's address-major,
   // port-minor order — equal scores then drain exactly like a
-  // budget-truncated sweep.
+  // budget-truncated sweep. A grid key already hinted stays one
+  // candidate, the seeded one.
   for (const net::Ipv4 addr : spec_.targets) {
     for (const net::Port port : spec_.tcp_ports) {
-      if (seen.insert({addr, port, net::Proto::kTcp})) {
-        candidates_.push_back({addr, port, net::Proto::kTcp, false});
-      }
+      add({addr, port, net::Proto::kTcp}, false);
     }
     for (const net::Port port : spec_.udp_ports) {
-      if (seen.insert({addr, port, net::Proto::kUdp})) {
-        candidates_.push_back({addr, port, net::Proto::kUdp, false});
-      }
+      add({addr, port, net::Proto::kUdp}, false);
     }
   }
 
-  std::vector<QEntry> entries;
-  entries.reserve(candidates_.size());
+  pending_.assign(candidates_.size(), 0);
+  queue_.clear();
   for (std::uint32_t i = 0; i < candidates_.size(); ++i) {
-    entries.push_back({score_of(candidates_[i]), i});
+    queue_.push(score_of(candidates_[i]), i);
   }
-  queue_ = std::priority_queue<QEntry, std::vector<QEntry>, QLess>(
-      QLess{}, std::move(entries));
 
   const std::uint64_t expect =
       adaptive_.probe_budget == 0
@@ -163,23 +159,8 @@ double AdaptiveProber::score_of(const Candidate& c) const {
 }
 
 std::optional<std::uint32_t> AdaptiveProber::pop_best() {
-  while (!queue_.empty()) {
-    const QEntry top = queue_.top();
-    queue_.pop();
-    const Candidate& c = candidates_[top.index];
-    if (probed_.contains({c.addr, c.port, c.proto})) continue;
-    const double fresh = score_of(c);
-    // Lazy rescore: if the candidate's current score fell below the next
-    // stored entry, re-push at the fresh (strictly lower) score and look
-    // again. A fresh score at or above the stored one wins immediately
-    // (the stored top already dominated the heap).
-    if (!queue_.empty() && fresh < top.score && fresh < queue_.top().score) {
-      queue_.push({fresh, top.index});
-      continue;
-    }
-    return top.index;
-  }
-  return std::nullopt;
+  return queue_.pop_best(
+      [this](std::uint32_t index) { return score_of(candidates_[index]); });
 }
 
 void AdaptiveProber::send_next(std::size_t machine) {
@@ -199,9 +180,9 @@ void AdaptiveProber::send_next(std::size_t machine) {
   }
 
   const Candidate& c = candidates_[*pick];
-  const PendingKey key{c.addr, c.port, c.proto};
-  probed_.insert(key);
-  pending_[key] = current_.outcomes.size();
+  // Each candidate is queued once and never re-queued after its pop.
+  assert(pending_[*pick] == 0);
+  pending_[*pick] = static_cast<std::uint32_t>(current_.outcomes.size()) + 1;
   current_.outcomes.push_back(
       {{c.addr, c.proto, c.port}, ProbeStatus::kPending, now});
 
@@ -219,11 +200,16 @@ void AdaptiveProber::send_next(std::size_t machine) {
   network_.simulator().at_timer(next, this, machine);
 }
 
+std::uint32_t* AdaptiveProber::pending_cell(const PendingKey& key) {
+  const auto it = candidate_of_.find(key);
+  return it == candidate_of_.end() ? nullptr : &pending_[it->second];
+}
+
 void AdaptiveProber::resolve(const PendingKey& key, ProbeStatus status) {
-  const auto it = pending_.find(key);
-  if (it == pending_.end()) return;  // late/duplicate response
-  const std::size_t outcome_index = it->second;
-  pending_.erase(key);
+  std::uint32_t* cell = pending_cell(key);
+  if (cell == nullptr || *cell == 0) return;  // late/duplicate response
+  const std::size_t outcome_index = *cell - 1;
+  *cell = 0;
   settle(outcome_index, status);
 }
 
@@ -272,15 +258,15 @@ void AdaptiveProber::on_packet(const net::Packet& p) {
     case net::Proto::kTcp: {
       const PendingKey key{p.src, p.sport, net::Proto::kTcp};
       if (p.flags.is_syn_ack()) {
-        const auto it = pending_.find(key);
-        if (it == pending_.end()) return;  // late/duplicate response
         if (!adaptive_.verify) {
           resolve(key, ProbeStatus::kOpen);
           return;
         }
+        std::uint32_t* cell = pending_cell(key);
+        if (cell == nullptr || *cell == 0) return;  // late/duplicate
         // First stage answered; the verdict now rides on the data probe.
-        const std::size_t outcome_index = it->second;
-        pending_.erase(key);
+        const std::size_t outcome_index = *cell - 1;
+        *cell = 0;
         if (m_responses_) m_responses_->inc();
         verifying_[key] = {outcome_index, p.time};
         send_verify(p);
@@ -363,7 +349,6 @@ void AdaptiveProber::finalize_scan() {
   // evidence for the priors (note_outcome).
   classify_unanswered({});
 
-  pending_.clear();
   if (m_entropy_) {
     m_entropy_->set(
         static_cast<std::int64_t>(std::llround(priors_.entropy() * 1000.0)));

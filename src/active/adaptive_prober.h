@@ -29,11 +29,11 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "active/priors.h"
 #include "active/prober.h"
+#include "active/score_queue.h"
 
 namespace svcdisc::active {
 
@@ -45,7 +45,8 @@ struct AdaptiveConfig {
   /// LZR-style second-stage verification of every TCP SYN-ACK. Off, a
   /// SYN-ACK resolves kOpen immediately (the fixed prober's rule).
   bool verify{true};
-  /// Empirical-Bayes pseudo-count of the per-subnet prior.
+  /// Empirical-Bayes pseudo-count of the per-subnet prior. Must be
+  /// finite and >= 0 (ScanPriors throws std::invalid_argument otherwise).
   double subnet_shrinkage{8.0};
 };
 
@@ -131,19 +132,6 @@ class AdaptiveProber final : public ProberBase {
     net::Proto proto{net::Proto::kTcp};
     bool seeded{false};
   };
-  struct QEntry {
-    double score{0.0};
-    std::uint32_t index{0};
-  };
-  /// Max-heap: higher score first, lower candidate index on ties — the
-  /// tie order is the sweep order, so an untrained prior degenerates to
-  /// the fixed sweep truncated at the budget.
-  struct QLess {
-    bool operator()(const QEntry& a, const QEntry& b) const {
-      if (a.score != b.score) return a.score < b.score;
-      return a.index > b.index;
-    }
-  };
   struct VerifyState {
     std::size_t outcome{0};      ///< index into current_.outcomes
     util::TimePoint sent{};      ///< data-probe send time
@@ -152,11 +140,12 @@ class AdaptiveProber final : public ProberBase {
   void observe_passive(const net::Packet& p);
   void build_candidates();
   double score_of(const Candidate& c) const;
-  /// Lazy-rescore pop: re-push entries whose stored score went stale
-  /// until the top survives its own rescore. Stored scores only ever
-  /// decrease on re-push, so the loop terminates.
+  /// The next candidate to probe (ScoreQueue::pop_best over score_of).
   std::optional<std::uint32_t> pop_best();
   void send_next(std::size_t machine);
+  /// The pending cell of the candidate `key`, or null when `key` is not
+  /// a candidate of this scan.
+  std::uint32_t* pending_cell(const PendingKey& key);
   /// Settles the pending probe for `key` (no-op on late/duplicate
   /// responses).
   void resolve(const PendingKey& key, ProbeStatus status);
@@ -178,15 +167,17 @@ class AdaptiveProber final : public ProberBase {
   ScanPriors priors_;
 
   // Per-scan state.
+  /// This scan's candidates, each key once: hints first, then the grid.
   std::vector<Candidate> candidates_;
-  std::priority_queue<QEntry, std::vector<QEntry>, QLess> queue_;
-  /// Keys already probed this scan (pending or resolved); duplicate
-  /// candidates (a hint also on the grid) are skipped without spending
-  /// budget.
-  util::FlatSet<PendingKey, PendingKeyHash> probed_;
-  /// Probes awaiting their first answer -> index into current_.outcomes;
-  /// erased when the answer arrives.
-  util::FlatMap<PendingKey, std::size_t, PendingKeyHash> pending_;
+  /// Key -> index into candidates_. Keys hinted after the scan started
+  /// are not in it, so they are neither probed nor settled this scan.
+  util::FlatMap<PendingKey, std::uint32_t, PendingKeyHash> candidate_of_;
+  /// Candidates not yet probed, highest score first; ties drain in
+  /// candidate order. A popped index is never queued again.
+  ScoreQueue queue_;
+  /// Per candidate: 0 when not awaiting an answer, else 1 + the index in
+  /// current_.outcomes of its probe. Cleared when the answer arrives.
+  std::vector<std::uint32_t> pending_;
   std::uint64_t budget_left_{0};
   std::vector<char> machine_done_;
   std::size_t machines_done_{0};

@@ -2,8 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace svcdisc::active {
+
+ScanPriors::ScanPriors(double subnet_shrinkage)
+    : shrinkage_(subnet_shrinkage) {
+  if (!std::isfinite(subnet_shrinkage) || subnet_shrinkage < 0.0) {
+    throw std::invalid_argument(
+        "ScanPriors: subnet_shrinkage must be finite and >= 0");
+  }
+}
 
 void ScanPriors::record(net::Ipv4 addr, net::Port port, net::Proto proto,
                         bool open) {

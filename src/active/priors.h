@@ -28,9 +28,10 @@ class ScanPriors {
  public:
   /// `subnet_shrinkage` is the empirical-Bayes pseudo-count: a subnet's
   /// affinity estimate behaves as if `shrinkage` extra probes at the
-  /// global open rate had been observed there.
-  explicit ScanPriors(double subnet_shrinkage = 8.0)
-      : shrinkage_(subnet_shrinkage) {}
+  /// global open rate had been observed there. Throws
+  /// std::invalid_argument unless it is finite and >= 0: a negative one
+  /// can zero the affinity's denominator.
+  explicit ScanPriors(double subnet_shrinkage = 8.0);
 
   /// Records one resolved probe outcome.
   void record(net::Ipv4 addr, net::Port port, net::Proto proto, bool open);
@@ -50,7 +51,8 @@ class ScanPriors {
   double conditional(net::Ipv4 addr, net::Port port, net::Proto proto) const;
 
   /// Expected-yield score of probing (addr, port, proto):
-  /// max(subnet_affinity, conditional).
+  /// max(subnet_affinity, conditional). Always finite and in [0, 1], as
+  /// the adaptive prober's score queue requires.
   double score(net::Ipv4 addr, net::Port port, net::Proto proto) const;
 
   /// Shannon entropy (nats) of the global open-port distribution — low

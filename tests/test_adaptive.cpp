@@ -7,13 +7,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
+#include <queue>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "active/adaptive_prober.h"
 #include "active/priors.h"
 #include "active/prober.h"
+#include "active/score_queue.h"
 #include "core/engine.h"
 #include "core/scenario.h"
 #include "host/host.h"
@@ -21,6 +27,8 @@
 #include "passive/service_table.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/metrics.h"
+#include "util/rng.h"
 #include "workload/campus.h"
 
 namespace svcdisc::active {
@@ -118,6 +126,144 @@ TEST(ScanPriors, EntropyMeasuresOpenPortConcentration) {
   }
   EXPECT_DOUBLE_EQ(one.entropy(), 0.0);  // all mass on one port
   EXPECT_NEAR(two.entropy(), std::log(2.0), 1e-9);
+}
+
+TEST(ScanPriors, RejectsNegativeOrNonFiniteShrinkage) {
+  // A negative pseudo-count can zero (probed + shrinkage) and turn a
+  // score into inf or NaN, which no score order can rank.
+  EXPECT_THROW(ScanPriors(-1.0), std::invalid_argument);
+  EXPECT_THROW(ScanPriors(-0.5), std::invalid_argument);
+  EXPECT_THROW(ScanPriors(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(ScanPriors(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ScanPriors(0.0));
+  EXPECT_NO_THROW(ScanPriors(8.0));
+
+  // Zero shrinkage is the raw subnet rate: still finite once probed.
+  ScanPriors raw(0.0);
+  const Ipv4 addr = Ipv4::from_octets(128, 125, 1, 1);
+  raw.record(addr, 80, Proto::kTcp, /*open=*/false);
+  EXPECT_DOUBLE_EQ(raw.subnet_affinity(addr, 80, Proto::kTcp), 0.0);
+}
+
+// ------------------------------------------------------------ ScoreQueue --
+
+// The flat heap ScoreQueue replaced, kept as its reference model: a
+// max-heap of (score, index), higher score first and lower index on
+// ties, drained by the same lazy-rescore loop.
+class FlatHeapModel {
+ public:
+  void push(double score, std::uint32_t index) { heap_.push({score, index}); }
+
+  template <typename Rescore>
+  std::optional<std::uint32_t> pop_best(Rescore&& rescore) {
+    while (!heap_.empty()) {
+      const Entry top = heap_.top();
+      heap_.pop();
+      const double fresh = rescore(top.index);
+      if (!heap_.empty() && fresh < top.score && fresh < heap_.top().score) {
+        heap_.push({fresh, top.index});
+        ++repushes_;
+        continue;
+      }
+      return top.index;
+    }
+    return std::nullopt;
+  }
+
+  std::uint64_t repushes() const { return repushes_; }
+
+ private:
+  struct Entry {
+    double score{0.0};
+    std::uint32_t index{0};
+  };
+  struct Less {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.score != b.score) return a.score < b.score;
+      return a.index > b.index;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, Less> heap_;
+  std::uint64_t repushes_{0};
+};
+
+TEST(ScoreQueue, MatchesFlatHeapModelOnRandomDrains) {
+  // Scores come from a small set of levels, so exact ties are common;
+  // between pops, "outcomes" move some fresh scores down, up or leave
+  // them; late pushes interleave with the pops until both drain.
+  std::uint64_t total_repushes = 0;
+  std::size_t widest = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    util::Rng rng(seed);
+    const std::uint64_t levels = seed % 8 == 0 ? 1 : 1 + rng.below(400);
+    const auto n = static_cast<std::uint32_t>(1 + rng.below(2500));
+    std::vector<std::uint64_t> level(n, 0);  // fresh score, as a level
+    const auto score = [&](std::uint32_t i) {
+      return static_cast<double>(level[i]) / static_cast<double>(levels);
+    };
+
+    ScoreQueue queue;
+    FlatHeapModel model;
+    std::uint32_t queued = 0;
+    const auto push_next = [&] {
+      level[queued] = rng.below(levels);
+      queue.push(score(queued), queued);
+      model.push(score(queued), queued);
+      ++queued;
+    };
+    const auto initial = static_cast<std::uint32_t>(1 + rng.below(n));
+    while (queued < initial) push_next();
+
+    std::vector<char> popped(n, 0);
+    while (true) {
+      if (queued < n && rng.chance(0.2)) push_next();
+      widest = std::max(widest, queue.bucket_count());
+      const std::optional<std::uint32_t> want = model.pop_best(score);
+      const std::optional<std::uint32_t> got = queue.pop_best(score);
+      ASSERT_EQ(got, want) << "seed " << seed;
+      if (!want) {
+        if (queued < n) continue;
+        break;
+      }
+      ASSERT_FALSE(popped[*want]) << "seed " << seed;
+      popped[*want] = 1;
+      for (std::uint64_t k = rng.below(8); k > 0; --k) {
+        std::uint64_t& l = level[rng.below(queued)];
+        switch (rng.below(3)) {
+          case 0:  // falls, often to the bottom level
+            l = rng.chance(0.5) ? l / 2 : (l > 0 ? l - 1 : 0);
+            break;
+          case 1:  // rises
+            l = std::min(levels - 1, l + 1 + rng.below(3));
+            break;
+          default:  // stays
+            break;
+        }
+      }
+    }
+    EXPECT_EQ(queue.repushes(), model.repushes()) << "seed " << seed;
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.bucket_count(), 0u);
+    total_repushes += model.repushes();
+  }
+  EXPECT_GT(total_repushes, 1000u);
+  EXPECT_GE(widest, 100u);
+}
+
+TEST(ScoreQueue, SignedZerosShareOneBucket) {
+  ScoreQueue queue;
+  queue.push(0.0, 3);
+  queue.push(-0.0, 1);
+  queue.push(0.5, 2);
+  EXPECT_EQ(queue.bucket_count(), 2u);
+  const auto stored = [](std::uint32_t i) { return i == 2 ? 0.5 : 0.0; };
+  EXPECT_EQ(queue.pop_best(stored), 2u);
+  EXPECT_EQ(queue.pop_best(stored), 1u);
+  EXPECT_EQ(queue.pop_best(stored), 3u);
+  EXPECT_EQ(queue.pop_best(stored), std::nullopt);
+  EXPECT_EQ(queue.repushes(), 0u);
 }
 
 // --------------------------------------------------------- AdaptiveProber --
@@ -324,6 +470,211 @@ TEST(AdaptiveProber, OutcomesTrainThePriorsOnline) {
             prober.priors().port_popularity(22, Proto::kTcp));
 }
 
+// ------------------------------------------------------- pending cells --
+//
+// Replies find their probe through the scan's key -> candidate map and a
+// per-candidate pending cell. These tests inject replies straight into
+// on_packet at chosen moments of a scan.
+
+net::Packet tcp_reply(const World& w, Ipv4 from, net::Port sport,
+                      net::TcpFlags flags) {
+  net::Packet p = net::make_tcp(from, sport, w.prober_addr, 40000, flags);
+  p.time = w.sim.now();
+  return p;
+}
+
+const ProbeOutcome* find_outcome(const ScanRecord& record, Ipv4 addr,
+                                 net::Port port) {
+  for (const ProbeOutcome& o : record.outcomes) {
+    if (o.key.addr == addr && o.key.port == port) return &o;
+  }
+  return nullptr;
+}
+
+TEST(AdaptivePending, DuplicateSynAckAfterVerificationStartsIsIgnored) {
+  World w;
+  const Ipv4 box = Ipv4::from_octets(128, 125, 1, 1);
+  const Ipv4 web = Ipv4::from_octets(128, 125, 1, 2);
+  w.add_host(box).set_syn_policy(SynPolicy::kSynAckAll);
+  w.add_host(web).add_service(tcp(80));
+  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  std::optional<ScanRecord> record;
+  prober.start_scan(small_spec({box, web}),
+                    [&](const ScanRecord& r) { record = r; });
+  w.sim.run_until(util::TimePoint{} + util::msec(500));
+  // Every first-stage probe is out: box:80, box:22 and web:80 SYN-ACKed,
+  // so three verifications have started and web:80 already confirmed.
+  ASSERT_FALSE(record.has_value());
+  ASSERT_EQ(prober.verify_sent_total(), 3u);
+  ASSERT_EQ(prober.verify_confirmed_total(), 1u);
+
+  for (const Ipv4 from : {box, web}) {
+    prober.on_packet(tcp_reply(w, from, 80, net::flags_syn_ack()));
+  }
+  prober.on_packet(tcp_reply(w, box, 22, net::flags_syn_ack()));
+  EXPECT_EQ(prober.verify_sent_total(), 3u);
+  w.sim.run();
+
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->outcomes.size(), 4u);
+  EXPECT_EQ(record->count(ProbeStatus::kUnverified), 2u);
+  EXPECT_EQ(record->count(ProbeStatus::kOpen), 1u);
+  EXPECT_EQ(prober.verify_sent_total(), 3u);
+  EXPECT_EQ(prober.verify_confirmed_total(), 1u);
+  EXPECT_EQ(prober.demotions_total(), 2u);
+  EXPECT_EQ(prober.table().size(), 1u);
+}
+
+TEST(AdaptivePending, DuplicateReplyToASettledProbeIsIgnored) {
+  World w;
+  const Ipv4 web = Ipv4::from_octets(128, 125, 1, 1);
+  w.add_host(web).add_service(tcp(80));
+  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  std::optional<ScanRecord> record;
+  prober.start_scan(small_spec({web}),
+                    [&](const ScanRecord& r) { record = r; });
+  w.sim.run_until(util::TimePoint{} + util::msec(500));
+  // web:80 verified open, web:22 answered RST: both settled.
+  ASSERT_EQ(prober.priors().probes_recorded(), 2u);
+
+  prober.on_packet(tcp_reply(w, web, 22, net::flags_rst()));
+  prober.on_packet(tcp_reply(w, web, 22, net::flags_rst()));
+  EXPECT_EQ(prober.priors().probes_recorded(), 2u);
+  w.sim.run();
+
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->count(ProbeStatus::kClosed), 1u);
+  EXPECT_EQ(record->count(ProbeStatus::kOpen), 1u);
+  EXPECT_EQ(prober.priors().probes_recorded(), 2u);
+}
+
+TEST(AdaptivePending, ReplyForCandidateNotYetProbedSettlesNothing) {
+  World w;
+  const Ipv4 web = Ipv4::from_octets(128, 125, 1, 1);
+  const Ipv4 dark = Ipv4::from_octets(128, 125, 1, 5);  // no host
+  w.add_host(web).add_service(tcp(80));
+  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  ScanSpec spec = small_spec({web, dark});
+  spec.tcp_ports = {80};
+  spec.probes_per_sec = 1.0;  // web:80 at 0 s, dark:80 at 1 s
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  w.sim.run_until(util::TimePoint{} + util::msec(500));
+  ASSERT_EQ(prober.budget_spent_total(), 1u);
+  const std::uint64_t verifies = prober.verify_sent_total();
+
+  prober.on_packet(tcp_reply(w, dark, 80, net::flags_rst()));
+  prober.on_packet(tcp_reply(w, dark, 80, net::flags_syn_ack()));
+  EXPECT_EQ(prober.verify_sent_total(), verifies);
+  w.sim.run();
+
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 2u);
+  const ProbeOutcome* late = find_outcome(*record, dark, 80);
+  ASSERT_NE(late, nullptr);
+  // Probed after the stray replies and never answered: filtered.
+  EXPECT_EQ(late->status, ProbeStatus::kFiltered);
+  EXPECT_EQ(record->count(ProbeStatus::kClosed), 0u);
+  EXPECT_EQ(prober.table().size(), 1u);
+}
+
+TEST(AdaptivePending, ReplyFromKeyThatIsNotACandidateIsIgnored) {
+  World w;
+  const Ipv4 web = Ipv4::from_octets(128, 125, 1, 1);
+  const Ipv4 other = Ipv4::from_octets(128, 125, 1, 7);  // not a target
+  w.add_host(web).add_service(tcp(80));
+  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  ScanSpec spec = small_spec({web});
+  spec.tcp_ports = {80};
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  w.sim.run_until(util::TimePoint{} + util::msec(500));
+  ASSERT_EQ(prober.verify_sent_total(), 1u);
+
+  prober.on_packet(tcp_reply(w, web, 9999, net::flags_syn_ack()));
+  prober.on_packet(tcp_reply(w, other, 80, net::flags_syn_ack()));
+  prober.on_packet(tcp_reply(w, other, 80, net::flags_rst()));
+  net::Packet udp = net::make_udp(web, 53, w.prober_addr, 40001, 12);
+  udp.time = w.sim.now();
+  prober.on_packet(udp);
+  const net::Packet probe = net::make_udp(w.prober_addr, 40002, web, 53, 0);
+  net::Packet icmp = net::make_icmp_port_unreachable(probe);
+  icmp.time = w.sim.now();
+  prober.on_packet(icmp);
+  EXPECT_EQ(prober.verify_sent_total(), 1u);
+  w.sim.run();
+
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 1u);
+  EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
+  EXPECT_EQ(prober.table().size(), 1u);
+  EXPECT_EQ(prober.priors().probes_recorded(), 1u);
+}
+
+TEST(AdaptivePending, HintAddedMidScanWaitsForTheNextScan) {
+  World w;
+  const Ipv4 web = Ipv4::from_octets(128, 125, 1, 1);
+  const Ipv4 alt = Ipv4::from_octets(128, 125, 1, 9);
+  w.add_host(web).add_service(tcp(80));
+  w.add_host(alt).add_service(tcp(8080));
+  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  ScanSpec spec = small_spec({web, Ipv4::from_octets(128, 125, 1, 2)});
+  spec.probes_per_sec = 1.0;
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  w.sim.run_until(util::TimePoint{} + util::msec(500));
+
+  prober.note_passive({alt, Proto::kTcp, 8080});
+  EXPECT_EQ(prober.hint_count(), 1u);
+  const std::uint64_t verifies = prober.verify_sent_total();
+  prober.on_packet(tcp_reply(w, alt, 8080, net::flags_syn_ack()));
+  EXPECT_EQ(prober.verify_sent_total(), verifies);
+  w.sim.run();
+
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->outcomes.size(), 4u);
+  EXPECT_EQ(find_outcome(*record, alt, 8080), nullptr);
+  EXPECT_EQ(prober.seeds_probed_total(), 0u);
+  EXPECT_EQ(prober.table().size(), 1u);
+
+  // The next scan seeds it first.
+  record.reset();
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  w.sim.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 5u);
+  EXPECT_EQ(record->outcomes[0].key.addr, alt);
+  EXPECT_EQ(record->outcomes[0].key.port, 8080);
+  EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
+  EXPECT_EQ(prober.seeds_probed_total(), 1u);
+  EXPECT_EQ(prober.table().size(), 2u);
+}
+
+TEST(AdaptivePending, HintOnTheGridIsProbedAndCountedOnce) {
+  World w;
+  const Ipv4 web = Ipv4::from_octets(128, 125, 1, 1);
+  w.add_host(web).add_service(tcp(80));
+  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  util::MetricsRegistry registry;
+  prober.attach_metrics(registry, "prober");
+  prober.note_passive({web, Proto::kTcp, 80});
+  std::optional<ScanRecord> record;
+  prober.start_scan(small_spec({web, Ipv4::from_octets(128, 125, 1, 2)}),
+                    [&](const ScanRecord& r) { record = r; });
+  w.sim.run();
+
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 4u);  // 2 targets x 2 ports
+  EXPECT_EQ(record->outcomes[0].key.addr, web);
+  EXPECT_EQ(record->outcomes[0].key.port, 80);
+  EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
+  EXPECT_EQ(record->count(ProbeStatus::kOpen), 1u);
+  EXPECT_EQ(prober.budget_spent_total(), 4u);
+  EXPECT_EQ(prober.seeds_probed_total(), 1u);
+  EXPECT_EQ(registry.counter("adaptive.passive_seeds_probed").value(), 1u);
+  EXPECT_EQ(prober.verify_sent_total(), 1u);
+}
+
 // ----------------------------------------------------- campaign contracts --
 
 std::size_t services_in_block(const passive::ServiceTable& table,
@@ -460,6 +811,35 @@ TEST(AdaptiveCampaign, HalfBudgetKeepsNinetyPercentOfFixedDiscoveries) {
   EXPECT_GE(static_cast<double>(covered),
             0.9 * static_cast<double>(fixed_total))
       << covered << "/" << fixed_total << " services at half budget";
+}
+
+TEST(AdaptiveCampaign, EveryScanProbesEachKeyAtMostOnce) {
+  // Passive hints overlap the target x port grid; each key must still be
+  // one candidate, probed at most once per scan.
+  auto cfg = workload::CampusConfig::tiny();
+  cfg.duration = util::days(1);
+  cfg.seed = 11;
+  core::EngineConfig engine_cfg;
+  engine_cfg.scan_count = 2;
+  engine_cfg.adaptive_prober = true;
+  workload::Campus campus(cfg);
+  core::DiscoveryEngine engine(campus, engine_cfg);
+  engine.run();
+  ASSERT_NE(engine.adaptive_prober(), nullptr);
+  EXPECT_GT(engine.adaptive_prober()->seeds_probed_total(), 0u);
+
+  const auto& scans = engine.prober().scans();
+  ASSERT_EQ(scans.size(), 2u);
+  for (const ScanRecord& scan : scans) {
+    std::set<std::tuple<std::uint32_t, net::Port, Proto>> keys;
+    for (const ProbeOutcome& o : scan.outcomes) {
+      EXPECT_TRUE(keys.insert({o.key.addr.value(), o.key.port, o.key.proto})
+                      .second)
+          << "scan " << scan.index << " probed " << o.key.addr.to_string()
+          << ":" << o.key.port << " twice";
+      EXPECT_NE(o.status, ProbeStatus::kPending);
+    }
+  }
 }
 
 TEST(AdaptiveCampaign, AdaptiveBudgetScenarioPackMatchesGoldens) {

@@ -3,7 +3,9 @@
 // decision table exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
+#include <type_traits>
 
 #include "analysis/timeseries.h"
 #include "host/host.h"
@@ -22,42 +24,51 @@ enum class SourceKind { kExternalClient, kInternalProber };
 enum class PortKind { kOpenService, kClosedPort };
 enum class Reply { kSynAck, kRst, kSilence };
 
+// gtest has no printer for CaseSpec, so each case is registered under a
+// hex dump of its 16 bytes. `name_tag` makes the three bytes after `mode`
+// an explicit, zeroed field instead of padding (see PoolCase in
+// test_pool_property.cpp), so the case names never depend on what the
+// padding held.
 struct CaseSpec {
   FirewallMode mode;
+  std::uint8_t name_tag[3];
   SourceKind source;
   PortKind port;
   Reply expected;
 };
+static_assert(sizeof(CaseSpec) == 16);
+static_assert(std::has_unique_object_representations_v<CaseSpec>,
+              "CaseSpec must have no padding");
 
 // The full decision table for SYN handling (kPortKnock: no knock given,
 // so the protected service stays silent; closed ports are not covered by
 // the port-scoped knock and RST normally).
 const CaseSpec kCases[] = {
-    {FirewallMode::kOpen, SourceKind::kExternalClient, PortKind::kOpenService,
-     Reply::kSynAck},
-    {FirewallMode::kOpen, SourceKind::kExternalClient, PortKind::kClosedPort,
-     Reply::kRst},
-    {FirewallMode::kOpen, SourceKind::kInternalProber, PortKind::kOpenService,
-     Reply::kSynAck},
-    {FirewallMode::kOpen, SourceKind::kInternalProber, PortKind::kClosedPort,
-     Reply::kRst},
-    {FirewallMode::kBlockProbers, SourceKind::kExternalClient,
+    {FirewallMode::kOpen, {}, SourceKind::kExternalClient,
      PortKind::kOpenService, Reply::kSynAck},
-    {FirewallMode::kBlockProbers, SourceKind::kInternalProber,
-     PortKind::kOpenService, Reply::kSilence},
-    {FirewallMode::kBlockProbers, SourceKind::kInternalProber,
-     PortKind::kClosedPort, Reply::kSilence},
-    {FirewallMode::kBlockExternal, SourceKind::kExternalClient,
-     PortKind::kOpenService, Reply::kSilence},
-    {FirewallMode::kBlockExternal, SourceKind::kExternalClient,
-     PortKind::kClosedPort, Reply::kSilence},
-    {FirewallMode::kBlockExternal, SourceKind::kInternalProber,
-     PortKind::kOpenService, Reply::kSynAck},
-    {FirewallMode::kBlockExternal, SourceKind::kInternalProber,
+    {FirewallMode::kOpen, {}, SourceKind::kExternalClient,
      PortKind::kClosedPort, Reply::kRst},
-    {FirewallMode::kBlockAll, SourceKind::kExternalClient,
+    {FirewallMode::kOpen, {}, SourceKind::kInternalProber,
+     PortKind::kOpenService, Reply::kSynAck},
+    {FirewallMode::kOpen, {}, SourceKind::kInternalProber,
+     PortKind::kClosedPort, Reply::kRst},
+    {FirewallMode::kBlockProbers, {}, SourceKind::kExternalClient,
+     PortKind::kOpenService, Reply::kSynAck},
+    {FirewallMode::kBlockProbers, {}, SourceKind::kInternalProber,
      PortKind::kOpenService, Reply::kSilence},
-    {FirewallMode::kBlockAll, SourceKind::kInternalProber,
+    {FirewallMode::kBlockProbers, {}, SourceKind::kInternalProber,
+     PortKind::kClosedPort, Reply::kSilence},
+    {FirewallMode::kBlockExternal, {}, SourceKind::kExternalClient,
+     PortKind::kOpenService, Reply::kSilence},
+    {FirewallMode::kBlockExternal, {}, SourceKind::kExternalClient,
+     PortKind::kClosedPort, Reply::kSilence},
+    {FirewallMode::kBlockExternal, {}, SourceKind::kInternalProber,
+     PortKind::kOpenService, Reply::kSynAck},
+    {FirewallMode::kBlockExternal, {}, SourceKind::kInternalProber,
+     PortKind::kClosedPort, Reply::kRst},
+    {FirewallMode::kBlockAll, {}, SourceKind::kExternalClient,
+     PortKind::kOpenService, Reply::kSilence},
+    {FirewallMode::kBlockAll, {}, SourceKind::kInternalProber,
      PortKind::kOpenService, Reply::kSilence},
 };
 
