@@ -7,8 +7,8 @@
 // byte-identical to the first serial run's. Exits non-zero if the
 // identity check fails, so this doubles as a smoke test.
 //
-// Each job is a 5-day dtcp1_18d campaign (over a second on one core),
-// long enough that thread start-up cannot hide the speedup, which is
+// Each job is a 5-day cut of the bench/packs/dtcp1_18d campaign (over
+// a second on one core), long enough that thread start-up cannot hide the speedup, which is
 // reported as the median over the repetitions with its min-max spread.
 //
 // Knobs: SVCDISC_SWEEP_SEEDS (seed count, default 8), SVCDISC_JOBS
@@ -22,6 +22,7 @@
 #include "analysis/export.h"
 #include "analysis/table.h"
 #include "bench_common.h"
+#include "core/scenario.h"
 
 namespace svcdisc {
 namespace {
@@ -39,10 +40,11 @@ std::string stable_json(const core::CampaignResult& result) {
   return result.ok() ? analysis::metrics_to_json({e}) : std::string();
 }
 
-std::vector<core::CampaignJob> make_jobs(std::size_t count) {
-  auto campus_cfg = bench::apply_scale(workload::CampusConfig::dtcp1_18d());
+std::vector<core::CampaignJob> make_jobs(const core::ScenarioSpec& spec,
+                                         std::size_t count) {
+  auto campus_cfg = bench::apply_scale(spec.campus);
   campus_cfg.duration = util::days(kDays);
-  core::EngineConfig engine_cfg = bench::dtcp1_engine_config();
+  core::EngineConfig engine_cfg = spec.engine;
   engine_cfg.scan_count = 2 * kDays;
   return core::seed_sweep_jobs(campus_cfg, engine_cfg, 1, count);
 }
@@ -54,6 +56,15 @@ int run() {
   if (const char* env = std::getenv("SVCDISC_SWEEP_SEEDS")) {
     const long n = std::atol(env);
     if (n >= 1) seeds = static_cast<std::size_t>(n);
+  }
+  // The paper's dtcp1_18d campaign (its 12-hourly schedule), cut to
+  // kDays.
+  core::ScenarioSpec spec;
+  std::string error;
+  if (!core::load_scenario(SVCDISC_BENCH_PACK_DIR "/dtcp1_18d", &spec,
+                           &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
   }
   const core::CampaignRunner serial_runner(1);
   const core::CampaignRunner runner;  // SVCDISC_JOBS or hardware threads
@@ -74,7 +85,7 @@ int run() {
       const std::size_t parallel = (k + rep) % 2;
       bench::Stopwatch watch;
       auto results =
-          (parallel ? runner : serial_runner).run(make_jobs(seeds));
+          (parallel ? runner : serial_runner).run(make_jobs(spec, seeds));
       wall[parallel] = watch.elapsed_sec();
       const bool reference = first.empty();
       if (reference) first = std::move(results);

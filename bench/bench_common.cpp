@@ -1,33 +1,40 @@
 #include "bench_common.h"
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace svcdisc::bench {
 
-Campaign make_campaign(workload::CampusConfig campus_cfg,
-                       core::EngineConfig engine_cfg) {
-  Campaign campaign;
-  campaign.campus =
-      std::make_unique<workload::Campus>(apply_scale(std::move(campus_cfg)));
-  campaign.engine = std::make_unique<core::DiscoveryEngine>(*campaign.campus,
-                                                            engine_cfg);
-  return campaign;
+std::optional<double> parse_scale(std::string_view text) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value <= 0 || value > 1) {
+    return std::nullopt;
+  }
+  return value;
 }
 
-core::EngineConfig dtcp1_engine_config() {
-  core::EngineConfig cfg;
-  cfg.scan_count = 35;
-  cfg.scan_period = util::hours(12);
-  cfg.first_scan_offset = util::hours(1);  // 11:00 for a 10:00 start
-  return cfg;
+double env_scale() {
+  const char* env = std::getenv("SVCDISC_SCALE");
+  if (!env) return 1.0;
+  const auto scale = parse_scale(env);
+  if (!scale) {
+    std::fprintf(stderr,
+                 "SVCDISC_SCALE: expected a number in (0, 1], got \"%s\"\n",
+                 env);
+    std::exit(2);
+  }
+  return *scale;
 }
 
 workload::CampusConfig apply_scale(workload::CampusConfig cfg) {
-  const char* env = std::getenv("SVCDISC_SCALE");
-  if (!env) return cfg;
-  const double scale = std::atof(env);
-  if (scale <= 0 || scale >= 1.0) return cfg;
+  const double scale = env_scale();
+  if (scale == 1.0) return cfg;
   const auto s = [scale](std::uint32_t v) {
     return static_cast<std::uint32_t>(v * scale);
   };
@@ -77,15 +84,6 @@ std::vector<core::CampaignResult> run_campaigns(
   return results;
 }
 
-void print_header(const std::string& experiment, const Campaign& campaign) {
-  const auto& cfg = campaign.campus->config();
-  std::printf("== %s ==\n", experiment.c_str());
-  std::printf(
-      "scenario: %zu probe targets, %.0f-day campaign, seed %llu\n\n",
-      campaign.campus->scan_targets().size(), cfg.duration.days(),
-      static_cast<unsigned long long>(cfg.seed));
-}
-
 Stopwatch::Stopwatch()
     : start_ns_(std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now().time_since_epoch())
@@ -97,11 +95,6 @@ double Stopwatch::elapsed_sec() const {
           std::chrono::steady_clock::now().time_since_epoch())
           .count();
   return static_cast<double>(now - start_ns_) / 1e9;
-}
-
-void Stopwatch::report(const std::string& label) const {
-  std::fprintf(stderr, "[bench] %s took %.1f s\n", label.c_str(),
-               elapsed_sec());
 }
 
 }  // namespace svcdisc::bench

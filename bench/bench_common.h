@@ -1,42 +1,28 @@
-// Shared campaign plumbing for the table/figure benches.
-//
-// Each bench binary reproduces one table or figure of the paper. They
-// share the scenario presets and an already-wired DiscoveryEngine; this
-// header holds the glue so each bench stays a thin report generator.
+// Shared plumbing for the bench binaries: the SVCDISC_SCALE population
+// knob, a CampaignRunner front end that reports wall time, and a
+// stopwatch.
 #pragma once
 
-#include <cstdio>
-#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/campaign_runner.h"
-#include "core/engine.h"
 #include "workload/campus.h"
 
 namespace svcdisc::bench {
 
-/// A campus + engine pair kept alive together.
-struct Campaign {
-  std::unique_ptr<workload::Campus> campus;
-  std::unique_ptr<core::DiscoveryEngine> engine;
+/// A population scale: the whole of `text` must be a finite number in
+/// (0, 1], where 1 is full scale. Anything else is nullopt.
+std::optional<double> parse_scale(std::string_view text);
 
-  workload::Campus& c() { return *campus; }
-  core::DiscoveryEngine& e() { return *engine; }
-};
+/// SVCDISC_SCALE through parse_scale (unset = 1). On any other value,
+/// prints an error naming the variable and exits with status 2.
+double env_scale();
 
-/// Builds (without running) a campaign for the given scenario/engine
-/// configs.
-Campaign make_campaign(workload::CampusConfig campus_cfg,
-                       core::EngineConfig engine_cfg);
-
-/// DTCP1-18d with the paper's schedule: 35 scans every 12 h starting
-/// 11:00. `scale` < 1 shrinks the population for quick runs
-/// (SVCDISC_SCALE env var, default 1).
-core::EngineConfig dtcp1_engine_config();
-
-/// Reads SVCDISC_SCALE (default 1.0) and shrinks a config's populations
-/// proportionally — used by CI-sized bench runs.
+/// Shrinks a config's populations by env_scale() — used by CI-sized
+/// bench runs.
 workload::CampusConfig apply_scale(workload::CampusConfig cfg);
 
 /// Runs `jobs` on a core::CampaignRunner (SVCDISC_JOBS threads, else
@@ -46,16 +32,11 @@ workload::CampusConfig apply_scale(workload::CampusConfig cfg);
 std::vector<core::CampaignResult> run_campaigns(
     std::vector<core::CampaignJob> jobs, const std::string& label);
 
-/// Prints the standard bench header: what is being reproduced and the
-/// scenario parameters.
-void print_header(const std::string& experiment, const Campaign& campaign);
-
-/// Wall-clock section timer for long simulations (stderr).
+/// Wall-clock timer for long simulations.
 class Stopwatch {
  public:
   Stopwatch();
   double elapsed_sec() const;
-  void report(const std::string& label) const;
 
  private:
   long long start_ns_;

@@ -71,7 +71,8 @@ int main() {
   } else {
     std::printf(
         "\nno candidate stayed within a %.0f%% loss budget: capture more,\n"
-        "or switch to per-packet sampling (see bench_ablation_sampling).\n",
+        "or switch to per-packet sampling (see bench_figures\n"
+        "ablation_sampling).\n",
         100 * max_loss);
   }
   return 0;

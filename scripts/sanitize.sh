@@ -59,6 +59,12 @@ run_asan() {
   # replayed against a reference model.
   echo "== ASan + UBSan: event core =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L event_core)
+  # The figures label renders every table, figure and ablation at
+  # SVCDISC_SCALE=0.1 against the goldens in bench/golden/: the report
+  # renderers and bench_figures' hook wiring (combined setup hooks,
+  # drives, per-report state) under the sanitizers.
+  echo "== ASan + UBSan: figures =="
+  (cd build-asan && ctest --output-on-failure -j "$jobs" -L figures)
   # The scale label runs the universe suite; SVCDISC_SCALE_SMOKE shrinks
   # its million-address campaign to one /16 block so the ASan pass stays
   # fast (the RSS ceiling is skipped under ASan anyway — shadow memory

@@ -230,6 +230,7 @@ bool apply_engine_overrides(const util::JsonValue& obj, EngineConfig* cfg,
   r.read_double("first_scan_offset_hours", &offset_hours,
                 Bound::kNonNegative);
   r.read_bool("scanner_excluded_monitor", &cfg->scanner_excluded_monitor);
+  r.read_bool("per_link_monitors", &cfg->per_link_monitors);
   r.read_string("prober", &prober);
   r.read_u64("probe_budget", &cfg->adaptive.probe_budget);
   r.read_bool("adaptive_verify", &cfg->adaptive.verify);

@@ -7,10 +7,14 @@
 // asserts against it from many small tests.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "core/completeness.h"
 #include "util/stats.h"
 #include "core/engine.h"
 #include "core/report.h"
+#include "core/scenario.h"
 #include "core/weighted.h"
 #include "workload/campus.h"
 
@@ -22,13 +26,18 @@ using util::kEpoch;
 
 class Dtcp1Campaign : public ::testing::Test {
  protected:
+  // The paper's DTCP1-18d campaign as the figures run it
+  // (bench/packs/dtcp1_18d).
   static void SetUpTestSuite() {
-    campus_ = new workload::Campus(workload::CampusConfig::dtcp1_18d());
-    core::EngineConfig cfg;
-    cfg.scan_count = 35;
-    cfg.scan_period = hours(12);
-    cfg.first_scan_offset = hours(1);
-    engine_ = new core::DiscoveryEngine(*campus_, cfg);
+    core::ScenarioSpec spec;
+    std::string error;
+    if (!core::load_scenario(SVCDISC_BENCH_PACK_DIR "/dtcp1_18d", &spec,
+                             &error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      std::abort();
+    }
+    campus_ = new workload::Campus(spec.campus);
+    engine_ = new core::DiscoveryEngine(*campus_, spec.engine);
     engine_->run();
   }
   static void TearDownTestSuite() {

@@ -99,6 +99,9 @@ TEST_F(ScenarioTest, UnknownKeysAreRejectedAtEveryLevel) {
   write_spec(R"({"preset": "tiny", "engine": {"bogus": 1}})");
   EXPECT_FALSE(load_scenario(path(), &spec, &error));
   EXPECT_NE(error.find("unknown key \"bogus\""), std::string::npos) << error;
+  expect_rejected(
+      R"({"engine": {"per_link_monitors": true, "per_link_monitor": true}})",
+      "engine: unknown key \"per_link_monitor\"");
 }
 
 TEST_F(ScenarioTest, WrongValueTypeNamesTheField) {
@@ -107,6 +110,8 @@ TEST_F(ScenarioTest, WrongValueTypeNamesTheField) {
   std::string error;
   EXPECT_FALSE(load_scenario(path(), &spec, &error));
   EXPECT_NE(error.find("duration_days"), std::string::npos) << error;
+  expect_rejected(R"({"engine": {"per_link_monitors": 1}})",
+                  "engine.per_link_monitors");
 }
 
 // 1e999 parses to inf; a non-finite override used to reach the clock.
@@ -347,17 +352,38 @@ TEST_F(ScenarioTest, DiscoverFindsOnlySpecDirectoriesSorted) {
   EXPECT_TRUE(discover_scenarios(path() + "/nope").empty());
 }
 
-// The checked-in zoo must always load — a malformed pack would
-// otherwise only surface once ctest re-runs it.
+// The checked-in zoo and the campaign packs bench_figures reads must
+// always load: a malformed pack would otherwise only surface once ctest
+// re-runs it, or after a full figures run.
 TEST(ScenarioZoo, EveryCheckedInPackLoads) {
-  const auto dirs = discover_scenarios(SVCDISC_SCENARIO_DIR);
-  EXPECT_GE(dirs.size(), 7u);
-  for (const auto& dir : dirs) {
-    ScenarioSpec spec;
-    std::string error;
-    EXPECT_TRUE(load_scenario(dir, &spec, &error)) << dir << ": " << error;
-    EXPECT_FALSE(spec.description.empty()) << dir;
+  for (const auto& [root, at_least] :
+       {std::pair{SVCDISC_SCENARIO_DIR, 7u},
+        std::pair{SVCDISC_BENCH_PACK_DIR, 5u}}) {
+    const auto dirs = discover_scenarios(root);
+    EXPECT_GE(dirs.size(), at_least) << root;
+    for (const auto& dir : dirs) {
+      ScenarioSpec spec;
+      std::string error;
+      EXPECT_TRUE(load_scenario(dir, &spec, &error)) << dir << ": " << error;
+      EXPECT_FALSE(spec.description.empty()) << dir;
+    }
   }
+}
+
+// The paper's 18-day schedule lives in this one pack (the figures, the
+// calibration suite and the seed-sweep bench all read it).
+TEST(BenchPacks, Dtcp1PackHoldsThePapersSchedule) {
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(load_scenario(std::string(SVCDISC_BENCH_PACK_DIR) + "/dtcp1_18d",
+                            &spec, &error))
+      << error;
+  EXPECT_EQ(spec.campus.duration, util::days(18));
+  EXPECT_EQ(spec.engine.scan_count, 35);
+  EXPECT_EQ(spec.engine.scan_period, util::hours(12));
+  EXPECT_EQ(spec.engine.first_scan_offset, util::hours(1));
+  EXPECT_TRUE(spec.engine.scanner_excluded_monitor);
+  EXPECT_TRUE(spec.engine.per_link_monitors);
 }
 
 }  // namespace
