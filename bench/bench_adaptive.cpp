@@ -113,15 +113,12 @@ int run() {
                       : 100.0 * static_cast<double>(probes) /
                             static_cast<double>(fixed_probes));
     std::snprintf(rec, sizeof rec, "%.1f%%", recall);
-    const auto* adaptive = r.engine->adaptive_prober();
+    const bool adaptive = prober.adaptive();
     std::snprintf(verified, sizeof verified, "%llu",
-                  adaptive ? static_cast<unsigned long long>(
-                                 adaptive->verify_confirmed_total())
-                           : 0ULL);
+                  static_cast<unsigned long long>(
+                      prober.verify_confirmed_total()));
     std::snprintf(demoted, sizeof demoted, "%llu",
-                  adaptive ? static_cast<unsigned long long>(
-                                 adaptive->demotions_total())
-                           : 0ULL);
+                  static_cast<unsigned long long>(prober.demotions_total()));
     table.add_row({modes[i].label, analysis::fmt_count(probes), pct,
                    analysis::fmt_count(prober.table().size()), rec,
                    adaptive ? verified : "-", adaptive ? demoted : "-"});

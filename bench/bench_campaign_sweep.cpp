@@ -15,7 +15,7 @@
 // (parallel thread count, default hardware concurrency), SVCDISC_SCALE.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,10 +52,12 @@ std::vector<core::CampaignJob> make_jobs(const core::ScenarioSpec& spec,
 }  // namespace
 
 int run() {
-  std::size_t seeds = 8;
-  if (const char* env = std::getenv("SVCDISC_SWEEP_SEEDS")) {
-    const long n = std::atol(env);
-    if (n >= 1) seeds = static_cast<std::size_t>(n);
+  std::size_t seeds = 0;
+  try {
+    seeds = core::env_count("SVCDISC_SWEEP_SEEDS", 8);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
   // The paper's dtcp1_18d campaign (its 12-hourly schedule), cut to
   // kDays.
@@ -67,7 +69,7 @@ int run() {
     return 1;
   }
   const core::CampaignRunner serial_runner(1);
-  const core::CampaignRunner runner;  // SVCDISC_JOBS or hardware threads
+  const core::CampaignRunner runner(bench::env_jobs());
   std::printf("== Seed sweep: serial vs parallel CampaignRunner ==\n\n");
   std::printf("%zu dtcp1_18d campaigns of %d days per sweep, %zu-thread "
               "runner, %zu repetitions\n\n",

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace svcdisc::bench {
 
@@ -30,6 +31,15 @@ double env_scale() {
     std::exit(2);
   }
   return *scale;
+}
+
+std::size_t env_jobs() {
+  try {
+    return core::CampaignRunner::default_threads();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
 }
 
 workload::CampusConfig apply_scale(workload::CampusConfig cfg) {
@@ -68,7 +78,7 @@ std::vector<core::CampaignResult> run_campaigns(
   for (auto& job : jobs) {
     job.campus_cfg = apply_scale(std::move(job.campus_cfg));
   }
-  const core::CampaignRunner runner;
+  const core::CampaignRunner runner(env_jobs());
   const std::size_t count = jobs.size();
   Stopwatch watch;
   auto results = runner.run(std::move(jobs));

@@ -25,10 +25,15 @@ double env_scale();
 /// bench runs.
 workload::CampusConfig apply_scale(workload::CampusConfig cfg);
 
-/// Runs `jobs` on a core::CampaignRunner (SVCDISC_JOBS threads, else
-/// hardware concurrency) after applying SVCDISC_SCALE to every job's
-/// campus config. Reports total wall time on stderr as `label` and
-/// prints any job errors; results come back in job order.
+/// The CampaignRunner thread count: SVCDISC_JOBS, else hardware
+/// concurrency. On a malformed SVCDISC_JOBS, prints the error naming the
+/// variable and exits with status 2.
+std::size_t env_jobs();
+
+/// Runs `jobs` on a core::CampaignRunner of env_jobs() threads after
+/// applying SVCDISC_SCALE to every job's campus config. Reports total
+/// wall time on stderr as `label` and prints any job errors; results
+/// come back in job order.
 std::vector<core::CampaignResult> run_campaigns(
     std::vector<core::CampaignJob> jobs, const std::string& label);
 

@@ -18,7 +18,9 @@
 
 int main(int argc, char** argv) {
   using namespace svcdisc;
-  bench::env_scale();  // a malformed SVCDISC_SCALE exits here
+  // A malformed SVCDISC_SCALE or SVCDISC_JOBS exits here, with status 2.
+  bench::env_scale();
+  bench::env_jobs();
 
   std::vector<bench::Report> reports = bench::all_reports();
   if (argc > 1) {

@@ -42,16 +42,19 @@ run_asan() {
   # arithmetic worth an explicit sanitized pass.
   echo "== ASan + UBSan: streaming label =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L streaming)
-  # The adaptive label covers the budgeted prober: the score-bucket
-  # queue (bucket release and slot reuse) against its flat-heap model,
-  # the per-candidate pending cells and the verifying map, and full
+  # The adaptive label covers the prober's adaptive mode: the
+  # score-bucket queue (bucket release and slot reuse) against its
+  # flat-heap model, the virtual-index decode (hint cells, grid cells
+  # taken over by hints), the verifying map, the ping pre-pass, and full
   # fixed-vs-adaptive campaigns — plus the completeness bench smoke,
   # which asserts the recall-at-half-budget bar.
-  echo "== ASan + UBSan: adaptive prober =="
+  echo "== ASan + UBSan: adaptive mode =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L adaptive)
-  # The prober label covers the fixed sweep's probe grid: raw index
-  # arithmetic over targets x ports, replayed against a reference model.
-  echo "== ASan + UBSan: fixed prober =="
+  # The prober label covers the probe grid both modes share: raw index
+  # arithmetic over hints + targets x ports, the /24 row pages and the
+  # virtual-index decode, replayed against a reference model for the
+  # sweep and for the adaptive mode.
+  echo "== ASan + UBSan: prober =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L prober)
   # The event_core label covers the event heap's index arithmetic and
   # slab reuse, the packet lanes' ring wrap and growth, the dense

@@ -1,6 +1,8 @@
 #include "active/prober.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -14,6 +16,15 @@ namespace {
 std::uint32_t column_key(net::Proto proto, net::Port port) {
   return (static_cast<std::uint32_t>(proto) << 16) | port;
 }
+
+/// Payload of the LZR-style verification data probe: a short generic
+/// application banner request. The simulated stack only cares that
+/// payload_len > 0 — genuine data reached the service.
+constexpr std::uint16_t kVerifyPayload = 32;
+
+/// Score of a passive hint: above every probability score, so hints
+/// drain first, in observation order via the index tie-break.
+constexpr double kHintScore = 2.0;
 
 }  // namespace
 
@@ -34,11 +45,16 @@ std::vector<passive::ServiceKey> ScanRecord::open_services() const {
 }
 
 // ---------------------------------------------------------------------------
-// ProberBase
+// Set-up, metrics and the passive feed
 // ---------------------------------------------------------------------------
 
-ProberBase::ProberBase(sim::Network& network, ProberConfig config)
-    : network_(network), config_(std::move(config)) {
+Prober::Prober(sim::Network& network, ProberConfig config,
+               std::optional<AdaptiveConfig> adaptive)
+    : network_(network),
+      config_(std::move(config)),
+      adaptive_(adaptive),
+      feed_(*this),
+      priors_(adaptive.value_or(AdaptiveConfig{}).subnet_shrinkage) {
   if (config_.source_addrs.empty()) {
     throw std::invalid_argument("Prober: need at least one source address");
   }
@@ -47,14 +63,14 @@ ProberBase::ProberBase(sim::Network& network, ProberConfig config)
   }
 }
 
-ProberBase::~ProberBase() {
+Prober::~Prober() {
   for (const net::Ipv4 addr : config_.source_addrs) {
     network_.detach(addr, this);
   }
 }
 
-void ProberBase::attach_metrics(util::MetricsRegistry& registry,
-                                std::string_view prefix) {
+void Prober::attach_metrics(util::MetricsRegistry& registry,
+                            std::string_view prefix) {
   metrics_ = &registry;
   metrics_prefix_ = std::string(prefix);
   m_probes_tcp_ = &registry.counter(metrics_prefix_ + ".probes_tcp_sent");
@@ -63,10 +79,70 @@ void ProberBase::attach_metrics(util::MetricsRegistry& registry,
   m_responses_ = &registry.counter(metrics_prefix_ + ".responses_received");
   m_discoveries_ = &registry.counter(metrics_prefix_ + ".discoveries");
   m_scans_ = &registry.counter(metrics_prefix_ + ".scans_completed");
+  if (!adaptive_) return;
+  // Top-level adaptive.* keys (the scale.*/stream.* convention): the
+  // sweep registers none, so its metric goldens carry no adaptive keys.
+  m_budget_ = &registry.gauge("adaptive.budget");
+  m_budget_spent_ = &registry.counter("adaptive.budget_spent");
+  m_yield_open_ = &registry.counter("adaptive.yield_open");
+  m_seeds_probed_ = &registry.counter("adaptive.passive_seeds_probed");
+  m_verify_sent_ = &registry.counter("adaptive.verify_probes_sent");
+  m_verify_confirmed_ = &registry.counter("adaptive.verify_confirmed");
+  m_demotions_ = &registry.counter("adaptive.middlebox_demotions");
+  m_entropy_ = &registry.gauge("adaptive.priors_entropy_millinats");
+  m_budget_->set(static_cast<std::int64_t>(adaptive_->probe_budget));
 }
 
-void ProberBase::begin_scan_record(
-    ScanSpec spec, std::function<void(const ScanRecord&)> on_complete) {
+void Prober::configure_feed(std::vector<net::Prefix> internal,
+                            std::vector<net::Port> udp_ports) {
+  internal_ = std::move(internal);
+  udp_seed_ports_.clear();
+  for (const net::Port p : udp_ports) udp_seed_ports_.insert(p);
+}
+
+void Prober::note_passive(const passive::ServiceKey& key) {
+  hints_.insert(key);
+}
+
+void Prober::seed_from_table(const passive::ServiceTable& table) {
+  for (const auto& [key, first_seen] : table.chronological()) {
+    note_passive(key);
+  }
+}
+
+void Prober::Feed::observe(const net::Packet& p) { owner_.observe_passive(p); }
+
+void Prober::observe_passive(const net::Packet& p) {
+  const auto is_internal = [this](net::Ipv4 addr) {
+    for (const net::Prefix& prefix : internal_) {
+      if (prefix.contains(addr)) return true;
+    }
+    return false;
+  };
+  switch (p.proto) {
+    case net::Proto::kTcp:
+      // An outbound SYN-ACK is something inside answering a client — a
+      // service hint on whatever port it spoke from, configured scan
+      // port or not (LZR: services live on unexpected ports).
+      if (!p.flags.is_syn_ack() || !is_internal(p.src)) return;
+      hints_.insert({p.src, net::Proto::kTcp, p.sport});
+      return;
+    case net::Proto::kUdp:
+      if (p.payload_len == 0 || !is_internal(p.src)) return;
+      if (!udp_seed_ports_.contains(p.sport)) return;
+      hints_.insert({p.src, net::Proto::kUdp, p.sport});
+      return;
+    default:
+      return;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Scan phases
+// ---------------------------------------------------------------------------
+
+void Prober::start_scan(ScanSpec spec,
+                        std::function<void(const ScanRecord&)> on_complete) {
   if (in_progress_) throw std::logic_error("Prober: scan already in flight");
   in_progress_ = true;
   spec_ = std::move(spec);
@@ -74,133 +150,47 @@ void ProberBase::begin_scan_record(
   current_ = ScanRecord{};
   current_.index = static_cast<int>(scans_.size());
   current_.started = network_.simulator().now();
-  // One async span per scan round: begin here, end in finish_scan_record.
+  // One async span per scan round: begin here, end in finalize_scan.
   util::trace::async_begin("prober.scan",
                            static_cast<std::uint64_t>(current_.index) + 1,
                            current_.started.usec);
-}
+  alive_hosts_.clear();
 
-void ProberBase::finish_scan_record() {
-  current_.finished = network_.simulator().now();
-  util::trace::async_end("prober.scan",
-                         static_cast<std::uint64_t>(current_.index) + 1,
-                         current_.finished.usec);
-  in_progress_ = false;
-  scans_.push_back(std::move(current_));
-  if (m_scans_) m_scans_->inc();
-  SVCDISC_LOG(kInfo) << "scan " << scans_.back().index << " finished: "
-                     << scans_.back().count(ProbeStatus::kOpen)
-                     << " open TCP services";
-  if (on_complete_) on_complete_(scans_.back());
-}
-
-void ProberBase::reset_buckets() {
+  // One pacing bucket per machine (the paper's per-machine rate limit);
+  // burst 1 reproduces strict 1/rate spacing.
+  const std::size_t machines = config_.source_addrs.size();
   buckets_.clear();
-  buckets_.reserve(config_.source_addrs.size());
-  for (std::size_t m = 0; m < config_.source_addrs.size(); ++m) {
+  buckets_.reserve(machines);
+  for (std::size_t m = 0; m < machines; ++m) {
     buckets_.emplace_back(spec_.probes_per_sec, 1.0);
     if (metrics_) {
       buckets_.back().attach_metrics(*metrics_,
                                      metrics_prefix_ + ".rate_limiter");
     }
   }
-}
-
-void ProberBase::settle(std::size_t outcome_index, ProbeStatus status) {
-  ProbeOutcome& outcome = current_.outcomes[outcome_index];
-  outcome.status = status;
-  outcome.when = network_.simulator().now();
-  if (m_responses_) m_responses_->inc();
-
-  if (status == ProbeStatus::kOpen || status == ProbeStatus::kOpenUdp) {
-    record_open(outcome, status == ProbeStatus::kOpenUdp);
-  }
-  note_outcome(outcome);
-}
-
-void ProberBase::record_open(const ProbeOutcome& outcome, bool udp) {
-  if (table_.discover(outcome.key, outcome.when)) {
-    SVCDISC_TRACE_INSTANT("prober.discover", outcome.when.usec);
-    if (m_discoveries_) m_discoveries_->inc();
-    if (on_discovery) on_discovery(outcome.key, outcome.when);
-  }
-  if (on_open_response) on_open_response(outcome.key, outcome.when, udp);
-}
-
-void ProberBase::note_outcome(const ProbeOutcome& /*outcome*/) {}
-
-void ProberBase::send_probe(net::Ipv4 source, net::Ipv4 addr,
-                            net::Proto proto, net::Port port) {
-  const net::Port sport = take_ephemeral();
-  if (proto == net::Proto::kTcp) {
-    network_.send(net::make_tcp(source, sport, addr, port, net::flags_syn()));
-    if (m_probes_tcp_) m_probes_tcp_->inc();
-  } else {
-    const std::uint16_t payload = spec_.udp_service_probes ? 48 : 0;
-    network_.send(net::make_udp(source, sport, addr, port, payload));
-    if (m_probes_udp_) m_probes_udp_->inc();
-  }
-}
-
-void ProberBase::classify_unanswered(const util::FlatSet<net::Ipv4>& alive) {
-  // Only an unanswered UDP probe asks whether its host proved alive, so
-  // the set of answering hosts is built only when one is left.
-  const bool udp_pending = std::any_of(
-      current_.outcomes.begin(), current_.outcomes.end(),
-      [](const ProbeOutcome& o) {
-        return o.status == ProbeStatus::kPending &&
-               o.key.proto != net::Proto::kTcp;
-      });
-  util::FlatSet<net::Ipv4> answered;
-  if (udp_pending) {
-    for (const ProbeOutcome& o : current_.outcomes) {
-      if (o.status != ProbeStatus::kPending) answered.insert(o.key.addr);
-    }
-  }
-  for (ProbeOutcome& outcome : current_.outcomes) {
-    if (outcome.status != ProbeStatus::kPending) continue;
-    if (outcome.key.proto == net::Proto::kTcp) {
-      outcome.status = ProbeStatus::kFiltered;
-    } else {
-      const net::Ipv4 addr = outcome.key.addr;
-      outcome.status = alive.contains(addr) || answered.contains(addr)
-                           ? ProbeStatus::kMaybeOpen
-                           : ProbeStatus::kNoHost;
-    }
-    note_outcome(outcome);
-  }
-}
-
-net::Port ProberBase::take_ephemeral() {
-  next_ephemeral_ = next_ephemeral_ >= 60000 ? net::Port{40000}
-                                             : net::Port(next_ephemeral_ + 1);
-  return next_ephemeral_;
-}
-
-// ---------------------------------------------------------------------------
-// Prober — the fixed exhaustive sweep
-// ---------------------------------------------------------------------------
-
-Prober::Prober(sim::Network& network, ProberConfig config)
-    : ProberBase(network, std::move(config)) {}
-
-void Prober::start_scan(ScanSpec spec,
-                        std::function<void(const ScanRecord&)> on_complete) {
-  begin_scan_record(std::move(spec), std::move(on_complete));
-  alive_hosts_.clear();
-
-  const std::size_t machines = config_.source_addrs.size();
   plan_.assign(machines, {});
-  // One pacing bucket per machine (the paper's per-machine rate limit).
-  reset_buckets();
+
+  if (adaptive_) {
+    // The hints this scan ranks; later ones wait for the next scan.
+    scan_hints_.clear();
+    scan_hints_.reserve(hints_.size());
+    for (const passive::ServiceKey& hint : hints_) {
+      scan_hints_.push_back(hint);
+    }
+    budget_left_ = adaptive_->probe_budget == 0 ? ~std::uint64_t{0}
+                                                : adaptive_->probe_budget;
+    verifying_.clear();
+    if (m_budget_) {
+      m_budget_->set(static_cast<std::int64_t>(adaptive_->probe_budget));
+    }
+  }
 
   phase_targets_ = &spec_.targets;
   pinging_ = spec_.host_discovery;
   if (pinging_) {
     // Phase 1: one ICMP echo per target address; port probes follow for
     // responders only.
-    current_.hosts_pinged =
-        static_cast<std::uint32_t>(spec_.targets.size());
+    current_.hosts_pinged = static_cast<std::uint32_t>(spec_.targets.size());
   }
   try {
     plan_phase(pinging_, spec_.targets.size());
@@ -211,49 +201,21 @@ void Prober::start_scan(ScanSpec spec,
   start_phase();
 }
 
-void Prober::start_phase() {
-  cursor_.assign(plan_.size(), 0);
-  // Count the idle machines before the first send: a machine whose whole
-  // share is one probe finishes inside that send_next, and its end-of-
-  // phase check must already see them.
-  machines_done_ = static_cast<std::size_t>(
-      std::count_if(plan_.begin(), plan_.end(),
-                    [](const MachinePlan& p) { return p.task_count == 0; }));
-  if (machines_done_ == plan_.size()) {
-    // Degenerate phase with no probes: complete the scan immediately.
-    pinging_ = false;
-    network_.simulator().after_timer(util::usec(0), this, kTimerFinalize);
-    return;
-  }
-  for (std::size_t m = 0; m < plan_.size(); ++m) {
-    if (plan_[m].task_count > 0) send_next(m);
-  }
-}
-
-void Prober::on_timer(std::uint64_t tag) {
-  if (tag == kTimerFinalize) {
-    finalize_scan();
-  } else if (tag == kTimerBeginPortPhase) {
-    begin_port_phase();
-  } else {
-    send_next(static_cast<std::size_t>(tag));
-  }
-}
-
 void Prober::plan_phase(bool ping, std::size_t target_count) {
   // Split targets evenly across prober machines, preserving probe order
   // within each machine's share (address-major, port-minor). Only the
-  // split is computed here; task_at() materializes individual probes on
-  // demand, so a million-address phase costs three integers per machine
-  // instead of a (targets x ports) task vector. A port phase also gets
-  // its probe grid: 4 bytes per (target, port) cell.
+  // split is computed here; send_next() computes individual probes on
+  // demand. A port phase also gets its index space: 4 bytes per hint and
+  // per (target, port) cell.
   const std::size_t columns = spec_.tcp_ports.size() + spec_.udp_ports.size();
-  // Grid cells store 1 + an outcome index in 32 bits, and a phase has at
-  // most one outcome per (target, port-list entry). The ping phase checks
-  // too: its target list bounds the port phase's.
-  if (target_count * columns > std::numeric_limits<std::uint32_t>::max()) {
+  // Cells store 1 + an outcome index and the queue holds cell indices,
+  // all in 32 bits; a phase has at most one outcome per cell. The ping
+  // phase checks too: its target list bounds the port phase's.
+  if (scan_hints_.size() + target_count * columns >
+      std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error(
-        "Prober: targets x ports exceeds the 2^32 - 1 probe grid");
+        "Prober: hints + targets x ports exceeds the 2^32 - 1 probe index "
+        "space");
   }
   const std::size_t machines = plan_.size();
   const std::size_t per_machine =
@@ -270,7 +232,8 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
     total += plan.task_count;
   }
   if (ping) return;
-  current_.outcomes.reserve(current_.outcomes.size() + total);
+  // The adaptive mode reserves for its budget in rank_candidates.
+  if (!adaptive_) current_.outcomes.reserve(current_.outcomes.size() + total);
 
   // Index the grid: first occurrences win, so a repeated target or port
   // shares the first one's cells.
@@ -294,7 +257,269 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
                      static_cast<std::uint32_t>(c))
             .first->second;
   }
-  cell_outcome_.assign(target_count * columns, 0);
+  cell_outcome_.assign(scan_hints_.size() + target_count * columns, 0);
+}
+
+void Prober::rank_candidates() {
+  const std::size_t hints = scan_hints_.size();
+  // Hints first, in first-observed order: something already spoke to
+  // them. A hint on the grid takes over that grid cell, which is then not
+  // queued on its own; one off the grid gets cell `h`. After a ping
+  // pre-pass only the responders' hints are queued.
+  std::vector<std::uint32_t> covered;  // grid cells taken by a hint
+  std::size_t queued = 0;
+  for (std::uint32_t h = 0; h < hints; ++h) {
+    const passive::ServiceKey& hint = scan_hints_[h];
+    if (spec_.host_discovery && !alive_hosts_.contains(hint.addr)) continue;
+    if (const std::uint32_t* cell = grid_cell(hint)) {
+      covered.push_back(
+          static_cast<std::uint32_t>(cell - cell_outcome_.data()));
+    } else {
+      hint_cell_.emplace(hint, h);
+    }
+    queue_.push(kHintScore, h);
+    ++queued;
+  }
+  // Then every first-occurrence (row, column) cell in the sweep's
+  // address-major, port-minor order, so equal scores drain exactly like
+  // a budget-truncated sweep.
+  std::sort(covered.begin(), covered.end());
+  auto next_covered = covered.begin();
+  for (std::size_t row = 0; row < target_row_.size(); ++row) {
+    if (target_row_[row] != row) continue;
+    for (std::size_t column = 0; column < columns_; ++column) {
+      if (port_column_[column] != column) continue;
+      const auto index =
+          static_cast<std::uint32_t>(hints + row * columns_ + column);
+      if (next_covered != covered.end() && *next_covered == index) {
+        ++next_covered;
+        continue;
+      }
+      queue_.push(score_of(index), index);
+      ++queued;
+    }
+  }
+  current_.outcomes.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(budget_left_, queued)));
+}
+
+void Prober::start_phase() {
+  const bool ranked = adaptive_ && !pinging_;
+  if (ranked) rank_candidates();
+  cursor_.assign(plan_.size(), 0);
+  // Count the idle machines before the first send: a machine whose whole
+  // share is one probe finishes inside that send_next, and its end-of-
+  // phase check must already see them. Ranked machines share one queue.
+  machines_done_ =
+      ranked ? 0
+             : static_cast<std::size_t>(std::count_if(
+                   plan_.begin(), plan_.end(),
+                   [](const MachinePlan& p) { return p.task_count == 0; }));
+  if (ranked ? queue_.empty() : machines_done_ == plan_.size()) {
+    // Degenerate phase with no probes: complete the scan immediately.
+    pinging_ = false;
+    network_.simulator().after_timer(util::usec(0), this, kTimerFinalize);
+    return;
+  }
+  for (std::size_t m = 0; m < plan_.size(); ++m) {
+    if (ranked || plan_[m].task_count > 0) send_next(m);
+  }
+}
+
+void Prober::begin_port_phase() {
+  pinging_ = false;
+  current_.hosts_alive = static_cast<std::uint32_t>(alive_hosts_.size());
+  // Keep the original target order, filtered to responding hosts.
+  alive_targets_.clear();
+  alive_targets_.reserve(alive_hosts_.size());
+  for (const net::Ipv4 addr : spec_.targets) {
+    if (alive_hosts_.contains(addr)) alive_targets_.push_back(addr);
+  }
+  phase_targets_ = &alive_targets_;
+  plan_phase(/*ping=*/false, alive_targets_.size());
+  start_phase();
+}
+
+void Prober::on_timer(std::uint64_t tag) {
+  if (tag == kTimerFinalize) {
+    finalize_scan();
+  } else if (tag == kTimerBeginPortPhase) {
+    begin_port_phase();
+  } else {
+    send_next(static_cast<std::size_t>(tag));
+  }
+}
+
+void Prober::send_next(std::size_t machine) {
+  const net::Ipv4 source = config_.source_addrs[machine];
+  const util::TimePoint now = network_.simulator().now();
+  bool last = false;
+  if (pinging_ || !adaptive_) {
+    // This machine's contiguous share, probe `cursor` in sweep order (the
+    // sweep has no hints, so a grid cell's index is row * columns_ + col).
+    const MachinePlan& plan = plan_[machine];
+    std::size_t& cursor = cursor_[machine];
+    if (pinging_) {
+      net::Packet ping;
+      ping.src = source;
+      ping.dst = (*phase_targets_)[plan.first_target + cursor];
+      ping.proto = net::Proto::kIcmp;
+      ping.icmp_type = net::IcmpType::kEchoRequest;
+      network_.send(ping);
+      if (m_pings_) m_pings_->inc();
+    } else {
+      const std::size_t target = plan.first_target + cursor / columns_;
+      const std::size_t column = cursor % columns_;
+      const std::size_t cell =
+          std::size_t{target_row_[target]} * columns_ + port_column_[column];
+      send_port_probe(source, grid_key(target, column), cell_outcome_[cell],
+                      now);
+    }
+    last = ++cursor == plan.task_count;
+  } else {
+    // The best candidate of the shared queue, re-scored lazily.
+    std::optional<std::uint32_t> pick;
+    if (budget_left_ > 0) {
+      pick = queue_.pop_best(
+          [this](std::uint32_t index) { return score_of(index); });
+    }
+    if (!pick) {
+      machine_done();
+      return;
+    }
+    const passive::ServiceKey key = key_of(*pick);
+    const bool hint = *pick < scan_hints_.size();
+    std::uint32_t& cell = hint ? *cell_of(key) : cell_outcome_[*pick];
+    // Each candidate is queued once and never re-queued after its pop.
+    assert(cell == 0);
+    send_port_probe(source, key, cell, now);
+    --budget_left_;
+    ++budget_spent_total_;
+    if (m_budget_spent_) m_budget_spent_->inc();
+    if (hint) {
+      ++seeds_probed_total_;
+      if (m_seeds_probed_) m_seeds_probed_->inc();
+    }
+  }
+  buckets_[machine].consume(now);
+  if (last) {
+    machine_done();
+    return;
+  }
+  // The token bucket answers "when may the next probe go?"; with burst 1
+  // that is now + 1/rate, with sub-usec deficits carried forward so long
+  // scans hold the configured rate exactly.
+  const util::TimePoint next = buckets_[machine].next_available(now);
+  if (util::trace::enabled() && next > now) {
+    util::trace::instant_value("prober.bucket_wait", now.usec,
+                               (next - now).usec);
+  }
+  network_.simulator().at_timer(next, this, machine);
+}
+
+void Prober::send_port_probe(net::Ipv4 source, const passive::ServiceKey& key,
+                             std::uint32_t& cell, util::TimePoint now) {
+  // A cell gets a fresh outcome unless it still awaits an answer: a
+  // repeated target or port probed while the first probe is pending
+  // folds into that probe's outcome.
+  if (cell == 0) {
+    current_.outcomes.push_back({key, ProbeStatus::kPending, now});
+    cell = static_cast<std::uint32_t>(current_.outcomes.size());
+  }
+  send_probe(source, key.addr, key.proto, key.port);
+}
+
+void Prober::machine_done() {
+  if (++machines_done_ < plan_.size()) return;
+  // All probes of this phase sent (or the budget ran dry); allow
+  // stragglers and outstanding verifications to answer.
+  network_.simulator().after_timer(
+      spec_.timeout + util::msec(100), this,
+      pinging_ ? kTimerBeginPortPhase : kTimerFinalize);
+}
+
+void Prober::finalize_scan() {
+  if (!verifying_.empty()) {
+    // Verifications past the timeout demote; young ones (a straggler
+    // SYN-ACK arrived near the deadline) push the finalize out and get
+    // their full window.
+    const util::TimePoint now = network_.simulator().now();
+    std::vector<std::pair<passive::ServiceKey, std::size_t>> expired;
+    bool outstanding = false;
+    util::TimePoint next_deadline{};
+    for (const auto& [key, v] : verifying_) {
+      const util::TimePoint deadline = v.sent + spec_.timeout;
+      if (now.usec >= deadline.usec) {
+        expired.push_back({key, v.outcome});
+      } else if (!outstanding || deadline < next_deadline) {
+        outstanding = true;
+        next_deadline = deadline;
+      }
+    }
+    for (const auto& [key, outcome_index] : expired) {
+      end_verify(key, outcome_index, ProbeStatus::kUnverified);
+    }
+    if (outstanding) {
+      network_.simulator().at_timer(next_deadline + util::msec(100), this,
+                                    kTimerFinalize);
+      return;
+    }
+  }
+
+  classify_unanswered();
+  if (m_entropy_) {
+    m_entropy_->set(
+        static_cast<std::int64_t>(std::llround(priors_.entropy() * 1000.0)));
+  }
+  // Free the index space rather than clear it: it is sized by this scan
+  // alone.
+  cell_outcome_ = {};
+  target_row_ = {};
+  port_column_ = {};
+  row_pages_ = decltype(row_pages_)();
+  page_of_ = {};
+  memo_page_ = nullptr;
+  column_of_ = {};
+  scan_hints_ = {};
+  hint_cell_ = {};
+  queue_ = ScoreQueue{};
+
+  current_.finished = network_.simulator().now();
+  util::trace::async_end("prober.scan",
+                         static_cast<std::uint64_t>(current_.index) + 1,
+                         current_.finished.usec);
+  in_progress_ = false;
+  scans_.push_back(std::move(current_));
+  if (m_scans_) m_scans_->inc();
+  SVCDISC_LOG(kInfo) << "scan " << scans_.back().index << " finished: "
+                     << scans_.back().count(ProbeStatus::kOpen)
+                     << " open TCP services";
+  if (on_complete_) on_complete_(scans_.back());
+}
+
+// ---------------------------------------------------------------------------
+// The index space
+// ---------------------------------------------------------------------------
+
+passive::ServiceKey Prober::grid_key(std::size_t target,
+                                  std::size_t column) const {
+  const net::Ipv4 addr = (*phase_targets_)[target];
+  const std::size_t tcp = spec_.tcp_ports.size();
+  if (column < tcp) return {addr, net::Proto::kTcp, spec_.tcp_ports[column]};
+  return {addr, net::Proto::kUdp, spec_.udp_ports[column - tcp]};
+}
+
+passive::ServiceKey Prober::key_of(std::uint32_t index) const {
+  const std::size_t hints = scan_hints_.size();
+  if (index < hints) return scan_hints_[index];
+  const std::size_t cell = index - hints;
+  return grid_key(cell / columns_, cell % columns_);
+}
+
+double Prober::score_of(std::uint32_t index) const {
+  if (index < scan_hints_.size()) return kHintScore;
+  const passive::ServiceKey key = key_of(index);
+  return priors_.score(key.addr, key.port, key.proto);
 }
 
 std::uint32_t* Prober::find_row(net::Ipv4 addr) {
@@ -318,101 +543,67 @@ std::uint32_t& Prober::row_slot(net::Ipv4 addr) {
   return (*memo_page_)[addr.value() & 0xff];
 }
 
-Prober::ProbeTask Prober::task_at(std::size_t machine,
-                                  std::size_t cursor) const {
-  const MachinePlan& plan = plan_[machine];
-  const std::vector<net::Ipv4>& targets = *phase_targets_;
-  if (pinging_) {
-    return {targets[plan.first_target + cursor], 0, net::Proto::kIcmp};
-  }
-  const std::size_t target = plan.first_target + cursor / columns_;
-  const std::size_t pi = cursor % columns_;
-  const std::size_t cell =
-      std::size_t{target_row_[target]} * columns_ + port_column_[pi];
-  if (pi < spec_.tcp_ports.size()) {
-    return {targets[target], spec_.tcp_ports[pi], net::Proto::kTcp, cell};
-  }
-  return {targets[target], spec_.udp_ports[pi - spec_.tcp_ports.size()],
-          net::Proto::kUdp, cell};
+std::uint32_t* Prober::grid_cell(const passive::ServiceKey& key) {
+  // Before the port phase (pinging) the grid is empty.
+  const std::uint32_t* row = find_row(key.addr);
+  if (row == nullptr || *row == 0) return nullptr;
+  const auto column = column_of_.find(column_key(key.proto, key.port));
+  if (column == column_of_.end()) return nullptr;
+  return &cell_outcome_[scan_hints_.size() +
+                        std::size_t{*row - 1} * columns_ + column->second];
 }
 
-void Prober::begin_port_phase() {
-  pinging_ = false;
-  current_.hosts_alive = static_cast<std::uint32_t>(alive_hosts_.size());
-  // Keep the original target order, filtered to responding hosts.
-  alive_targets_.clear();
-  alive_targets_.reserve(alive_hosts_.size());
-  for (const net::Ipv4 addr : spec_.targets) {
-    if (alive_hosts_.contains(addr)) alive_targets_.push_back(addr);
-  }
-  phase_targets_ = &alive_targets_;
-  plan_phase(/*ping=*/false, alive_targets_.size());
-  start_phase();
+std::uint32_t* Prober::cell_of(const passive::ServiceKey& key) {
+  if (std::uint32_t* cell = grid_cell(key)) return cell;
+  if (hint_cell_.empty()) return nullptr;
+  const auto it = hint_cell_.find(key);
+  return it == hint_cell_.end() ? nullptr : &cell_outcome_[it->second];
 }
 
-void Prober::send_next(std::size_t machine) {
-  std::size_t& cursor = cursor_[machine];
-  const ProbeTask task = task_at(machine, cursor);
-  const net::Ipv4 source = config_.source_addrs[machine];
-  const util::TimePoint now = network_.simulator().now();
-
-  if (task.proto == net::Proto::kIcmp) {
-    net::Packet ping;
-    ping.src = source;
-    ping.dst = task.addr;
-    ping.proto = net::Proto::kIcmp;
-    ping.icmp_type = net::IcmpType::kEchoRequest;
-    network_.send(ping);
-    if (m_pings_) m_pings_->inc();
-  } else {
-    // A cell gets a fresh outcome unless its latest one is still
-    // pending: a repeated target or port probed while the first probe
-    // awaits its answer folds into that probe's outcome.
-    std::uint32_t& cell = cell_outcome_[task.cell];
-    if (cell == 0 ||
-        current_.outcomes[cell - 1].status != ProbeStatus::kPending) {
-      current_.outcomes.push_back(
-          {{task.addr, task.proto, task.port}, ProbeStatus::kPending, now});
-      cell = static_cast<std::uint32_t>(current_.outcomes.size());
-    }
-    send_probe(source, task.addr, task.proto, task.port);
-  }
-  buckets_[machine].consume(now);
-
-  ++cursor;
-  if (cursor >= plan_[machine].task_count) {
-    if (++machines_done_ == plan_.size()) {
-      // All packets of this phase sent; allow stragglers to answer.
-      network_.simulator().after_timer(
-          spec_.timeout + util::msec(100), this,
-          pinging_ ? kTimerBeginPortPhase : kTimerFinalize);
-    }
-    return;
-  }
-  // The token bucket answers "when may the next probe go?"; with burst 1
-  // that is now + 1/rate, with sub-usec deficits carried forward so long
-  // scans hold the configured rate exactly.
-  const util::TimePoint next = buckets_[machine].next_available(now);
-  if (util::trace::enabled() && next > now) {
-    util::trace::instant_value("prober.bucket_wait", now.usec,
-                               (next - now).usec);
-  }
-  network_.simulator().at_timer(next, this, machine);
-}
+// ---------------------------------------------------------------------------
+// Replies
+// ---------------------------------------------------------------------------
 
 void Prober::on_packet(const net::Packet& p) {
   if (!in_progress_) return;
+  const bool verify = adaptive_ && adaptive_->verify;
   switch (p.proto) {
     case net::Proto::kTcp: {
+      const passive::ServiceKey key{p.src, net::Proto::kTcp, p.sport};
       if (p.flags.is_syn_ack()) {
-        resolve(p.src, p.sport, net::Proto::kTcp, ProbeStatus::kOpen);
+        if (!verify) {
+          resolve(key, ProbeStatus::kOpen);
+          return;
+        }
+        std::uint32_t* cell = cell_of(key);
+        if (cell == nullptr || *cell == 0) return;  // stray, late, duplicate
+        // First stage answered; the verdict now rides on the data probe.
+        const std::size_t outcome_index = *cell - 1;
+        *cell = 0;
+        if (m_responses_) m_responses_->inc();
+        verifying_[key] = {outcome_index, p.time};
+        send_verify(p);
+      } else if (verify && p.flags.ack() && !p.flags.syn() &&
+                 p.payload_len > 0) {
+        // Data came back: a real service completed the exchange.
+        const auto it = verifying_.find(key);
+        if (it != verifying_.end()) {
+          end_verify(key, it->second.outcome, ProbeStatus::kOpen);
+        }
       } else if (p.flags.rst()) {
-        resolve(p.src, p.sport, net::Proto::kTcp, ProbeStatus::kClosed);
+        const auto it = verify ? verifying_.find(key) : verifying_.end();
+        if (it != verifying_.end()) {
+          // SYN-ACKed, then reset the data probe: no exchange, no service.
+          end_verify(key, it->second.outcome, ProbeStatus::kUnverified);
+        } else {
+          resolve(key, ProbeStatus::kClosed);
+        }
       }
       return;
     }
     case net::Proto::kUdp: {
-      resolve(p.src, p.sport, net::Proto::kUdp, ProbeStatus::kOpenUdp);
+      // A UDP reply *is* a completed data exchange; no second stage.
+      resolve({p.src, net::Proto::kUdp, p.sport}, ProbeStatus::kOpenUdp);
       return;
     }
     case net::Proto::kIcmp: {
@@ -420,7 +611,7 @@ void Prober::on_packet(const net::Packet& p) {
         if (pinging_) alive_hosts_.insert(p.src);
       } else if (p.icmp_type == net::IcmpType::kDestUnreachable &&
                  p.icmp_code == net::IcmpCode::kPortUnreachable) {
-        resolve(p.src, p.icmp_orig_dport, p.icmp_orig_proto,
+        resolve({p.src, p.icmp_orig_proto, p.icmp_orig_dport},
                 ProbeStatus::kClosed);
       }
       return;
@@ -428,37 +619,129 @@ void Prober::on_packet(const net::Packet& p) {
   }
 }
 
-void Prober::resolve(net::Ipv4 addr, net::Port port, net::Proto proto,
-                     ProbeStatus status) {
-  // Before the port phase (pinging) the index is empty.
-  const std::uint32_t* row = find_row(addr);
-  if (row == nullptr || *row == 0) return;
-  const auto column = column_of_.find(column_key(proto, port));
-  if (column == column_of_.end()) return;
-  const std::uint32_t cell =
-      cell_outcome_[std::size_t{*row - 1} * columns_ + column->second];
-  // Unprobed, or its latest outcome already answered: a stray, late or
-  // duplicate reply.
-  if (cell == 0 ||
-      current_.outcomes[cell - 1].status != ProbeStatus::kPending) {
-    return;
-  }
-  settle(cell - 1, status);
+void Prober::resolve(const passive::ServiceKey& key, ProbeStatus status) {
+  std::uint32_t* cell = cell_of(key);
+  if (cell == nullptr || *cell == 0) return;  // stray, late or duplicate
+  const std::size_t outcome_index = *cell - 1;
+  *cell = 0;
+  settle(outcome_index, status);
 }
 
-void Prober::finalize_scan() {
-  // A host that answered only the ICMP host-discovery ping proved
-  // itself alive too.
-  classify_unanswered(alive_hosts_);
-  // Free the grid rather than clear it: it is sized by this scan alone.
-  cell_outcome_ = {};
-  target_row_ = {};
-  port_column_ = {};
-  row_pages_ = decltype(row_pages_)();
-  page_of_ = {};
-  memo_page_ = nullptr;
-  column_of_ = {};
-  finish_scan_record();
+void Prober::settle(std::size_t outcome_index, ProbeStatus status) {
+  ProbeOutcome& outcome = current_.outcomes[outcome_index];
+  outcome.status = status;
+  outcome.when = network_.simulator().now();
+  if (m_responses_) m_responses_->inc();
+
+  if (status == ProbeStatus::kOpen || status == ProbeStatus::kOpenUdp) {
+    record_open(outcome, status == ProbeStatus::kOpenUdp);
+  }
+  note_outcome(outcome);
+}
+
+void Prober::record_open(const ProbeOutcome& outcome, bool udp) {
+  if (table_.discover(outcome.key, outcome.when)) {
+    SVCDISC_TRACE_INSTANT("prober.discover", outcome.when.usec);
+    if (m_discoveries_) m_discoveries_->inc();
+    if (on_discovery) on_discovery(outcome.key, outcome.when);
+  }
+  if (on_open_response) on_open_response(outcome.key, outcome.when, udp);
+}
+
+void Prober::note_outcome(const ProbeOutcome& outcome) {
+  if (!adaptive_) return;
+  const bool open = outcome.status == ProbeStatus::kOpen ||
+                    outcome.status == ProbeStatus::kOpenUdp;
+  priors_.record(outcome.key.addr, outcome.key.port, outcome.key.proto, open);
+  if (open && m_yield_open_) m_yield_open_->inc();
+}
+
+void Prober::send_probe(net::Ipv4 source, net::Ipv4 addr, net::Proto proto,
+                        net::Port port) {
+  // A SYN, or a generic (zero-payload) UDP datagram (§4.5) — with
+  // spec_.udp_service_probes, a well-formed application request that any
+  // live implementation answers.
+  const net::Port sport = take_ephemeral();
+  if (proto == net::Proto::kTcp) {
+    network_.send(net::make_tcp(source, sport, addr, port, net::flags_syn()));
+    if (m_probes_tcp_) m_probes_tcp_->inc();
+  } else {
+    const std::uint16_t payload = spec_.udp_service_probes ? 48 : 0;
+    network_.send(net::make_udp(source, sport, addr, port, payload));
+    if (m_probes_udp_) m_probes_udp_->inc();
+  }
+}
+
+void Prober::send_verify(const net::Packet& syn_ack) {
+  // Complete the handshake and push application data immediately — the
+  // LZR second stage. Verification is response-paced (only ever sent to
+  // endpoints that answered), so it bypasses the probe budget and the
+  // token bucket.
+  net::Packet data = net::make_tcp(syn_ack.dst, syn_ack.dport, syn_ack.src,
+                                   syn_ack.sport, net::flags_ack());
+  data.seq = syn_ack.ack_no;
+  data.ack_no = syn_ack.seq + 1;
+  data.payload_len = kVerifyPayload;
+  network_.send(data);
+  ++verify_sent_total_;
+  if (m_verify_sent_) m_verify_sent_->inc();
+}
+
+void Prober::end_verify(const passive::ServiceKey& key,
+                        std::size_t outcome_index, ProbeStatus status) {
+  ProbeOutcome& outcome = current_.outcomes[outcome_index];
+  outcome.status = status;
+  outcome.when = network_.simulator().now();
+  verifying_.erase(key);
+  if (status == ProbeStatus::kOpen) {
+    ++verify_confirmed_total_;
+    if (m_verify_confirmed_) m_verify_confirmed_->inc();
+    record_open(outcome, /*udp=*/false);
+  } else {
+    ++demotions_total_;
+    if (m_demotions_) m_demotions_->inc();
+    SVCDISC_TRACE_INSTANT("prober.demote", outcome.when.usec);
+  }
+  note_outcome(outcome);
+}
+
+void Prober::classify_unanswered() {
+  // Only an unanswered UDP probe asks whether its host proved alive, so
+  // the set of answering hosts is built only when one is left.
+  const bool udp_pending = std::any_of(
+      current_.outcomes.begin(), current_.outcomes.end(),
+      [](const ProbeOutcome& o) {
+        return o.status == ProbeStatus::kPending &&
+               o.key.proto != net::Proto::kTcp;
+      });
+  util::FlatSet<net::Ipv4> answered;
+  if (udp_pending) {
+    for (const ProbeOutcome& o : current_.outcomes) {
+      if (o.status != ProbeStatus::kPending) answered.insert(o.key.addr);
+    }
+  }
+  for (ProbeOutcome& outcome : current_.outcomes) {
+    if (outcome.status != ProbeStatus::kPending) continue;
+    if (outcome.key.proto == net::Proto::kTcp) {
+      outcome.status = ProbeStatus::kFiltered;
+    } else {
+      // A host that answered only the host-discovery ping proved itself
+      // alive too.
+      const net::Ipv4 addr = outcome.key.addr;
+      outcome.status =
+          alive_hosts_.contains(addr) || answered.contains(addr)
+              ? ProbeStatus::kMaybeOpen
+              : ProbeStatus::kNoHost;
+    }
+    // In the adaptive mode every silence is negative evidence too.
+    note_outcome(outcome);
+  }
+}
+
+net::Port Prober::take_ephemeral() {
+  next_ephemeral_ = next_ephemeral_ >= 60000 ? net::Port{40000}
+                                             : net::Port(next_ephemeral_ + 1);
+  return next_ephemeral_;
 }
 
 }  // namespace svcdisc::active

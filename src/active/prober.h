@@ -1,10 +1,10 @@
 // The active prober: Nmap-style half-open TCP and generic UDP scanning
-// (paper §2.1, §3.1).
+// (paper §2.1, §3.1), plus a budgeted adaptive mode (DESIGN.md §16).
 //
-// A scan walks (target address x port), pacing probes with a token
-// bucket, optionally splitting the target space across several internal
-// prober machines (the paper used two for the large datasets). Probe
-// interpretation:
+// A scan probes (target address x port), pacing probes with a token
+// bucket per internal prober machine (the paper used two for the large
+// datasets), after an optional ICMP ping pre-pass that keeps only the
+// responders. Probe interpretation:
 //   * TCP: SYN-ACK -> open; RST -> closed; no answer -> filtered
 //     (firewall or dead address);
 //   * UDP: UDP reply -> definitely open; ICMP port-unreachable ->
@@ -13,20 +13,33 @@
 // Probers are internal campus machines, so probe traffic never crosses
 // the border and is invisible to passive monitoring.
 //
-// Two probers share the ProberBase plumbing (DESIGN.md §16):
-//   * Prober — the paper's fixed exhaustive sweep (this file);
-//   * AdaptiveProber — a budgeted priority-queue prober with learned
-//     priors and LZR-style verification (active/adaptive_prober.h).
+// One class, two orders for the port phase:
+//   * the sweep (no AdaptiveConfig, the paper's scan): each machine walks
+//     a contiguous share of the targets, address-major, port-minor;
+//   * the adaptive mode: all machines pop one shared score queue of
+//     virtual candidate indices — passive hints first, then the grid —
+//     ranked by GPS-style learned priors (active/priors.h), under a
+//     probe budget, with LZR-style verification of every SYN-ACK: an
+//     ACK + data probe that a real service answers and a DPI middlebox
+//     or tarpit does not (unanswered -> ProbeStatus::kUnverified, never
+//     a discovery).
+// Hints come from passive_feed(), a tap observer that turns internal
+// SYN-ACKs and UDP service replies into (addr, port) hints. It runs on
+// the simulator thread in simulated-time order, so scan artifacts are a
+// deterministic function of (config, seed) in both modes.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "active/priors.h"
 #include "active/rate_limiter.h"
+#include "active/score_queue.h"
 #include "net/ipv4.h"
 #include "net/packet.h"
 #include "net/ports.h"
@@ -105,24 +118,38 @@ struct ProberConfig {
   std::vector<net::Ipv4> source_addrs;
 };
 
-/// Shared plumbing of the fixed and adaptive probers: network
-/// attachment, the cumulative discovery table, completed-scan records,
-/// discovery callbacks, outcome settling and the base metric set. Each
-/// derived prober keeps its own index of pending probes.
-/// Derived classes implement start_scan / on_packet / on_timer — the
-/// scan strategy — on top of the protected state below.
-class ProberBase : public sim::PacketSink, public sim::TimerTarget {
- public:
-  ProberBase(sim::Network& network, ProberConfig config);
-  ~ProberBase() override;
+struct AdaptiveConfig {
+  /// Maximum first-stage probes per scan (0 = unlimited). Verification
+  /// data probes ride for free: they are only ever sent to endpoints
+  /// that already answered, a vanishing share of the sweep cost.
+  std::uint64_t probe_budget{0};
+  /// LZR-style second-stage verification of every TCP SYN-ACK. Off, a
+  /// SYN-ACK resolves kOpen immediately (the sweep's rule).
+  bool verify{true};
+  /// Empirical-Bayes pseudo-count of the per-subnet prior. Must be
+  /// finite and >= 0 (ScanPriors throws std::invalid_argument otherwise).
+  double subnet_shrinkage{8.0};
+};
 
-  ProberBase(const ProberBase&) = delete;
-  ProberBase& operator=(const ProberBase&) = delete;
+/// The prober. Without an AdaptiveConfig it runs the paper's sweep;
+/// with one, the adaptive mode ranks the same grid (plus passive hints)
+/// by learned priors. Both modes share everything but the port phase's
+/// send order (DESIGN.md §16).
+class Prober final : public sim::PacketSink, public sim::TimerTarget {
+ public:
+  Prober(sim::Network& network, ProberConfig config,
+         std::optional<AdaptiveConfig> adaptive = std::nullopt);
+  ~Prober() override;
+
+  Prober(const Prober&) = delete;
+  Prober& operator=(const Prober&) = delete;
 
   /// Starts a scan; `on_complete` fires when every probe has resolved.
-  /// Only one scan may be in flight at a time.
-  virtual void start_scan(
-      ScanSpec spec, std::function<void(const ScanRecord&)> on_complete = {}) = 0;
+  /// Only one scan may be in flight at a time. Throws std::length_error,
+  /// before sending anything, when the scan's probe indices would not
+  /// fit in 32 bits.
+  void start_scan(ScanSpec spec,
+                  std::function<void(const ScanRecord&)> on_complete = {});
 
   bool scan_in_progress() const { return in_progress_; }
 
@@ -145,67 +172,201 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
 
   /// Registers `<prefix>.` counters (probes_tcp_sent, probes_udp_sent,
   /// pings_sent, responses_received, discoveries, scans_completed) plus
-  /// the pacing buckets' `<prefix>.rate_limiter.grants/.deferrals`.
-  /// Derived probers may extend the set.
-  virtual void attach_metrics(util::MetricsRegistry& registry,
-                              std::string_view prefix);
+  /// the pacing buckets' `<prefix>.rate_limiter.grants/.deferrals`. The
+  /// adaptive mode adds the top-level adaptive.* set: budget (gauge),
+  /// budget_spent, yield_open, passive_seeds_probed, verify_probes_sent,
+  /// verify_confirmed, middlebox_demotions, priors_entropy_millinats
+  /// (gauge); the sweep exports none of them.
+  void attach_metrics(util::MetricsRegistry& registry,
+                      std::string_view prefix);
 
- protected:
-  /// Timer tag above any realistic machine index.
+  /// True in the adaptive mode.
+  bool adaptive() const { return adaptive_.has_value(); }
+
+  // Passive seeding (adaptive mode; the sweep never reads the hints).
+  /// The tap-side hint collector; the engine attaches it to every border
+  /// tap. Hints accumulate across scans.
+  sim::PacketObserver& passive_feed() { return feed_; }
+  /// Internal prefixes (to recognize outbound service evidence) and the
+  /// UDP service ports worth seeding from (empty = ignore UDP traffic).
+  void configure_feed(std::vector<net::Prefix> internal,
+                      std::vector<net::Port> udp_ports);
+  /// Direct hint injection (tests, warm starts from a loaded table).
+  void note_passive(const passive::ServiceKey& key);
+  /// Seeds one hint per discovered service, in first-seen order.
+  void seed_from_table(const passive::ServiceTable& table);
+  std::size_t hint_count() const { return hints_.size(); }
+
+  const ScanPriors& priors() const { return priors_; }
+  std::uint64_t budget_spent_total() const { return budget_spent_total_; }
+  std::uint64_t seeds_probed_total() const { return seeds_probed_total_; }
+  std::uint64_t verify_sent_total() const { return verify_sent_total_; }
+  std::uint64_t verify_confirmed_total() const {
+    return verify_confirmed_total_;
+  }
+  /// SYN-ACK endpoints that failed data-exchange verification.
+  std::uint64_t demotions_total() const { return demotions_total_; }
+
+  // sim::PacketSink — probe responses and verification replies.
+  void on_packet(const net::Packet& p) override;
+
+  // sim::TimerTarget — pacing ticks (tag = machine index) plus the two
+  // phase-transition timeouts.
+  void on_timer(std::uint64_t tag) override;
+
+ private:
   static constexpr std::uint64_t kTimerFinalize = ~std::uint64_t{0};
+  static constexpr std::uint64_t kTimerBeginPortPhase = ~std::uint64_t{1};
 
-  /// Opens the in-flight ScanRecord (index, start time, trace span).
-  /// Derived start_scan implementations call this exactly once.
-  void begin_scan_record(ScanSpec spec,
-                         std::function<void(const ScanRecord&)> on_complete);
-  /// Closes the in-flight record: stamps finish time, appends to
-  /// scans(), bumps metrics and fires on_complete.
-  void finish_scan_record();
+  /// A nested observer (instead of deriving Prober from PacketObserver)
+  /// keeps the PacketSink surface — addressed probe replies — apart from
+  /// the promiscuous tap feed.
+  class Feed final : public sim::PacketObserver {
+   public:
+    explicit Feed(Prober& owner) : owner_(owner) {}
+    void observe(const net::Packet& p) override;
 
-  /// One fresh per-machine pacing bucket per source address (burst 1
-  /// reproduces strict 1/rate spacing).
-  void reset_buckets();
+   private:
+    Prober& owner_;
+  };
 
-  /// Resolves the pending outcome current_.outcomes[outcome_index] with
-  /// a response's `status`. Each prober finds the index in its own
-  /// pending structure and calls this once per answered probe. Open
-  /// statuses record into the table and fire the discovery callbacks;
-  /// every resolution reaches note_outcome().
+  /// One machine's share of a phase in the sweep order. Tasks are never
+  /// materialized: the plan is three integers and the send path computes
+  /// probe `cursor` on demand, address-major, port-minor.
+  struct MachinePlan {
+    std::size_t first_target{0};  ///< index into *phase_targets_
+    std::size_t target_count{0};
+    std::size_t task_count{0};
+  };
+  struct VerifyState {
+    std::size_t outcome{0};      ///< index into current_.outcomes
+    util::TimePoint sent{};      ///< data-probe send time
+  };
+
+  // Scan phases.
+  void plan_phase(bool ping, std::size_t target_count);
+  /// Queues the adaptive port phase's candidates: hints, then the grid.
+  void rank_candidates();
+  void start_phase();
+  void begin_port_phase();
+  void send_next(std::size_t machine);
+  /// Sends a port probe and opens (or folds into) its cell's outcome.
+  void send_port_probe(net::Ipv4 source, const passive::ServiceKey& key,
+                       std::uint32_t& cell, util::TimePoint now);
+  void machine_done();
+  void finalize_scan();
+
+  // The index space. Cell and candidate indices coincide: [0, H) are
+  // this scan's hints, H + row * columns_ + column the grid cells.
+  /// The key of phase target `target` x port-list entry `column`.
+  passive::ServiceKey grid_key(std::size_t target, std::size_t column) const;
+  /// Decodes a candidate index back to its key.
+  passive::ServiceKey key_of(std::uint32_t index) const;
+  /// Hints score above every prior; grid cells score by the priors.
+  double score_of(std::uint32_t index) const;
+  /// A row page: the rows of one /24's 256 addresses, each 0 (no row)
+  /// or 1 + the row of the address's first occurrence.
+  using RowPage = std::array<std::uint32_t, 256>;
+  /// The row slot of `addr`, or null when its /24 holds no target.
+  std::uint32_t* find_row(net::Ipv4 addr);
+  /// The row slot of `addr`, allocating its /24's page if needed.
+  std::uint32_t& row_slot(net::Ipv4 addr);
+  /// The grid cell of `key`, or null when it is no target x port pair.
+  std::uint32_t* grid_cell(const passive::ServiceKey& key);
+  /// The cell of `key`: its grid cell, else its queued hint's cell, else
+  /// null.
+  std::uint32_t* cell_of(const passive::ServiceKey& key);
+
+  // Replies.
+  /// Settles the pending probe of `key` (no-op on a stray, late or
+  /// duplicate reply).
+  void resolve(const passive::ServiceKey& key, ProbeStatus status);
+  /// Sets the outcome's status and time, counts the response, records an
+  /// open and notes the outcome.
   void settle(std::size_t outcome_index, ProbeStatus status);
-  /// The open-probe bookkeeping shared by settle() and the adaptive
-  /// prober's verification path: table discovery + callbacks + counters.
+  /// Table discovery + callbacks for an open outcome.
   void record_open(const ProbeOutcome& outcome, bool udp);
-  /// Hook invoked for every resolved outcome (the adaptive prober's
-  /// online prior updates). Default: nothing.
-  virtual void note_outcome(const ProbeOutcome& outcome);
-  /// Sends one port probe from `source` and counts it: a SYN, or a
-  /// generic (zero-payload) UDP datagram (§4.5) — service-specific with
-  /// spec_.udp_service_probes, a well-formed application request that
-  /// any live implementation answers.
+  /// The adaptive mode's online prior update; nothing in the sweep.
+  void note_outcome(const ProbeOutcome& outcome);
   void send_probe(net::Ipv4 source, net::Ipv4 addr, net::Proto proto,
                   net::Port port);
+  void send_verify(const net::Packet& syn_ack);
+  /// Ends a verification with the outcome's final status.
+  void end_verify(const passive::ServiceKey& key, std::size_t outcome_index,
+                  ProbeStatus status);
   /// §4.5 classification of every outcome still pending at scan end:
   /// unanswered TCP is filtered; unanswered UDP is "possibly open" when
-  /// the host proved alive — it is in `alive`, or answered any probe of
-  /// this scan — else "no host". Each classified outcome reaches
-  /// note_outcome().
-  void classify_unanswered(const util::FlatSet<net::Ipv4>& alive);
-
-  /// Next client-side source port, cycling through 40000-60000.
+  /// the host answered the ping or any probe of this scan, else "no host".
+  void classify_unanswered();
+  void observe_passive(const net::Packet& p);
   net::Port take_ephemeral();
 
   sim::Network& network_;
   ProberConfig config_;
+  std::optional<AdaptiveConfig> adaptive_;
   passive::ServiceTable table_;
   std::vector<ScanRecord> scans_;
 
-  // In-flight scan state shared by both strategies.
+  // In-flight scan state.
   bool in_progress_{false};
   ScanSpec spec_;
   ScanRecord current_;
   std::function<void(const ScanRecord&)> on_complete_;
   std::vector<TokenBucket> buckets_;  // per machine pacing
   net::Port next_ephemeral_{40000};
+  std::vector<MachinePlan> plan_;    // per machine share of the phase
+  std::vector<std::size_t> cursor_;  // per machine: next probe
+  /// Targets of the current phase: spec_.targets, or alive_targets_
+  /// after a host-discovery pre-pass. Both outlive the phase.
+  const std::vector<net::Ipv4>* phase_targets_{nullptr};
+  std::size_t machines_done_{0};
+  bool pinging_{false};
+  util::FlatSet<net::Ipv4> alive_hosts_;
+  std::vector<net::Ipv4> alive_targets_;
+
+  // The port phase's index space (DESIGN.md §16), built by plan_phase and
+  // rank_candidates and freed when the scan finishes. Grid row r is the
+  // r-th phase target, column c the c-th port-list entry (TCP ports, then
+  // UDP); a repeated target or port maps to the row or column of its
+  // first occurrence. A cell holds 0 while not awaiting an answer, else
+  // 1 + the index in current_.outcomes of its pending probe.
+  std::size_t columns_{0};
+  std::vector<std::uint32_t> cell_outcome_;  // hint cells, then the grid
+  std::vector<std::uint32_t> target_row_;   // per phase target: its row
+  std::vector<std::uint32_t> port_column_;  // per port-list entry: column
+  // Address -> row: one 1 KiB page per /24 holding a target, found
+  // through a /24 -> page directory and a memo of the last page used.
+  std::vector<std::unique_ptr<RowPage>> row_pages_;
+  util::FlatMap<std::uint32_t, std::uint32_t> page_of_;  // /24 -> page
+  std::uint32_t memo_prefix_{0};
+  RowPage* memo_page_{nullptr};  // page of memo_prefix_; null: no memo
+  util::FlatMap<std::uint32_t, std::uint32_t> column_of_;  // (proto, port)
+
+  // Adaptive mode.
+  Feed feed_;
+  std::vector<net::Prefix> internal_;
+  util::FlatSet<net::Port> udp_seed_ports_;
+  /// Accumulated passive hints, deduped, in first-observed order.
+  util::FlatSet<passive::ServiceKey, passive::ServiceKeyHash> hints_;
+  ScanPriors priors_;
+  /// The hints at scan start: candidates [0, H). Hints noted later wait
+  /// for the next scan.
+  std::vector<passive::ServiceKey> scan_hints_;
+  /// Queued hints off the grid -> their own cell (index < H).
+  util::FlatMap<passive::ServiceKey, std::uint32_t, passive::ServiceKeyHash>
+      hint_cell_;
+  /// Candidates not yet probed, highest score first; ties drain in index
+  /// order. A popped index is never queued again.
+  ScoreQueue queue_;
+  std::uint64_t budget_left_{0};
+  /// SYN-ACKed endpoints awaiting the data-probe verdict.
+  util::FlatMap<passive::ServiceKey, VerifyState, passive::ServiceKeyHash>
+      verifying_;
+  std::uint64_t budget_spent_total_{0};
+  std::uint64_t seeds_probed_total_{0};
+  std::uint64_t verify_sent_total_{0};
+  std::uint64_t verify_confirmed_total_{0};
+  std::uint64_t demotions_total_{0};
 
   // Optional metrics (null until attach_metrics).
   util::MetricsRegistry* metrics_{nullptr};
@@ -216,92 +377,18 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
   util::Counter* m_responses_{nullptr};
   util::Counter* m_discoveries_{nullptr};
   util::Counter* m_scans_{nullptr};
+  util::Gauge* m_budget_{nullptr};
+  util::Counter* m_budget_spent_{nullptr};
+  util::Counter* m_yield_open_{nullptr};
+  util::Counter* m_seeds_probed_{nullptr};
+  util::Counter* m_verify_sent_{nullptr};
+  util::Counter* m_verify_confirmed_{nullptr};
+  util::Counter* m_demotions_{nullptr};
+  util::Gauge* m_entropy_{nullptr};
 };
 
-/// The paper's fixed exhaustive sweep: every target address x the full
-/// port list, in address-major, port-minor order.
-class Prober final : public ProberBase {
- public:
-  Prober(sim::Network& network, ProberConfig config);
-
-  void start_scan(ScanSpec spec,
-                  std::function<void(const ScanRecord&)> on_complete = {})
-      override;
-
-  // sim::PacketSink — receives probe responses.
-  void on_packet(const net::Packet& p) override;
-
-  // sim::TimerTarget — pacing ticks (tag = machine index) plus the two
-  // phase-transition timeouts.
-  void on_timer(std::uint64_t tag) override;
-
- private:
-  static constexpr std::uint64_t kTimerBeginPortPhase = ~std::uint64_t{1};
-
-  struct ProbeTask {
-    net::Ipv4 addr{};
-    net::Port port{0};
-    net::Proto proto{net::Proto::kTcp};
-    std::size_t cell{0};  ///< index into cell_outcome_ (port phase only)
-  };
-  /// One machine's share of the current phase. Tasks are never
-  /// materialized: a 1M-address scan used to build a vector of every
-  /// (addr, port) pair per machine up front; the plan is three integers
-  /// and task_at() computes probe `cursor` on demand, in the identical
-  /// address-major, port-minor order.
-  struct MachinePlan {
-    std::size_t first_target{0};  ///< index into *phase_targets_
-    std::size_t target_count{0};
-    std::size_t task_count{0};
-  };
-
-  void plan_phase(bool ping, std::size_t target_count);
-  void start_phase();
-  ProbeTask task_at(std::size_t machine, std::size_t cursor) const;
-  void begin_port_phase();
-  void send_next(std::size_t machine);
-  /// Settles the pending outcome of the probe to (addr, port, proto);
-  /// a no-op for replies that match no pending probe.
-  void resolve(net::Ipv4 addr, net::Port port, net::Proto proto,
-               ProbeStatus status);
-  void finalize_scan();
-
-  std::vector<MachinePlan> plan_;    // per machine share of the phase
-  std::vector<std::size_t> cursor_;  // per machine: next probe
-  /// Targets of the current phase: spec_.targets, or alive_targets_
-  /// after a host-discovery pre-pass. Both outlive the phase.
-  const std::vector<net::Ipv4>* phase_targets_{nullptr};
-  std::size_t machines_done_{0};
-  // Host-discovery phase state.
-  bool pinging_{false};
-  util::FlatSet<net::Ipv4> alive_hosts_;
-  std::vector<net::Ipv4> alive_targets_;
-
-  /// A row page: the rows of one /24's 256 addresses, each 0 (no row)
-  /// or 1 + the row of the address's first occurrence.
-  using RowPage = std::array<std::uint32_t, 256>;
-  /// The row slot of `addr`, or null when its /24 holds no target.
-  std::uint32_t* find_row(net::Ipv4 addr);
-  /// The row slot of `addr`, allocating its /24's page if needed.
-  std::uint32_t& row_slot(net::Ipv4 addr);
-
-  // The port phase's probe grid (DESIGN.md §16), built by plan_phase and
-  // freed when the scan finishes. Row r is the r-th phase target, column
-  // c the c-th port-list entry (TCP ports, then UDP); a repeated target
-  // or port maps to the row or column of its first occurrence. A cell
-  // holds 0 until probed, then 1 + the index in current_.outcomes of its
-  // latest outcome.
-  std::size_t columns_{0};
-  std::vector<std::uint32_t> cell_outcome_;
-  std::vector<std::uint32_t> target_row_;   // per phase target: its row
-  std::vector<std::uint32_t> port_column_;  // per port-list entry: column
-  // Address -> row: one 1 KiB page per /24 holding a target, found
-  // through a /24 -> page directory and a memo of the last page used.
-  std::vector<std::unique_ptr<RowPage>> row_pages_;
-  util::FlatMap<std::uint32_t, std::uint32_t> page_of_;  // /24 -> page
-  std::uint32_t memo_prefix_{0};
-  RowPage* memo_page_{nullptr};  // page of memo_prefix_; null: no memo
-  util::FlatMap<std::uint32_t, std::uint32_t> column_of_;  // (proto, port)
-};
+/// Kept only because perfbench/layers.cpp names it; delete it with the
+/// next benchmark change.
+using ProberBase = Prober;
 
 }  // namespace svcdisc::active

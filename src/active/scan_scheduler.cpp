@@ -6,7 +6,7 @@
 
 namespace svcdisc::active {
 
-ScanScheduler::ScanScheduler(sim::Simulator& sim, ProberBase& prober,
+ScanScheduler::ScanScheduler(sim::Simulator& sim, Prober& prober,
                              ScanSpec spec, ScheduleConfig schedule)
     : sim_(sim), prober_(prober), spec_(std::move(spec)),
       schedule_(schedule) {}

@@ -27,7 +27,7 @@ class ScanScheduler final : public sim::TimerTarget {
  public:
   /// `spec` is reused for every scan. The scheduler does not own the
   /// prober; both must outlive the simulation run.
-  ScanScheduler(sim::Simulator& sim, ProberBase& prober, ScanSpec spec,
+  ScanScheduler(sim::Simulator& sim, Prober& prober, ScanSpec spec,
                 ScheduleConfig schedule);
 
   /// Registers all scan firings with the simulator. Call once.
@@ -46,7 +46,7 @@ class ScanScheduler final : public sim::TimerTarget {
   void fire();
 
   sim::Simulator& sim_;
-  ProberBase& prober_;
+  Prober& prober_;
   ScanSpec spec_;
   ScheduleConfig schedule_;
   int fired_{0};

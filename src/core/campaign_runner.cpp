@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "core/worker_pool.h"
@@ -67,12 +71,23 @@ CampaignRunner::CampaignRunner(std::size_t threads)
     : threads_(threads == 0 ? default_threads() : threads) {}
 
 std::size_t CampaignRunner::default_threads() {
-  if (const char* env = std::getenv("SVCDISC_JOBS")) {
-    const long n = std::atol(env);
-    if (n >= 1) return static_cast<std::size_t>(n);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return env_count("SVCDISC_JOBS", hw == 0 ? 1 : hw);
+}
+
+std::size_t env_count(const char* name, std::size_t unset) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return unset;
+  const std::string_view text(env);
+  std::size_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc() || ptr != end || n == 0) {
+    throw std::invalid_argument(std::string(name) +
+                                ": expected an integer >= 1, got \"" +
+                                std::string(text) + "\"");
+  }
+  return n;
 }
 
 std::vector<CampaignResult> CampaignRunner::run(

@@ -89,12 +89,18 @@ class CampaignRunner {
   /// result's `error` instead of propagating.
   std::vector<CampaignResult> run(std::vector<CampaignJob> jobs) const;
 
-  /// SVCDISC_JOBS env var when set (>= 1), else hardware concurrency.
+  /// SVCDISC_JOBS through env_count when set, else hardware concurrency.
+  /// Throws std::invalid_argument on a malformed SVCDISC_JOBS.
   static std::size_t default_threads();
 
  private:
   std::size_t threads_;
 };
+
+/// The count in environment variable `name`, or `unset` when it is not
+/// set. The whole value must be a decimal integer >= 1; anything else
+/// ("2x", "abc", "0", "") throws std::invalid_argument naming `name`.
+std::size_t env_count(const char* name, std::size_t unset);
 
 /// Convenience: one job per seed in [first_seed, first_seed + count),
 /// labelled "seed-<n>".

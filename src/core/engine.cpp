@@ -114,20 +114,16 @@ DiscoveryEngine::DiscoveryEngine(workload::Campus& campus, EngineConfig config)
 
   active::ProberConfig prober_config;
   prober_config.source_addrs = campus_.prober_sources();
-  if (config_.adaptive_prober) {
-    auto adaptive = std::make_unique<active::AdaptiveProber>(
-        campus_.network(), prober_config, config_.adaptive);
-    adaptive->configure_feed(campus_.internal_prefixes(),
-                             campus_.config().udp_mode
-                                 ? campus_.udp_ports()
-                                 : std::vector<net::Port>{});
+  prober_ = std::make_unique<active::Prober>(
+      campus_.network(), prober_config,
+      config_.adaptive_prober ? std::optional(config_.adaptive) : std::nullopt);
+  if (prober_->adaptive()) {
+    prober_->configure_feed(campus_.internal_prefixes(),
+                            campus_.config().udp_mode
+                                ? campus_.udp_ports()
+                                : std::vector<net::Port>{});
     // The seeding feed joins every tap after the monitors/streaming.
-    for (auto& tap : taps_) tap->add_consumer(&adaptive->passive_feed());
-    adaptive_ = adaptive.get();
-    prober_ = std::move(adaptive);
-  } else {
-    prober_ =
-        std::make_unique<active::Prober>(campus_.network(), prober_config);
+    for (auto& tap : taps_) tap->add_consumer(&prober_->passive_feed());
   }
   if (metrics) prober_->attach_metrics(*metrics, "active");
   if (metrics) campus_.simulator().attach_metrics(*metrics, "sim");

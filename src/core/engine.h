@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "active/adaptive_prober.h"
 #include "active/prober.h"
 #include "active/scan_scheduler.h"
 #include "analysis/streaming.h"
@@ -83,7 +82,7 @@ struct EngineConfig {
   /// O(services). The --streaming CLI mode enables this together with
   /// `streaming`; default off preserves exact historical artifacts.
   bool sketch_tables{false};
-  /// Budgeted adaptive prober (DESIGN.md §16) instead of the paper's
+  /// The prober's adaptive mode (DESIGN.md §16) instead of the paper's
   /// fixed exhaustive sweep: passive seeding from the border taps,
   /// learned priors, probe budget, LZR-style SYN-ACK verification.
   bool adaptive_prober{false};
@@ -110,12 +109,8 @@ class DiscoveryEngine {
   passive::PassiveMonitor& link_monitor(std::size_t peering);
   std::size_t link_monitor_count() const { return link_monitors_.size(); }
 
-  active::ProberBase& prober() { return *prober_; }
-  const active::ProberBase& prober() const { return *prober_; }
-  /// The adaptive prober, or nullptr when the engine runs the fixed
-  /// sweep (EngineConfig::adaptive_prober off).
-  active::AdaptiveProber* adaptive_prober() { return adaptive_; }
-  const active::AdaptiveProber* adaptive_prober() const { return adaptive_; }
+  active::Prober& prober() { return *prober_; }
+  const active::Prober& prober() const { return *prober_; }
   active::ScanScheduler* scheduler() { return scheduler_.get(); }
 
   const passive::ScanDetector& scan_detector() const { return *detector_; }
@@ -169,9 +164,7 @@ class DiscoveryEngine {
   std::vector<std::unique_ptr<passive::PassiveMonitor>> link_monitors_;
   std::vector<std::unique_ptr<capture::SampledStream>> sampled_streams_;
   std::vector<std::unique_ptr<passive::PassiveMonitor>> sampled_monitors_;
-  std::unique_ptr<active::ProberBase> prober_;
-  /// Non-owning view of prober_ when it is an AdaptiveProber.
-  active::AdaptiveProber* adaptive_{nullptr};
+  std::unique_ptr<active::Prober> prober_;
   std::unique_ptr<active::ScanScheduler> scheduler_;
 };
 

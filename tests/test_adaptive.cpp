@@ -16,7 +16,6 @@
 #include <tuple>
 #include <vector>
 
-#include "active/adaptive_prober.h"
 #include "active/priors.h"
 #include "active/prober.h"
 #include "active/score_queue.h"
@@ -266,7 +265,7 @@ TEST(ScoreQueue, SignedZerosShareOneBucket) {
   EXPECT_EQ(queue.repushes(), 0u);
 }
 
-// --------------------------------------------------------- AdaptiveProber --
+// ----------------------------------------------------------- adaptive mode --
 
 struct World {
   World()
@@ -305,52 +304,156 @@ ScanSpec small_spec(std::vector<Ipv4> targets) {
   return spec;
 }
 
-TEST(AdaptiveProber, UntrainedUnlimitedBudgetMatchesFixedSweep) {
-  // With no priors, no budget and nothing seeded, the queue's tie-break
-  // degenerates to the fixed sweep: identical outcomes, identical
-  // discoveries.
-  const auto build = [](World& w) {
-    w.add_host(Ipv4::from_octets(128, 125, 1, 1)).add_service(tcp(80));
-    w.add_host(Ipv4::from_octets(128, 125, 1, 2)).add_service(tcp(22));
-    w.add_host(Ipv4::from_octets(128, 125, 1, 3));  // all ports closed
-    // 128.125.1.4 has no host.
-  };
-  const std::vector<Ipv4> targets = {
-      Ipv4::from_octets(128, 125, 1, 1), Ipv4::from_octets(128, 125, 1, 2),
-      Ipv4::from_octets(128, 125, 1, 3), Ipv4::from_octets(128, 125, 1, 4)};
+net::Packet tcp_reply(const World& w, Ipv4 from, net::Port sport,
+                      net::TcpFlags flags) {
+  net::Packet p = net::make_tcp(from, sport, w.prober_addr, 40000, flags);
+  p.time = w.sim.now();
+  return p;
+}
 
-  World wf;
-  build(wf);
-  Prober fixed(wf.network, {{wf.prober_addr}});
-  std::optional<ScanRecord> fixed_rec;
-  fixed.start_scan(small_spec(targets),
-                   [&](const ScanRecord& r) { fixed_rec = r; });
-  wf.sim.run();
-
-  World wa;
-  build(wa);
-  AdaptiveProber adaptive(wa.network, {{wa.prober_addr}}, AdaptiveConfig{});
-  std::optional<ScanRecord> adaptive_rec;
-  adaptive.start_scan(small_spec(targets),
-                      [&](const ScanRecord& r) { adaptive_rec = r; });
-  wa.sim.run();
-
-  ASSERT_TRUE(fixed_rec.has_value());
-  ASSERT_TRUE(adaptive_rec.has_value());
-  EXPECT_EQ(adaptive_rec->outcomes.size(), fixed_rec->outcomes.size());
-  EXPECT_EQ(adaptive_rec->count(ProbeStatus::kOpen),
-            fixed_rec->count(ProbeStatus::kOpen));
-  EXPECT_EQ(adaptive_rec->count(ProbeStatus::kClosed),
-            fixed_rec->count(ProbeStatus::kClosed));
-  EXPECT_EQ(adaptive_rec->count(ProbeStatus::kFiltered),
-            fixed_rec->count(ProbeStatus::kFiltered));
-  EXPECT_EQ(adaptive_rec->count(ProbeStatus::kUnverified), 0u);
-  const auto fixed_open = fixed_rec->open_services();
-  const auto adaptive_open = adaptive_rec->open_services();
-  ASSERT_EQ(adaptive_open.size(), fixed_open.size());
-  for (std::size_t i = 0; i < fixed_open.size(); ++i) {
-    EXPECT_EQ(adaptive_open[i], fixed_open[i]);
+const ProbeOutcome* find_outcome(const ScanRecord& record, Ipv4 addr,
+                                 net::Port port) {
+  for (const ProbeOutcome& o : record.outcomes) {
+    if (o.key.addr == addr && o.key.port == port) return &o;
   }
+  return nullptr;
+}
+
+/// The four-host world of the sweep-equivalence tests: 1.1 serves 80,
+/// 1.2 serves 22, 1.3 closes everything, 1.4 has no host.
+const std::vector<Ipv4> kFourTargets = {
+    Ipv4::from_octets(128, 125, 1, 1), Ipv4::from_octets(128, 125, 1, 2),
+    Ipv4::from_octets(128, 125, 1, 3), Ipv4::from_octets(128, 125, 1, 4)};
+
+/// Runs one scan of kFourTargets x {80, 22} on a fresh four-host world.
+/// The whole grid goes out before the first answer arrives (10 us
+/// spacing, 2 ms round trip), so priors that start untrained stay
+/// untrained while the adaptive mode picks its order.
+ScanRecord scan_four_hosts(std::size_t machines,
+                           std::optional<AdaptiveConfig> adaptive) {
+  World w;
+  w.add_host(kFourTargets[0]).add_service(tcp(80));
+  w.add_host(kFourTargets[1]).add_service(tcp(22));
+  w.add_host(kFourTargets[2]);
+  ProberConfig config{{w.prober_addr}};
+  if (machines == 2) {
+    config.source_addrs.push_back(Ipv4::from_octets(10, 1, 0, 2));
+  }
+  Prober prober(w.network, config, adaptive);
+  ScanSpec spec = small_spec(kFourTargets);
+  spec.probes_per_sec = 100000.0;
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  w.sim.run();
+  EXPECT_TRUE(record.has_value());
+  return record.value_or(ScanRecord{});
+}
+
+/// "addr:port" of every outcome, in order.
+std::vector<std::string> probe_order(const ScanRecord& record) {
+  std::vector<std::string> order;
+  for (const ProbeOutcome& o : record.outcomes) {
+    order.push_back(o.key.addr.to_string() + ":" + std::to_string(o.key.port));
+  }
+  return order;
+}
+
+TEST(AdaptiveProber, UntrainedUnlimitedBudgetMatchesFixedSweep) {
+  // With untrained priors, no budget, nothing seeded and no verification
+  // (which would move an open outcome's time to the data reply), the
+  // queue's index tie-break is the sweep order: the same outcomes, key,
+  // status and time, one by one.
+  AdaptiveConfig config;
+  config.verify = false;
+  const ScanRecord fixed = scan_four_hosts(1, std::nullopt);
+  const ScanRecord adaptive = scan_four_hosts(1, config);
+  ASSERT_EQ(fixed.outcomes.size(), 8u);
+  ASSERT_EQ(adaptive.outcomes.size(), fixed.outcomes.size());
+  for (std::size_t i = 0; i < fixed.outcomes.size(); ++i) {
+    EXPECT_EQ(adaptive.outcomes[i].key, fixed.outcomes[i].key) << i;
+    EXPECT_EQ(adaptive.outcomes[i].status, fixed.outcomes[i].status) << i;
+    EXPECT_EQ(adaptive.outcomes[i].when, fixed.outcomes[i].when) << i;
+  }
+  EXPECT_EQ(fixed.count(ProbeStatus::kOpen), 2u);
+  EXPECT_EQ(fixed.count(ProbeStatus::kClosed), 4u);
+  EXPECT_EQ(fixed.count(ProbeStatus::kFiltered), 2u);
+}
+
+TEST(AdaptiveMode, TwoMachinesShareOneQueueWhereTheSweepSplitsTargets) {
+  // The modes differ only in the port phase's send order. The sweep gives
+  // each machine a contiguous share of the targets (1.1-1.2 and 1.3-1.4),
+  // which probe side by side; the adaptive machines pop one queue, so
+  // together they walk the sweep order.
+  AdaptiveConfig config;
+  config.verify = false;
+  const ScanRecord fixed = scan_four_hosts(2, std::nullopt);
+  const ScanRecord adaptive = scan_four_hosts(2, config);
+  const std::vector<std::string> shares = {
+      "128.125.1.1:80", "128.125.1.3:80", "128.125.1.1:22", "128.125.1.3:22",
+      "128.125.1.2:80", "128.125.1.4:80", "128.125.1.2:22", "128.125.1.4:22"};
+  const std::vector<std::string> queue = {
+      "128.125.1.1:80", "128.125.1.1:22", "128.125.1.2:80", "128.125.1.2:22",
+      "128.125.1.3:80", "128.125.1.3:22", "128.125.1.4:80", "128.125.1.4:22"};
+  EXPECT_EQ(probe_order(fixed), shares);
+  EXPECT_EQ(probe_order(adaptive), queue);
+  // Same probes, same verdicts.
+  for (const ProbeOutcome& o : adaptive.outcomes) {
+    const auto it = std::find_if(
+        fixed.outcomes.begin(), fixed.outcomes.end(),
+        [&](const ProbeOutcome& f) { return f.key == o.key; });
+    ASSERT_NE(it, fixed.outcomes.end());
+    EXPECT_EQ(o.status, it->status);
+  }
+}
+
+TEST(AdaptiveMode, PingPrePassRanksOnlyResponders) {
+  // 1.1 answers the ping and nothing else: no services, silent closed UDP
+  // ports. 1.2 drops pings but answers UDP 137; 1.3 has no host. Hints
+  // on both hosts: only the responder's is probed, and the responder's
+  // silent UDP ports are "possibly open" on the strength of the ping.
+  World w;
+  const Ipv4 up = Ipv4::from_octets(128, 125, 1, 1);
+  const Ipv4 hidden = Ipv4::from_octets(128, 125, 1, 2);
+  w.add_host(up).set_udp_icmp(false);
+  Host& ping_silent = w.add_host(hidden);
+  ping_silent.set_icmp_echo(false);
+  Service netbios;
+  netbios.proto = Proto::kUdp;
+  netbios.port = 137;
+  netbios.udp_replies_to_generic_probe = true;
+  ping_silent.add_service(netbios);
+  ping_silent.add_service(tcp(80));
+
+  Prober prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  util::MetricsRegistry registry;
+  prober.attach_metrics(registry, "active");
+  prober.note_passive({hidden, Proto::kTcp, 80});
+  prober.note_passive({up, Proto::kUdp, 161});
+  ScanSpec spec = small_spec({up, hidden, Ipv4::from_octets(128, 125, 1, 3)});
+  spec.tcp_ports = {};
+  spec.udp_ports = {137};
+  spec.host_discovery = true;
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  w.sim.run();
+
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->hosts_pinged, 3u);
+  EXPECT_EQ(record->hosts_alive, 1u);
+  // The responder's hint first, then its grid cell.
+  ASSERT_EQ(record->outcomes.size(), 2u);
+  for (const ProbeOutcome& o : record->outcomes) {
+    EXPECT_EQ(o.key.addr, up) << "probed " << o.key.addr.to_string();
+    EXPECT_EQ(o.status, ProbeStatus::kMaybeOpen);
+  }
+  EXPECT_EQ(record->outcomes[0].key.port, 161);
+  EXPECT_EQ(record->outcomes[1].key.port, 137);
+  const util::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.value_of("active.pings_sent"), 3.0);
+  EXPECT_EQ(snap.value_of("active.probes_tcp_sent"), 0.0);
+  EXPECT_EQ(snap.value_of("active.probes_udp_sent"), 2.0);
+  EXPECT_EQ(prober.seeds_probed_total(), 1u);
+  EXPECT_EQ(prober.table().size(), 0u);
 }
 
 TEST(AdaptiveProber, BudgetCapsFirstStageProbes) {
@@ -358,7 +461,7 @@ TEST(AdaptiveProber, BudgetCapsFirstStageProbes) {
   w.add_host(Ipv4::from_octets(128, 125, 1, 1)).add_service(tcp(80));
   AdaptiveConfig cfg;
   cfg.probe_budget = 4;  // grid is 3 addresses x 2 ports = 6
-  AdaptiveProber prober(w.network, {{w.prober_addr}}, cfg);
+  Prober prober(w.network, {{w.prober_addr}}, cfg);
   std::optional<ScanRecord> record;
   prober.start_scan(small_spec({Ipv4::from_octets(128, 125, 1, 1),
                                 Ipv4::from_octets(128, 125, 1, 2),
@@ -380,7 +483,7 @@ TEST(AdaptiveProber, VerificationDemotesSynAckEverythingHosts) {
   middlebox.set_syn_policy(SynPolicy::kSynAckAll);  // no real services
   w.add_host(Ipv4::from_octets(128, 125, 1, 2)).add_service(tcp(80));
 
-  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  Prober prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
   std::optional<ScanRecord> record;
   prober.start_scan(small_spec({Ipv4::from_octets(128, 125, 1, 1),
                                 Ipv4::from_octets(128, 125, 1, 2)}),
@@ -407,7 +510,7 @@ TEST(AdaptiveProber, NoVerifyModeCountsSynAcksLikeTheFixedSweep) {
   middlebox.set_syn_policy(SynPolicy::kSynAckAll);
   AdaptiveConfig cfg;
   cfg.verify = false;
-  AdaptiveProber prober(w.network, {{w.prober_addr}}, cfg);
+  Prober prober(w.network, {{w.prober_addr}}, cfg);
   std::optional<ScanRecord> record;
   prober.start_scan(small_spec({Ipv4::from_octets(128, 125, 1, 1)}),
                     [&](const ScanRecord& r) { record = r; });
@@ -428,7 +531,7 @@ TEST(AdaptiveProber, PassiveSeedsOutrankTheGridAndExtendThePortSpace) {
   }
   AdaptiveConfig cfg;
   cfg.probe_budget = 1;
-  AdaptiveProber prober(w.network, {{w.prober_addr}}, cfg);
+  Prober prober(w.network, {{w.prober_addr}}, cfg);
   prober.note_passive({Ipv4::from_octets(128, 125, 1, 9), Proto::kTcp, 8080});
   EXPECT_EQ(prober.hint_count(), 1u);
 
@@ -454,7 +557,7 @@ TEST(AdaptiveProber, OutcomesTrainThePriorsOnline) {
     w.add_host(Ipv4::from_octets(128, 125, 1, static_cast<std::uint8_t>(i)))
         .add_service(tcp(80));
   }
-  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  Prober prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
   std::optional<ScanRecord> record;
   prober.start_scan(small_spec({Ipv4::from_octets(128, 125, 1, 1),
                                 Ipv4::from_octets(128, 125, 1, 2),
@@ -472,24 +575,9 @@ TEST(AdaptiveProber, OutcomesTrainThePriorsOnline) {
 
 // ------------------------------------------------------- pending cells --
 //
-// Replies find their probe through the scan's key -> candidate map and a
-// per-candidate pending cell. These tests inject replies straight into
+// Replies find their probe's cell through the scan's grid, or a queued
+// hint's own cell off the grid. These tests inject replies straight into
 // on_packet at chosen moments of a scan.
-
-net::Packet tcp_reply(const World& w, Ipv4 from, net::Port sport,
-                      net::TcpFlags flags) {
-  net::Packet p = net::make_tcp(from, sport, w.prober_addr, 40000, flags);
-  p.time = w.sim.now();
-  return p;
-}
-
-const ProbeOutcome* find_outcome(const ScanRecord& record, Ipv4 addr,
-                                 net::Port port) {
-  for (const ProbeOutcome& o : record.outcomes) {
-    if (o.key.addr == addr && o.key.port == port) return &o;
-  }
-  return nullptr;
-}
 
 TEST(AdaptivePending, DuplicateSynAckAfterVerificationStartsIsIgnored) {
   World w;
@@ -497,7 +585,7 @@ TEST(AdaptivePending, DuplicateSynAckAfterVerificationStartsIsIgnored) {
   const Ipv4 web = Ipv4::from_octets(128, 125, 1, 2);
   w.add_host(box).set_syn_policy(SynPolicy::kSynAckAll);
   w.add_host(web).add_service(tcp(80));
-  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  Prober prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
   std::optional<ScanRecord> record;
   prober.start_scan(small_spec({box, web}),
                     [&](const ScanRecord& r) { record = r; });
@@ -529,7 +617,7 @@ TEST(AdaptivePending, DuplicateReplyToASettledProbeIsIgnored) {
   World w;
   const Ipv4 web = Ipv4::from_octets(128, 125, 1, 1);
   w.add_host(web).add_service(tcp(80));
-  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  Prober prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
   std::optional<ScanRecord> record;
   prober.start_scan(small_spec({web}),
                     [&](const ScanRecord& r) { record = r; });
@@ -553,7 +641,7 @@ TEST(AdaptivePending, ReplyForCandidateNotYetProbedSettlesNothing) {
   const Ipv4 web = Ipv4::from_octets(128, 125, 1, 1);
   const Ipv4 dark = Ipv4::from_octets(128, 125, 1, 5);  // no host
   w.add_host(web).add_service(tcp(80));
-  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  Prober prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
   ScanSpec spec = small_spec({web, dark});
   spec.tcp_ports = {80};
   spec.probes_per_sec = 1.0;  // web:80 at 0 s, dark:80 at 1 s
@@ -583,7 +671,7 @@ TEST(AdaptivePending, ReplyFromKeyThatIsNotACandidateIsIgnored) {
   const Ipv4 web = Ipv4::from_octets(128, 125, 1, 1);
   const Ipv4 other = Ipv4::from_octets(128, 125, 1, 7);  // not a target
   w.add_host(web).add_service(tcp(80));
-  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  Prober prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
   ScanSpec spec = small_spec({web});
   spec.tcp_ports = {80};
   std::optional<ScanRecord> record;
@@ -617,7 +705,7 @@ TEST(AdaptivePending, HintAddedMidScanWaitsForTheNextScan) {
   const Ipv4 alt = Ipv4::from_octets(128, 125, 1, 9);
   w.add_host(web).add_service(tcp(80));
   w.add_host(alt).add_service(tcp(8080));
-  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  Prober prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
   ScanSpec spec = small_spec({web, Ipv4::from_octets(128, 125, 1, 2)});
   spec.probes_per_sec = 1.0;
   std::optional<ScanRecord> record;
@@ -654,7 +742,7 @@ TEST(AdaptivePending, HintOnTheGridIsProbedAndCountedOnce) {
   World w;
   const Ipv4 web = Ipv4::from_octets(128, 125, 1, 1);
   w.add_host(web).add_service(tcp(80));
-  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  Prober prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
   util::MetricsRegistry registry;
   prober.attach_metrics(registry, "prober");
   prober.note_passive({web, Proto::kTcp, 80});
@@ -737,7 +825,7 @@ TEST(AdaptiveCampaign, MiddleboxPackDeflatesUnderLzrVerification) {
   workload::Campus adaptive_campus(spec.campus);
   core::DiscoveryEngine adaptive(adaptive_campus, adaptive_cfg);
   adaptive.run();
-  ASSERT_NE(adaptive.adaptive_prober(), nullptr);
+  ASSERT_TRUE(adaptive.prober().adaptive());
 
   const std::size_t fixed_active = services_in_block(
       fixed.prober().table(), spec.campus, workload::kMiddleboxBlockOffset,
@@ -754,7 +842,7 @@ TEST(AdaptiveCampaign, MiddleboxPackDeflatesUnderLzrVerification) {
   // Adaptive: the SYN-ACKs never pass data-exchange verification.
   EXPECT_EQ(adaptive_active, 0u);
   EXPECT_LE(adaptive_active, passive_seen);
-  EXPECT_GT(adaptive.adaptive_prober()->demotions_total(), 0u);
+  EXPECT_GT(adaptive.prober().demotions_total(), 0u);
 
   // Outside the middlebox block, verification must not cost coverage:
   // everything the fixed sweep found, the adaptive prober confirmed.
@@ -796,8 +884,8 @@ TEST(AdaptiveCampaign, HalfBudgetKeepsNinetyPercentOfFixedDiscoveries) {
   workload::Campus adaptive_campus(cfg);
   core::DiscoveryEngine adaptive(adaptive_campus, adaptive_cfg);
   adaptive.run();
-  ASSERT_NE(adaptive.adaptive_prober(), nullptr);
-  EXPECT_LE(adaptive.adaptive_prober()->budget_spent_total(),
+  ASSERT_TRUE(adaptive.prober().adaptive());
+  EXPECT_LE(adaptive.prober().budget_spent_total(),
             fixed_probes / 2);
 
   std::size_t covered = 0;
@@ -825,8 +913,8 @@ TEST(AdaptiveCampaign, EveryScanProbesEachKeyAtMostOnce) {
   workload::Campus campus(cfg);
   core::DiscoveryEngine engine(campus, engine_cfg);
   engine.run();
-  ASSERT_NE(engine.adaptive_prober(), nullptr);
-  EXPECT_GT(engine.adaptive_prober()->seeds_probed_total(), 0u);
+  ASSERT_TRUE(engine.prober().adaptive());
+  EXPECT_GT(engine.prober().seeds_probed_total(), 0u);
 
   const auto& scans = engine.prober().scans();
   ASSERT_EQ(scans.size(), 2u);

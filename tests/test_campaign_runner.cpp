@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -172,6 +174,39 @@ TEST(CampaignRunner, SetupHookRunsBeforeDrive) {
 // `svcdisc_cli scenario verify` and `ctest -L scenario` use. Any
 // behavioural drift — intended or not — shows up as a reviewable diff
 // in tests/scenarios/usc_tiny/expected/.
+TEST(CampaignRunner, EnvCountsParseTheWholeValue) {
+  // SVCDISC_JOBS and SVCDISC_SWEEP_SEEDS: a whole decimal integer >= 1,
+  // or unset. A trailing suffix, a word, zero or an empty value is an
+  // error naming the variable, not a silent default.
+  const char* saved = std::getenv("SVCDISC_JOBS");
+  const std::string restore = saved ? saved : "";
+  ASSERT_EQ(::setenv("SVCDISC_JOBS", "3", 1), 0);
+  EXPECT_EQ(CampaignRunner::default_threads(), 3u);
+  EXPECT_EQ(CampaignRunner().threads(), 3u);
+  for (const char* bad : {"2x", "abc", "0", "", " 2", "-1", "1.5"}) {
+    ASSERT_EQ(::setenv("SVCDISC_JOBS", bad, 1), 0);
+    try {
+      CampaignRunner::default_threads();
+      ADD_FAILURE() << "accepted SVCDISC_JOBS=\"" << bad << '"';
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("SVCDISC_JOBS"), std::string::npos)
+          << e.what();
+    }
+  }
+  ASSERT_EQ(::unsetenv("SVCDISC_JOBS"), 0);
+  EXPECT_GE(CampaignRunner::default_threads(), 1u);
+
+  ASSERT_EQ(::unsetenv("SVCDISC_SWEEP_SEEDS"), 0);
+  EXPECT_EQ(env_count("SVCDISC_SWEEP_SEEDS", 8), 8u);
+  ASSERT_EQ(::setenv("SVCDISC_SWEEP_SEEDS", "12", 1), 0);
+  EXPECT_EQ(env_count("SVCDISC_SWEEP_SEEDS", 8), 12u);
+  ASSERT_EQ(::setenv("SVCDISC_SWEEP_SEEDS", "4seeds", 1), 0);
+  EXPECT_THROW(env_count("SVCDISC_SWEEP_SEEDS", 8), std::invalid_argument);
+  ASSERT_EQ(::unsetenv("SVCDISC_SWEEP_SEEDS"), 0);
+
+  if (saved) ::setenv("SVCDISC_JOBS", restore.c_str(), 1);
+}
+
 TEST(CampaignRunner, UscTinyScenarioPackMatchesGoldens) {
   const std::string dir = std::string(SVCDISC_SCENARIO_DIR) + "/usc_tiny";
   ScenarioSpec spec;

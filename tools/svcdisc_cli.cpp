@@ -48,6 +48,7 @@
 #include <filesystem>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -347,14 +348,14 @@ int cmd_run(int argc, const char* const* argv) {
   table.add_row({"scanners flagged",
                  analysis::fmt_count(engine.scan_detector().scanner_count())});
   std::fputs(table.render().c_str(), stdout);
-  if (const active::AdaptiveProber* adaptive = engine.adaptive_prober()) {
+  if (const active::Prober& adaptive = engine.prober(); adaptive.adaptive()) {
     std::printf(
         "adaptive: %llu probes spent (%llu passive-seeded), "
         "%llu verified open, %llu middlebox demotions\n",
-        static_cast<unsigned long long>(adaptive->budget_spent_total()),
-        static_cast<unsigned long long>(adaptive->seeds_probed_total()),
-        static_cast<unsigned long long>(adaptive->verify_confirmed_total()),
-        static_cast<unsigned long long>(adaptive->demotions_total()));
+        static_cast<unsigned long long>(adaptive.budget_spent_total()),
+        static_cast<unsigned long long>(adaptive.seeds_probed_total()),
+        static_cast<unsigned long long>(adaptive.verify_confirmed_total()),
+        static_cast<unsigned long long>(adaptive.demotions_total()));
   }
   if (writer) {
     if (!writer->ok()) {
@@ -1325,4 +1326,12 @@ int dispatch(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace svcdisc
 
-int main(int argc, char** argv) { return svcdisc::dispatch(argc, argv); }
+int main(int argc, char** argv) {
+  try {
+    return svcdisc::dispatch(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    // A malformed environment knob, e.g. SVCDISC_JOBS.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+}
