@@ -430,18 +430,18 @@ int table7(Results runs) {
   std::unordered_set<net::Ipv4> responded;
   std::unordered_set<net::Ipv4> all_addrs;
   for (const auto& outcome : scan.outcomes) {
-    all_addrs.insert(outcome.key.addr);
+    all_addrs.insert(outcome.addr);
     switch (outcome.status) {
       case active::ProbeStatus::kOpenUdp:
-        ++open[outcome.key.port];
-        responded.insert(outcome.key.addr);
+        ++open[outcome.port];
+        responded.insert(outcome.addr);
         break;
       case active::ProbeStatus::kClosed:
-        ++closed[outcome.key.port];
-        responded.insert(outcome.key.addr);
+        ++closed[outcome.port];
+        responded.insert(outcome.addr);
         break;
       case active::ProbeStatus::kMaybeOpen:
-        ++possible[outcome.key.port];
+        ++possible[outcome.port];
         break;
       default:
         break;

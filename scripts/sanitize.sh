@@ -3,12 +3,15 @@
 # test suite plus an explicit pass over the fault-injection label
 # (corrupt pcap corpus, impairment stage), then builds under TSan and
 # runs the concurrency-heavy tests (metrics registry, campaign runner and
-# its worker pool, ring buffer, flight recorder).
+# its worker pool, ring buffer, flight recorder). The werror pass builds
+# the whole tree (src, tests, bench, tools, examples, fuzz replay
+# runners) with the tree's own -Wall -Wextra plus -Werror, so a new
+# warning fails the sweep.
 #
-# Usage: scripts/sanitize.sh [asan|tsan|all]   (default: all)
+# Usage: scripts/sanitize.sh [asan|tsan|werror|all]   (default: all)
 #
-# Each sanitizer gets its own build directory (build-asan/, build-tsan/)
-# so the regular build/ stays untouched.
+# Each pass gets its own build directory (build-asan/, build-tsan/,
+# build-werror/) so the regular build/ stays untouched.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -57,9 +60,9 @@ run_asan() {
   echo "== ASan + UBSan: prober =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L prober)
   # The event_core label covers the event heap's index arithmetic and
-  # slab reuse, the packet lanes' ring wrap and growth, the dense
-  # address-owner tables and the scan detector's capped sets, each
-  # replayed against a reference model.
+  # slab reuse, the packet lanes' ring wrap and growth, the pacing slots'
+  # bit masks and heap fallback, the dense address-owner tables and the
+  # scan detector's capped sets, each replayed against a reference model.
   echo "== ASan + UBSan: event core =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L event_core)
   # The figures label renders every table, figure and ablation at
@@ -96,10 +99,17 @@ run_tsan() {
   ./build-tsan/tests/test_adaptive
 }
 
+run_werror() {
+  echo "== -Werror: every target =="
+  cmake -B build-werror -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+  cmake --build build-werror -j "$jobs"
+}
+
 case "$mode" in
   asan) run_asan ;;
   tsan) run_tsan ;;
-  all)  run_asan; run_tsan ;;
-  *) echo "usage: $0 [asan|tsan|all]" >&2; exit 2 ;;
+  werror) run_werror ;;
+  all)  run_werror; run_asan; run_tsan ;;
+  *) echo "usage: $0 [asan|tsan|werror|all]" >&2; exit 2 ;;
 esac
 echo "sanitize: OK ($mode)"

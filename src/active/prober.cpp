@@ -38,7 +38,7 @@ std::vector<passive::ServiceKey> ScanRecord::open_services() const {
   std::vector<passive::ServiceKey> open;
   for (const ProbeOutcome& o : outcomes) {
     if (o.status == ProbeStatus::kOpen || o.status == ProbeStatus::kOpenUdp) {
-      open.push_back(o.key);
+      open.push_back(o.key());
     }
   }
   return open;
@@ -60,12 +60,16 @@ Prober::Prober(sim::Network& network, ProberConfig config,
   }
   for (const net::Ipv4 addr : config_.source_addrs) {
     network_.attach(addr, this);
+    pacing_slots_.push_back(network_.simulator().reserve_pacing_slot());
   }
 }
 
 Prober::~Prober() {
   for (const net::Ipv4 addr : config_.source_addrs) {
     network_.detach(addr, this);
+  }
+  for (const std::size_t slot : pacing_slots_) {
+    network_.simulator().release_pacing_slot(slot);
   }
 }
 
@@ -414,7 +418,8 @@ void Prober::send_next(std::size_t machine) {
     util::trace::instant_value("prober.bucket_wait", now.usec,
                                (next - now).usec);
   }
-  network_.simulator().at_timer(next, this, machine);
+  network_.simulator().at_pacing_timer(pacing_slots_[machine], next, this,
+                                       machine);
 }
 
 void Prober::send_port_probe(net::Ipv4 source, const passive::ServiceKey& key,
@@ -423,7 +428,8 @@ void Prober::send_port_probe(net::Ipv4 source, const passive::ServiceKey& key,
   // repeated target or port probed while the first probe is pending
   // folds into that probe's outcome.
   if (cell == 0) {
-    current_.outcomes.push_back({key, ProbeStatus::kPending, now});
+    current_.outcomes.push_back(
+        {.addr = key.addr, .proto = key.proto, .port = key.port, .when = now});
     cell = static_cast<std::uint32_t>(current_.outcomes.size());
   }
   send_probe(source, key.addr, key.proto, key.port);
@@ -640,19 +646,20 @@ void Prober::settle(std::size_t outcome_index, ProbeStatus status) {
 }
 
 void Prober::record_open(const ProbeOutcome& outcome, bool udp) {
-  if (table_.discover(outcome.key, outcome.when)) {
+  const passive::ServiceKey key = outcome.key();
+  if (table_.discover(key, outcome.when)) {
     SVCDISC_TRACE_INSTANT("prober.discover", outcome.when.usec);
     if (m_discoveries_) m_discoveries_->inc();
-    if (on_discovery) on_discovery(outcome.key, outcome.when);
+    if (on_discovery) on_discovery(key, outcome.when);
   }
-  if (on_open_response) on_open_response(outcome.key, outcome.when, udp);
+  if (on_open_response) on_open_response(key, outcome.when, udp);
 }
 
 void Prober::note_outcome(const ProbeOutcome& outcome) {
   if (!adaptive_) return;
   const bool open = outcome.status == ProbeStatus::kOpen ||
                     outcome.status == ProbeStatus::kOpenUdp;
-  priors_.record(outcome.key.addr, outcome.key.port, outcome.key.proto, open);
+  priors_.record(outcome.addr, outcome.port, outcome.proto, open);
   if (open && m_yield_open_) m_yield_open_->inc();
 }
 
@@ -712,22 +719,22 @@ void Prober::classify_unanswered() {
       current_.outcomes.begin(), current_.outcomes.end(),
       [](const ProbeOutcome& o) {
         return o.status == ProbeStatus::kPending &&
-               o.key.proto != net::Proto::kTcp;
+               o.proto != net::Proto::kTcp;
       });
   util::FlatSet<net::Ipv4> answered;
   if (udp_pending) {
     for (const ProbeOutcome& o : current_.outcomes) {
-      if (o.status != ProbeStatus::kPending) answered.insert(o.key.addr);
+      if (o.status != ProbeStatus::kPending) answered.insert(o.addr);
     }
   }
   for (ProbeOutcome& outcome : current_.outcomes) {
     if (outcome.status != ProbeStatus::kPending) continue;
-    if (outcome.key.proto == net::Proto::kTcp) {
+    if (outcome.proto == net::Proto::kTcp) {
       outcome.status = ProbeStatus::kFiltered;
     } else {
       // A host that answered only the host-discovery ping proved itself
       // alive too.
-      const net::Ipv4 addr = outcome.key.addr;
+      const net::Ipv4 addr = outcome.addr;
       outcome.status =
           alive_hosts_.contains(addr) || answered.contains(addr)
               ? ProbeStatus::kMaybeOpen

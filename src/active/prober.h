@@ -35,6 +35,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "active/priors.h"
@@ -65,11 +66,20 @@ enum class ProbeStatus : std::uint8_t {
   kPending,     ///< internal: awaiting response/timeout
 };
 
+/// One probe's result, 16 bytes: a scan keeps one per probe until the
+/// campaign ends, so the key's fields are laid out around `status`
+/// rather than nesting a padded ServiceKey.
 struct ProbeOutcome {
-  passive::ServiceKey key;
+  net::Ipv4 addr{};
+  net::Proto proto{net::Proto::kTcp};
   ProbeStatus status{ProbeStatus::kPending};
-  util::TimePoint when{};  ///< send time
+  net::Port port{0};
+  util::TimePoint when{};  ///< send time, then the answer's time
+
+  passive::ServiceKey key() const { return {addr, proto, port}; }
 };
+static_assert(sizeof(ProbeOutcome) == 16);
+static_assert(std::has_unique_object_representations_v<ProbeOutcome>);
 
 /// One completed scan's results.
 struct ScanRecord {
@@ -313,6 +323,9 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   ScanRecord current_;
   std::function<void(const ScanRecord&)> on_complete_;
   std::vector<TokenBucket> buckets_;  // per machine pacing
+  /// Per machine: its pacing slot in the simulator's queue (or
+  /// sim::Simulator::kNoPacingSlot), reserved for the prober's lifetime.
+  std::vector<std::size_t> pacing_slots_;
   net::Port next_ephemeral_{40000};
   std::vector<MachinePlan> plan_;    // per machine share of the phase
   std::vector<std::size_t> cursor_;  // per machine: next probe

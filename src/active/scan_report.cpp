@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <string>
+#include <string_view>
 
 #include "analysis/table.h"
 #include "net/ports.h"
@@ -48,7 +50,7 @@ std::string format_scan_report(const ScanRecord& record,
   // Group outcomes per host, ordered by address.
   std::map<std::uint32_t, std::vector<const ProbeOutcome*>> by_host;
   for (const ProbeOutcome& outcome : record.outcomes) {
-    by_host[outcome.key.addr.value()].push_back(&outcome);
+    by_host[outcome.addr.value()].push_back(&outcome);
   }
 
   std::size_t open_hosts = 0, responding = 0, silent = 0, printed = 0;
@@ -82,10 +84,10 @@ std::string format_scan_report(const ScanRecord& record,
                         o->status == ProbeStatus::kClosed)) {
         continue;
       }
-      std::string name(net::port_name(o->key.port));
-      if (name.empty()) name = "-";
-      std::snprintf(line, sizeof line, "  %u/%s %s %s\n", o->key.port,
-                    o->key.proto == net::Proto::kTcp ? "tcp" : "udp",
+      const std::string_view known = net::port_name(o->port);
+      const std::string name(known.empty() ? std::string_view("-") : known);
+      std::snprintf(line, sizeof line, "  %u/%s %s %s\n", o->port,
+                    o->proto == net::Proto::kTcp ? "tcp" : "udp",
                     status_name(o->status), name.c_str());
       out += line;
     }

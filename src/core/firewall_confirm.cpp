@@ -25,15 +25,15 @@ FirewallConfirmation confirm_firewalls(
     // Per candidate, per scan: did we see both a RST and silence?
     std::unordered_map<net::Ipv4, std::uint8_t> seen;  // bit0 RST, bit1 drop
     for (const active::ProbeOutcome& outcome : scan.outcomes) {
-      if (!result.candidates.contains(outcome.key.addr)) continue;
-      if (outcome.key.proto != net::Proto::kTcp) continue;
-      auto& bits = seen[outcome.key.addr];
+      if (!result.candidates.contains(outcome.addr)) continue;
+      if (outcome.proto != net::Proto::kTcp) continue;
+      auto& bits = seen[outcome.addr];
       if (outcome.status == active::ProbeStatus::kClosed) bits |= 1;
       if (outcome.status == active::ProbeStatus::kFiltered) {
         bits |= 2;
         // Method 2: activity on this exact service observed while the
         // scan was running.
-        const passive::ServiceKey key = outcome.key;
+        const passive::ServiceKey key = outcome.key();
         if (const passive::ServiceRecord* record = passive_table.find(key)) {
           if (record->last_activity >= scan.started &&
               record->first_seen <= scan.finished) {

@@ -41,8 +41,8 @@ std::unordered_map<net::Ipv4, util::TimePoint> address_times_from_scans(
           outcome.status != active::ProbeStatus::kOpenUdp) {
         continue;
       }
-      if (!filter.accepts(outcome.key)) continue;
-      const auto [it, inserted] = times.emplace(outcome.key.addr, outcome.when);
+      if (!filter.accepts(outcome.key())) continue;
+      const auto [it, inserted] = times.emplace(outcome.addr, outcome.when);
       if (!inserted && outcome.when < it->second) it->second = outcome.when;
     }
   }

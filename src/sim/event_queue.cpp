@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <bit>
 #include <utility>
 
 namespace svcdisc::sim {
@@ -25,7 +26,8 @@ Event& EventQueue::emplace(util::TimePoint t) {
 void EventQueue::note_pushed(util::TimePoint t, std::size_t source) {
   // The new event has the largest seq, so it precedes the cached earliest
   // only with a strictly earlier time; then it precedes every event, and
-  // is the top of the heap or the front of its (previously empty) lane.
+  // is the top of the heap, the front of its (previously empty) lane or
+  // the timer of its (previously empty) slot.
   if (size_++ == 0 || t < top().time) best_ = source;
 }
 
@@ -40,6 +42,37 @@ void EventQueue::push_timer(util::TimePoint t, TimerTarget* target,
   Event& ev = emplace(t);
   ev.kind = Event::Kind::kTimer;
   ev.pod.timer = {target, tag};
+}
+
+std::size_t EventQueue::reserve_slot() {
+  const std::uint32_t free = ~slots_reserved_ & ((1u << kSlots) - 1);
+  if (free == 0) return kSlots;
+  const auto slot = static_cast<std::size_t>(std::countr_zero(free));
+  slots_reserved_ |= 1u << slot;
+  return slot;
+}
+
+void EventQueue::release_slot(std::size_t slot) {
+  // A timer still pending in the slot fires from it; a later holder's
+  // push finds the slot busy and takes the heap until then.
+  if (slot < kSlots) slots_reserved_ &= ~(1u << slot);
+}
+
+void EventQueue::push_slot_timer(std::size_t slot, util::TimePoint t,
+                                 TimerTarget* target, std::uint64_t tag) {
+  if (slot >= kSlots || (slots_pending_ & (1u << slot)) != 0) {
+    push_timer(t, target, tag);
+    return;
+  }
+  // A slot holds one event, trivially sorted, so the merge in
+  // select_best keeps the (time, seq) order.
+  Event& ev = slots_[slot];
+  ev.time = t;
+  ev.seq = next_seq_++;
+  ev.kind = Event::Kind::kTimer;
+  ev.pod.timer = {target, tag};
+  slots_pending_ |= 1u << slot;
+  note_pushed(t, kSlot0 + slot);
 }
 
 Event& EventQueue::Lane::push_back() {
@@ -98,10 +131,22 @@ void EventQueue::select_best() {
       best_ = i;
     }
   }
+  for (std::uint32_t pending = slots_pending_; pending != 0;
+       pending &= pending - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(pending));
+    const Event& ev = slots_[i];
+    if (best == nullptr || ev.time < best->time ||
+        (ev.time == best->time && ev.seq < best->seq)) {
+      best = &ev;
+      best_ = kSlot0 + i;
+    }
+  }
 }
 
 Event EventQueue::pop() {
-  Event& first = best_ == kHeap ? slab_[heap_[0].slot] : lanes_[best_].front();
+  Event& first = best_ == kHeap  ? slab_[heap_[0].slot]
+                 : best_ < kLanes ? lanes_[best_].front()
+                                  : slots_[best_ - kSlot0];
   Event out = std::move(first);
   drop_top();  // also releases any non-inline callback remnant
   return out;
@@ -115,8 +160,10 @@ void EventQueue::drop_top() {
     if (!heap_.empty()) sift_down(0);
     if (slab_[slot].kind == Event::Kind::kCallback) slab_[slot].fn.reset();
     free_slots_.push_back(slot);
-  } else {
+  } else if (best_ < kLanes) {
     lanes_[best_].pop_front();
+  } else {
+    slots_pending_ &= ~(1u << (best_ - kSlot0));
   }
   --size_;
   select_best();

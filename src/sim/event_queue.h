@@ -18,10 +18,12 @@
 // latencies, and deliveries pushed `delay` after a nondecreasing clock
 // arrive in time order, so a ring buffer holds them sorted for free. A
 // delivery that would break its lane's order, or that finds no lane,
-// goes to the heap. Every push takes the next seq, and the heap and each
-// lane are sorted by (time, seq), so merging their fronts pops in
-// exactly ascending (time, seq) order: lanes change the cost, never the
-// order.
+// goes to the heap. Beside them sit a few pacing slots, each holding at
+// most one timer of a strictly periodic source (a prober machine's
+// per-probe tick) that keeps one timer pending at a time. Every push
+// takes the next seq, and the heap, each lane and each slot are sorted by
+// (time, seq), so merging their fronts pops in exactly ascending
+// (time, seq) order: lanes and slots change the cost, never the order.
 #pragma once
 
 #include <array>
@@ -96,9 +98,13 @@ struct Event {
 };
 
 /// Min-heap of timestamped events with FIFO tie-breaking, plus FIFO
-/// lanes for packet deliveries.
+/// lanes for packet deliveries and pacing slots for periodic timers.
 class EventQueue {
  public:
+  /// Pacing slots: a prober machine takes one, so four cover two
+  /// two-machine probers.
+  static constexpr std::size_t kSlots = 4;
+
   /// Enqueue a generic callback to fire at time `t`.
   void push(util::TimePoint t, util::SmallFn fn);
   /// Enqueue a timer event for `target` at time `t`.
@@ -111,15 +117,27 @@ class EventQueue {
                    PacketEventTarget* target, const net::Packet& p,
                    net::Ipv4 external, bool crossed);
 
+  /// Claims a free pacing slot; returns its index, or kSlots when every
+  /// slot is taken.
+  std::size_t reserve_slot();
+  /// Returns a slot from reserve_slot (kSlots: no-op).
+  void release_slot(std::size_t slot);
+  /// Enqueue a timer for `target` at time `t` in pacing slot `slot`. The
+  /// timer goes to the heap instead when `slot` is kSlots or already
+  /// holds one: either place pops in the same order.
+  void push_slot_timer(std::size_t slot, util::TimePoint t,
+                       TimerTarget* target, std::uint64_t tag = 0);
+
   bool empty() const { return size_ == 0; }
-  /// Pending events, heap and lanes together.
+  /// Pending events, heap, lanes and slots together.
   std::size_t size() const { return size_; }
 
   /// Timestamp of the earliest event; undefined when empty.
   util::TimePoint next_time() const { return top().time; }
   /// The earliest event (for coalescing peeks); undefined when empty.
   const Event& top() const {
-    return best_ == kHeap ? slab_[heap_[0].slot] : lanes_[best_].front();
+    if (best_ == kHeap) return slab_[heap_[0].slot];
+    return best_ < kLanes ? lanes_[best_].front() : slots_[best_ - kSlot0];
   }
 
   /// Removes and returns the earliest event.
@@ -160,6 +178,8 @@ class EventQueue {
   static constexpr std::size_t kLanes = 4;
   /// best_ value naming the heap top.
   static constexpr std::size_t kHeap = kLanes;
+  /// best_ value naming slot 0; slot i is kSlot0 + i.
+  static constexpr std::size_t kSlot0 = kHeap + 1;
 
   /// Grabs a free slab slot (growing the slab if needed), stamps its
   /// (time, seq) and pushes its key; returns the slot's Event for payload
@@ -172,7 +192,7 @@ class EventQueue {
   /// Records that a pushed event (`t`, the largest seq so far) sits in
   /// `source`: it is the new earliest only if strictly earlier in time.
   void note_pushed(util::TimePoint t, std::size_t source);
-  /// Recomputes best_ over the heap top and the lane fronts.
+  /// Recomputes best_ over the heap top, the lane fronts and the slots.
   void select_best();
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
@@ -188,6 +208,11 @@ class EventQueue {
   std::size_t best_{kHeap};  ///< source of the earliest event
   std::size_t size_{0};
   std::uint64_t next_seq_{0};
+  std::uint32_t slots_reserved_{0};  ///< bit i: slot i is reserved
+  std::uint32_t slots_pending_{0};   ///< bit i: slots_[i] holds a timer
+  // Last: the slots' Events are read only while a slot holds a timer, so
+  // they stay off the cache lines every pop touches.
+  std::array<Event, kSlots> slots_;
 };
 
 }  // namespace svcdisc::sim

@@ -34,6 +34,12 @@ void Simulator::at_timer(util::TimePoint t, TimerTarget* target,
   note_push();
 }
 
+void Simulator::at_pacing_timer(std::size_t slot, util::TimePoint t,
+                                TimerTarget* target, std::uint64_t tag) {
+  queue_.push_slot_timer(slot, t < now_ ? now_ : t, target, tag);
+  note_push();
+}
+
 void Simulator::after_timer(util::Duration d, TimerTarget* target,
                             std::uint64_t tag) {
   at_timer(now_ + d, target, tag);

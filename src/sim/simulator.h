@@ -38,6 +38,20 @@ class Simulator {
   /// Schedule a timer event `d` after now.
   void after_timer(util::Duration d, TimerTarget* target,
                    std::uint64_t tag = 0);
+  /// What reserve_pacing_slot returns when every slot is taken.
+  static constexpr std::size_t kNoPacingSlot = EventQueue::kSlots;
+  /// Reserves one of the queue's pacing slots for a strictly periodic
+  /// timer source that keeps at most one timer pending (a prober
+  /// machine). Returns kNoPacingSlot when every slot is taken; timers
+  /// scheduled through it then take the heap, in the same pop order.
+  std::size_t reserve_pacing_slot() { return queue_.reserve_slot(); }
+  /// Frees a slot from reserve_pacing_slot (kNoPacingSlot: no-op).
+  void release_pacing_slot(std::size_t slot) { queue_.release_slot(slot); }
+  /// Schedule a timer event for `target` at absolute time `t` in the
+  /// reserved pacing slot `slot`.
+  void at_pacing_timer(std::size_t slot, util::TimePoint t,
+                       TimerTarget* target, std::uint64_t tag = 0);
+
   /// Schedule delivery of `p` to `target` `d` after now. Deliveries with
   /// one `d` share a FIFO lane of the queue (see EventQueue).
   void after_packet(util::Duration d, PacketEventTarget* target,

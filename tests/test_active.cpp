@@ -335,8 +335,8 @@ TEST_F(BookkeepingFixture, DuplicateTargetReprobesOnlyResolvedCells) {
       ProbeStatus::kOpen,     ProbeStatus::kClosed, ProbeStatus::kFiltered,
       ProbeStatus::kFiltered, ProbeStatus::kOpen,   ProbeStatus::kClosed};
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(record->outcomes[i].key.addr, keys[i].first) << i;
-    EXPECT_EQ(record->outcomes[i].key.port, keys[i].second) << i;
+    EXPECT_EQ(record->outcomes[i].addr, keys[i].first) << i;
+    EXPECT_EQ(record->outcomes[i].port, keys[i].second) << i;
     EXPECT_EQ(record->outcomes[i].status, statuses[i]) << i;
   }
   // Unanswered outcomes keep their send time; answered ones the reply's.
@@ -362,9 +362,9 @@ TEST_F(BookkeepingFixture, DuplicatedPortInList) {
     sim.run();
     ASSERT_TRUE(record.has_value());
     ASSERT_EQ(record->outcomes.size(), 3u);
-    EXPECT_EQ(record->outcomes[0].key.port, 80);
-    EXPECT_EQ(record->outcomes[1].key.port, 80);
-    EXPECT_EQ(record->outcomes[2].key.port, 22);
+    EXPECT_EQ(record->outcomes[0].port, 80);
+    EXPECT_EQ(record->outcomes[1].port, 80);
+    EXPECT_EQ(record->outcomes[2].port, 22);
     EXPECT_EQ(record->count(ProbeStatus::kOpen), 2u);
     EXPECT_EQ(responses(), 3u);
   }
@@ -382,7 +382,7 @@ TEST_F(BookkeepingFixture, DuplicatedPortInList) {
     ASSERT_TRUE(record.has_value());
     ASSERT_EQ(record->outcomes.size(), 2u);
     EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
-    EXPECT_EQ(record->outcomes[1].key.port, 22);
+    EXPECT_EQ(record->outcomes[1].port, 22);
     EXPECT_EQ(record->outcomes[1].status, ProbeStatus::kClosed);
     EXPECT_EQ(fast.snapshot().value_of("active.probes_tcp_sent"), 3.0);
     EXPECT_EQ(fast.snapshot().value_of("active.responses_received"), 2.0);
@@ -683,7 +683,7 @@ void check_reference_model(const TargetPool& pool,
         if (!pending.contains(key)) {
           pending[key] = outcomes.size();
           outcomes.push_back(
-              {{p.dst, p.proto, p.dport}, ProbeStatus::kPending, e.at});
+              {p.dst, p.proto, ProbeStatus::kPending, p.dport, e.at});
         }
         continue;
       }
@@ -713,22 +713,22 @@ void check_reference_model(const TargetPool& pool,
     }
     std::set<std::uint32_t> alive = ping_alive;
     for (const ProbeOutcome& o : outcomes) {
-      if (o.status != ProbeStatus::kPending) alive.insert(o.key.addr.value());
+      if (o.status != ProbeStatus::kPending) alive.insert(o.addr.value());
     }
     for (ProbeOutcome& o : outcomes) {
       if (o.status != ProbeStatus::kPending) continue;
-      if (o.key.proto == net::Proto::kTcp) {
+      if (o.proto == net::Proto::kTcp) {
         o.status = ProbeStatus::kFiltered;
       } else {
-        o.status = alive.contains(o.key.addr.value()) ? ProbeStatus::kMaybeOpen
-                                                      : ProbeStatus::kNoHost;
+        o.status = alive.contains(o.addr.value()) ? ProbeStatus::kMaybeOpen
+                                                  : ProbeStatus::kNoHost;
       }
     }
 
     ASSERT_EQ(record->outcomes.size(), outcomes.size());
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       const ProbeOutcome& got = record->outcomes[i];
-      EXPECT_EQ(got.key, outcomes[i].key) << "outcome " << i;
+      EXPECT_EQ(got.key(), outcomes[i].key()) << "outcome " << i;
       EXPECT_EQ(got.status, outcomes[i].status) << "outcome " << i;
       EXPECT_EQ(got.when, outcomes[i].when) << "outcome " << i;
     }
@@ -870,7 +870,7 @@ TEST_F(BookkeepingFixture, DuplicateTargetAcrossRowPagesSharesFirstRow) {
       {b, ProbeStatus::kFiltered}, {b, ProbeStatus::kFiltered}};
   ASSERT_EQ(record->outcomes.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(record->outcomes[i].key.addr, want[i].first) << i;
+    EXPECT_EQ(record->outcomes[i].addr, want[i].first) << i;
     EXPECT_EQ(record->outcomes[i].status, want[i].second) << i;
   }
   EXPECT_EQ(registry.snapshot().value_of("active.probes_tcp_sent"), 10.0);
@@ -968,6 +968,96 @@ TEST_F(BookkeepingFixture, RejectsGridBeyondIndexRange) {
   prober.start_scan(spec_for({a}));
   sim.run();
   EXPECT_EQ(prober.scans().size(), 1u);
+}
+
+// --------------------------------------------------------- Pacing slots --
+
+/// One two-machine scan of a small /24 (open, closed, firewalled, UDP
+/// and empty addresses); with `slots_taken`, every pacing slot of the
+/// simulator is reserved before the prober asks for its own.
+struct PacedScan {
+  ScanRecord record;
+  std::uint64_t events{0};
+};
+
+PacedScan run_paced_scan(bool slots_taken, bool ping,
+                         std::optional<AdaptiveConfig> adaptive) {
+  sim::Simulator sim;
+  if (slots_taken) {
+    while (sim.reserve_pacing_slot() != sim::Simulator::kNoPacingSlot) {
+    }
+  }
+  sim::Network network(sim, {Prefix(Ipv4::from_octets(128, 125, 0, 0), 16),
+                             Prefix(Ipv4::from_octets(10, 1, 0, 0), 24)});
+  const Ipv4 machine_a = Ipv4::from_octets(10, 1, 0, 1);
+  std::vector<std::unique_ptr<Host>> hosts;
+  const auto add = [&](std::uint8_t octet, net::Proto proto, net::Port port) {
+    const auto id = static_cast<host::HostId>(hosts.size() + 1);
+    hosts.push_back(std::make_unique<Host>(
+        id, network, nullptr, Ipv4::from_octets(128, 125, 1, octet),
+        LifecycleConfig{LifecycleKind::kAlwaysOn, {}, {}, false},
+        util::Rng(id)));
+    Service service;
+    service.proto = proto;
+    service.port = port;
+    hosts.back()->add_service(service);
+    hosts.back()->start();
+    return hosts.back().get();
+  };
+  add(1, net::Proto::kTcp, 80);
+  add(2, net::Proto::kTcp, 22);
+  add(3, net::Proto::kUdp, 53);
+  Host* firewalled = add(4, net::Proto::kTcp, 443);
+  firewalled->firewall().set_mode(FirewallMode::kBlockProbers);
+  firewalled->firewall().add_prober(machine_a);
+  add(5, net::Proto::kTcp, 80);
+  // .6 to .9 hold no host.
+
+  Prober prober(network, {{machine_a, Ipv4::from_octets(10, 1, 0, 2)}},
+                adaptive);
+  ScanSpec spec;
+  for (std::uint8_t octet = 1; octet <= 9; ++octet) {
+    spec.targets.push_back(Ipv4::from_octets(128, 125, 1, octet));
+  }
+  spec.tcp_ports = {80, 22, 443};
+  spec.udp_ports = {53};
+  spec.probes_per_sec = 50.0;  // both machines tick on the same usecs
+  spec.host_discovery = ping;
+  PacedScan out;
+  prober.start_scan(spec, [&](const ScanRecord& r) { out.record = r; });
+  sim.run();
+  out.events = sim.events_processed();
+  return out;
+}
+
+TEST(ProberPacing, ScanWithEverySlotTakenMatchesScanWithSlots) {
+  // The probers' per-probe ticks ride the queue's pacing slots; with
+  // every slot already taken they take the heap. Both pop in (time, seq)
+  // order, so the scan must not change, in either mode.
+  for (const bool ping : {false, true}) {
+    for (const bool adaptive : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "ping " << ping << " adaptive "
+                                      << adaptive);
+      const auto mode = adaptive ? std::optional<AdaptiveConfig>(
+                                       AdaptiveConfig{.probe_budget = 20})
+                                 : std::nullopt;
+      const PacedScan slotted = run_paced_scan(false, ping, mode);
+      const PacedScan spilled = run_paced_scan(true, ping, mode);
+      const std::vector<ProbeOutcome>& want = slotted.record.outcomes;
+      const std::vector<ProbeOutcome>& got = spilled.record.outcomes;
+      EXPECT_GT(slotted.record.count(ProbeStatus::kOpen), 0u);
+      EXPECT_GT(slotted.record.count(ProbeStatus::kClosed), 0u);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].key(), want[i].key()) << i;
+        EXPECT_EQ(got[i].status, want[i].status) << i;
+        EXPECT_EQ(got[i].when, want[i].when) << i;
+      }
+      EXPECT_EQ(spilled.record.hosts_alive, slotted.record.hosts_alive);
+      EXPECT_EQ(spilled.record.finished, slotted.record.finished);
+      EXPECT_EQ(spilled.events, slotted.events);
+    }
+  }
 }
 
 // -------------------------------------------------------------- Scheduler --

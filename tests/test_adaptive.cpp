@@ -314,7 +314,7 @@ net::Packet tcp_reply(const World& w, Ipv4 from, net::Port sport,
 const ProbeOutcome* find_outcome(const ScanRecord& record, Ipv4 addr,
                                  net::Port port) {
   for (const ProbeOutcome& o : record.outcomes) {
-    if (o.key.addr == addr && o.key.port == port) return &o;
+    if (o.addr == addr && o.port == port) return &o;
   }
   return nullptr;
 }
@@ -353,7 +353,7 @@ ScanRecord scan_four_hosts(std::size_t machines,
 std::vector<std::string> probe_order(const ScanRecord& record) {
   std::vector<std::string> order;
   for (const ProbeOutcome& o : record.outcomes) {
-    order.push_back(o.key.addr.to_string() + ":" + std::to_string(o.key.port));
+    order.push_back(o.addr.to_string() + ":" + std::to_string(o.port));
   }
   return order;
 }
@@ -370,7 +370,7 @@ TEST(AdaptiveProber, UntrainedUnlimitedBudgetMatchesFixedSweep) {
   ASSERT_EQ(fixed.outcomes.size(), 8u);
   ASSERT_EQ(adaptive.outcomes.size(), fixed.outcomes.size());
   for (std::size_t i = 0; i < fixed.outcomes.size(); ++i) {
-    EXPECT_EQ(adaptive.outcomes[i].key, fixed.outcomes[i].key) << i;
+    EXPECT_EQ(adaptive.outcomes[i].key(), fixed.outcomes[i].key()) << i;
     EXPECT_EQ(adaptive.outcomes[i].status, fixed.outcomes[i].status) << i;
     EXPECT_EQ(adaptive.outcomes[i].when, fixed.outcomes[i].when) << i;
   }
@@ -400,7 +400,7 @@ TEST(AdaptiveMode, TwoMachinesShareOneQueueWhereTheSweepSplitsTargets) {
   for (const ProbeOutcome& o : adaptive.outcomes) {
     const auto it = std::find_if(
         fixed.outcomes.begin(), fixed.outcomes.end(),
-        [&](const ProbeOutcome& f) { return f.key == o.key; });
+        [&](const ProbeOutcome& f) { return f.key() == o.key(); });
     ASSERT_NE(it, fixed.outcomes.end());
     EXPECT_EQ(o.status, it->status);
   }
@@ -443,11 +443,11 @@ TEST(AdaptiveMode, PingPrePassRanksOnlyResponders) {
   // The responder's hint first, then its grid cell.
   ASSERT_EQ(record->outcomes.size(), 2u);
   for (const ProbeOutcome& o : record->outcomes) {
-    EXPECT_EQ(o.key.addr, up) << "probed " << o.key.addr.to_string();
+    EXPECT_EQ(o.addr, up) << "probed " << o.addr.to_string();
     EXPECT_EQ(o.status, ProbeStatus::kMaybeOpen);
   }
-  EXPECT_EQ(record->outcomes[0].key.port, 161);
-  EXPECT_EQ(record->outcomes[1].key.port, 137);
+  EXPECT_EQ(record->outcomes[0].port, 161);
+  EXPECT_EQ(record->outcomes[1].port, 137);
   const util::MetricsSnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.value_of("active.pings_sent"), 3.0);
   EXPECT_EQ(snap.value_of("active.probes_tcp_sent"), 0.0);
@@ -545,7 +545,7 @@ TEST(AdaptiveProber, PassiveSeedsOutrankTheGridAndExtendThePortSpace) {
   ASSERT_TRUE(record.has_value());
   // The single budgeted probe went to the seed, not the grid.
   ASSERT_EQ(record->outcomes.size(), 1u);
-  EXPECT_EQ(record->outcomes[0].key.port, 8080);
+  EXPECT_EQ(record->outcomes[0].port, 8080);
   EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
   EXPECT_EQ(prober.seeds_probed_total(), 1u);
   EXPECT_EQ(prober.table().size(), 1u);
@@ -731,8 +731,8 @@ TEST(AdaptivePending, HintAddedMidScanWaitsForTheNextScan) {
   w.sim.run();
   ASSERT_TRUE(record.has_value());
   ASSERT_EQ(record->outcomes.size(), 5u);
-  EXPECT_EQ(record->outcomes[0].key.addr, alt);
-  EXPECT_EQ(record->outcomes[0].key.port, 8080);
+  EXPECT_EQ(record->outcomes[0].addr, alt);
+  EXPECT_EQ(record->outcomes[0].port, 8080);
   EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
   EXPECT_EQ(prober.seeds_probed_total(), 1u);
   EXPECT_EQ(prober.table().size(), 2u);
@@ -753,8 +753,8 @@ TEST(AdaptivePending, HintOnTheGridIsProbedAndCountedOnce) {
 
   ASSERT_TRUE(record.has_value());
   ASSERT_EQ(record->outcomes.size(), 4u);  // 2 targets x 2 ports
-  EXPECT_EQ(record->outcomes[0].key.addr, web);
-  EXPECT_EQ(record->outcomes[0].key.port, 80);
+  EXPECT_EQ(record->outcomes[0].addr, web);
+  EXPECT_EQ(record->outcomes[0].port, 80);
   EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
   EXPECT_EQ(record->count(ProbeStatus::kOpen), 1u);
   EXPECT_EQ(prober.budget_spent_total(), 4u);
@@ -921,10 +921,9 @@ TEST(AdaptiveCampaign, EveryScanProbesEachKeyAtMostOnce) {
   for (const ScanRecord& scan : scans) {
     std::set<std::tuple<std::uint32_t, net::Port, Proto>> keys;
     for (const ProbeOutcome& o : scan.outcomes) {
-      EXPECT_TRUE(keys.insert({o.key.addr.value(), o.key.port, o.key.proto})
-                      .second)
-          << "scan " << scan.index << " probed " << o.key.addr.to_string()
-          << ":" << o.key.port << " twice";
+      EXPECT_TRUE(keys.insert({o.addr.value(), o.port, o.proto}).second)
+          << "scan " << scan.index << " probed " << o.addr.to_string() << ":"
+          << o.port << " twice";
       EXPECT_NE(o.status, ProbeStatus::kPending);
     }
   }

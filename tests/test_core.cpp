@@ -104,14 +104,14 @@ TEST(Report, ScanTimesRespectPredicate) {
   scans[0].index = 0;
   scans[0].started = kEpoch + hours(1);
   scans[0].outcomes.push_back(ProbeOutcome{
-      {addr(1), net::Proto::kTcp, 80}, ProbeStatus::kOpen, kEpoch + hours(1)});
+      addr(1), net::Proto::kTcp, ProbeStatus::kOpen, 80, kEpoch + hours(1)});
   scans[1].index = 1;
   scans[1].started = kEpoch + hours(13);
-  scans[1].outcomes.push_back(ProbeOutcome{{addr(2), net::Proto::kTcp, 80},
-                                           ProbeStatus::kOpen,
+  scans[1].outcomes.push_back(ProbeOutcome{addr(2), net::Proto::kTcp,
+                                           ProbeStatus::kOpen, 80,
                                            kEpoch + hours(13)});
-  scans[1].outcomes.push_back(ProbeOutcome{{addr(3), net::Proto::kTcp, 80},
-                                           ProbeStatus::kClosed,
+  scans[1].outcomes.push_back(ProbeOutcome{addr(3), net::Proto::kTcp,
+                                           ProbeStatus::kClosed, 80,
                                            kEpoch + hours(13)});
 
   const auto all = address_times_from_scans(scans, nullptr);
@@ -242,8 +242,8 @@ TEST(FirewallConfirm, MixedResponseMethod) {
   scans[0].finished = kEpoch + hours(3);
   // addr(1): RST on port 22, silence on 80 -> selective dropping.
   scans[0].outcomes = {
-      {{addr(1), net::Proto::kTcp, 22}, ProbeStatus::kClosed, kEpoch + hours(1)},
-      {{addr(1), net::Proto::kTcp, 80}, ProbeStatus::kFiltered,
+      {addr(1), net::Proto::kTcp, ProbeStatus::kClosed, 22, kEpoch + hours(1)},
+      {addr(1), net::Proto::kTcp, ProbeStatus::kFiltered, 80,
        kEpoch + hours(1)},
   };
   const auto result = confirm_firewalls(candidates, passive_table, scans);
@@ -264,7 +264,7 @@ TEST(FirewallConfirm, ActivityDuringScanMethod) {
   scans[0].started = kEpoch + hours(1);
   scans[0].finished = kEpoch + hours(3);
   scans[0].outcomes = {
-      {{addr(2), net::Proto::kTcp, 80}, ProbeStatus::kFiltered,
+      {addr(2), net::Proto::kTcp, ProbeStatus::kFiltered, 80,
        kEpoch + hours(1)},
   };
   const auto result =
@@ -281,9 +281,9 @@ TEST(FirewallConfirm, QuietCandidateUnconfirmed) {
   scans[0].finished = kEpoch + hours(3);
   // All probes silent, no RST anywhere, no passive activity during scan.
   scans[0].outcomes = {
-      {{addr(3), net::Proto::kTcp, 80}, ProbeStatus::kFiltered,
+      {addr(3), net::Proto::kTcp, ProbeStatus::kFiltered, 80,
        kEpoch + hours(1)},
-      {{addr(3), net::Proto::kTcp, 22}, ProbeStatus::kFiltered,
+      {addr(3), net::Proto::kTcp, ProbeStatus::kFiltered, 22,
        kEpoch + hours(1)},
   };
   const auto result = confirm_firewalls({addr(3)}, passive_table, scans);

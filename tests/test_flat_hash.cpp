@@ -128,7 +128,9 @@ TEST(FlatMap, RandomOpsAgreeWithReferenceModel) {
         const auto it = m.find(key);
         const auto mit = model.find(key);
         ASSERT_EQ(it == m.end(), mit == model.end());
-        if (mit != model.end()) EXPECT_EQ(it->second, mit->second);
+        if (mit != model.end()) {
+          EXPECT_EQ(it->second, mit->second);
+        }
         break;
       }
       default:

@@ -146,14 +146,14 @@ active::ScanRecord sample_record() {
   record.started = kEpoch + hours(1);
   record.finished = kEpoch + hours(2);
   record.outcomes = {
-      {{Ipv4::from_octets(128, 125, 1, 1), net::Proto::kTcp, 22},
-       ProbeStatus::kOpen, kEpoch + hours(1)},
-      {{Ipv4::from_octets(128, 125, 1, 1), net::Proto::kTcp, 80},
-       ProbeStatus::kClosed, kEpoch + hours(1)},
-      {{Ipv4::from_octets(128, 125, 1, 2), net::Proto::kTcp, 22},
-       ProbeStatus::kFiltered, kEpoch + hours(1)},
-      {{Ipv4::from_octets(128, 125, 1, 3), net::Proto::kUdp, 53},
-       ProbeStatus::kOpenUdp, kEpoch + hours(1)},
+      {Ipv4::from_octets(128, 125, 1, 1), net::Proto::kTcp,
+       ProbeStatus::kOpen, 22, kEpoch + hours(1)},
+      {Ipv4::from_octets(128, 125, 1, 1), net::Proto::kTcp,
+       ProbeStatus::kClosed, 80, kEpoch + hours(1)},
+      {Ipv4::from_octets(128, 125, 1, 2), net::Proto::kTcp,
+       ProbeStatus::kFiltered, 22, kEpoch + hours(1)},
+      {Ipv4::from_octets(128, 125, 1, 3), net::Proto::kUdp,
+       ProbeStatus::kOpenUdp, 53, kEpoch + hours(1)},
   };
   return record;
 }

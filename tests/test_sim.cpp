@@ -282,6 +282,93 @@ TEST(EventQueueProperty, LanesMatchSortedReference) {
   EXPECT_GT(max_pending, 200u);  // some lane rings grew past their start
 }
 
+TEST(EventQueueProperty, SlotsMatchSortedReference) {
+  // Pacing-slot timers mixed with heap timers, callbacks and lane
+  // packets. A slot push names one of the slots or kSlots (no slot); one
+  // into a busy slot or kSlots goes to the heap. Every push lands 0-2 us
+  // after the clock, so same-usec ties across slots, heap and lanes are
+  // the rule.
+  constexpr std::size_t kSlots = EventQueue::kSlots;
+  struct Pending {
+    std::int64_t time;
+    std::uint64_t seq;
+    std::uint64_t id;
+    std::size_t slot;  ///< the slot it occupies, or kSlots
+  };
+  std::uint64_t slotted = 0;  // slot pushes that found their slot free
+  std::uint64_t spilled = 0;  // slot pushes sent to the heap
+  for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    EventQueue q;
+    std::vector<std::uint64_t> log;
+    LogTimer timer(&log);
+    LogTarget target(&log);
+    std::array<bool, kSlots> busy{};
+    std::vector<Pending> ref;  // every pending event, in push order
+    std::int64_t now = 0;      // time of the last pop
+    std::uint64_t pushed = 0;
+    const std::uint64_t pushes = 20 + rng.below(600);
+    while (pushed < pushes || !ref.empty()) {
+      if (pushed < pushes && (ref.empty() || rng.chance(0.6))) {
+        const std::uint64_t id = pushed;
+        const auto delay = static_cast<std::int64_t>(rng.below(3));
+        const util::TimePoint t = kEpoch + util::usec(now + delay);
+        std::size_t slot = kSlots;
+        switch (rng.below(4)) {
+          case 0: {
+            const std::size_t want = rng.below(kSlots + 1);
+            q.push_slot_timer(want, t, &timer, id);
+            if (want < kSlots && !busy[want]) {
+              busy[want] = true;
+              slot = want;
+              ++slotted;
+            } else {
+              ++spilled;
+            }
+            break;
+          }
+          case 1:
+            q.push_timer(t, &timer, id);
+            break;
+          case 2:
+            q.push(t, [&log, id] { log.push_back(id); });
+            break;
+          default:
+            q.push_packet(t, util::usec(delay), &target, tagged_packet(id),
+                          Ipv4(9), true);
+            break;
+        }
+        ref.push_back({now + delay, pushed, id, slot});
+        ++pushed;
+        ASSERT_EQ(q.size(), ref.size());
+        continue;
+      }
+      const auto it = std::min_element(
+          ref.begin(), ref.end(), [](const Pending& a, const Pending& b) {
+            return std::tie(a.time, a.seq) < std::tie(b.time, b.seq);
+          });
+      const Pending want = *it;
+      ref.erase(it);
+      ASSERT_EQ(q.next_time().usec, want.time);
+      ASSERT_EQ(q.top().seq, want.seq);
+      if (want.slot < kSlots) busy[want.slot] = false;
+      now = want.time;
+      if (rng.chance(0.5)) {
+        q.drop_top();
+      } else {
+        q.pop().fire();
+        ASSERT_FALSE(log.empty());
+        ASSERT_EQ(log.back(), want.id);
+      }
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    EXPECT_TRUE(q.empty());
+  }
+  EXPECT_GT(slotted, 1000u);
+  EXPECT_GT(spilled, 1000u);
+}
+
 /// Ids below this are scheduled up front; larger ones are follow-ups.
 constexpr std::uint64_t kFirstGeneration = 300;
 
@@ -860,6 +947,39 @@ TEST(SimulatorLanes, QueueDepthGaugeCountsLaneEvents) {
   EXPECT_EQ(sim.events_processed(), 160u);
   EXPECT_EQ(target.delivered.size(), 150u);
   EXPECT_EQ(registry.snapshot().value_of("sim.queue_depth_hwm"), 160.0);
+}
+
+TEST(SimulatorSlots, ReservationFallsBackToTheHeapWhenSlotsRunOut) {
+  Simulator sim;
+  util::MetricsRegistry registry;
+  sim.attach_metrics(registry, "sim");
+  std::vector<std::size_t> slots;
+  for (std::size_t i = 0; i < EventQueue::kSlots; ++i) {
+    slots.push_back(sim.reserve_pacing_slot());
+    EXPECT_LT(slots.back(), Simulator::kNoPacingSlot);
+  }
+  std::sort(slots.begin(), slots.end());
+  EXPECT_EQ(std::adjacent_find(slots.begin(), slots.end()), slots.end());
+  EXPECT_EQ(sim.reserve_pacing_slot(), Simulator::kNoPacingSlot);
+
+  // One tick per slot plus one through the failed reservation, all at
+  // one instant behind a heap timer: they fire in push order.
+  RecordingTimer timer;
+  sim.at_timer(kEpoch + msec(1), &timer, 0);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    sim.at_pacing_timer(slots[slots.size() - 1 - i], kEpoch + msec(1), &timer,
+                        i + 1);
+  }
+  sim.at_pacing_timer(Simulator::kNoPacingSlot, kEpoch + msec(1), &timer, 5);
+  EXPECT_EQ(sim.pending(), 6u);
+  EXPECT_EQ(registry.snapshot().value_of("sim.queue_depth_hwm"), 6.0);
+  sim.run();
+  EXPECT_EQ(timer.tags, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5}));
+
+  sim.release_pacing_slot(Simulator::kNoPacingSlot);  // no-op
+  sim.release_pacing_slot(slots[2]);
+  EXPECT_EQ(sim.reserve_pacing_slot(), slots[2]);
+  EXPECT_EQ(sim.reserve_pacing_slot(), Simulator::kNoPacingSlot);
 }
 
 }  // namespace
