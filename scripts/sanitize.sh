@@ -56,7 +56,9 @@ run_asan() {
   # The prober label covers the probe grid both modes share: raw index
   # arithmetic over hints + targets x ports, the /24 row pages and the
   # virtual-index decode, replayed against a reference model for the
-  # sweep and for the adaptive mode.
+  # sweep and for the adaptive mode; and the 8-byte outcome store's bit
+  # packing (status, block-relative times, the exact-time side map)
+  # against a std::vector model.
   echo "== ASan + UBSan: prober =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L prober)
   # The event_core label covers the event heap's index arithmetic and

@@ -28,17 +28,101 @@ constexpr double kHintScore = 2.0;
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// Scan records
+// ---------------------------------------------------------------------------
+
+passive::ServiceKey ProbeSpace::key(std::uint32_t index) const {
+  if (index < hints.size()) return hints[index];
+  const std::size_t cell = index - hints.size();
+  return grid_key((*targets)[cell / columns()], cell % columns());
+}
+
+bool ProbeSpace::holds_udp() const {
+  return !udp_ports.empty() ||
+         std::any_of(hints.begin(), hints.end(),
+                     [](const passive::ServiceKey& hint) {
+                       return hint.proto != net::Proto::kTcp;
+                     });
+}
+
+ScanOutcomes::ScanOutcomes(std::shared_ptr<const ProbeSpace> space)
+    : space_(std::move(space)) {}
+
+void ScanOutcomes::assign(std::span<const ProbeOutcome> outcomes) {
+  auto space = std::make_shared<ProbeSpace>();
+  space->hints.reserve(outcomes.size());
+  for (const ProbeOutcome& o : outcomes) space->hints.push_back(o.key());
+  *this = ScanOutcomes(std::move(space));
+  // Pushed at its block's base, each outcome then takes its own time,
+  // which may fall before that base.
+  stored_.reserve(outcomes.size());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const util::TimePoint base =
+        i % kBlock == 0 ? outcomes[i].when : bases_.back();
+    push(static_cast<std::uint32_t>(i), base);
+    set(i, outcomes[i].status, outcomes[i].when);
+  }
+}
+
+ProbeOutcome ScanOutcomes::operator[](std::size_t i) const {
+  const passive::ServiceKey k = key(i);
+  return {.addr = k.addr,
+          .proto = k.proto,
+          .status = status(i),
+          .port = k.port,
+          .when = when(i)};
+}
+
+util::TimePoint ScanOutcomes::when(std::size_t i) const {
+  const std::uint32_t offset = stored_[i].word >> kStatusBits;
+  if (offset == kExact) {
+    return exact_.find(static_cast<std::uint32_t>(i))->second;
+  }
+  return bases_[i / kBlock] + util::usec(offset);
+}
+
+void ScanOutcomes::push(std::uint32_t index, util::TimePoint when) {
+  if (stored_.size() % kBlock == 0) bases_.push_back(when);
+  stored_.push_back({.index = index, .word = 0});
+  set(stored_.size() - 1, ProbeStatus::kPending, when);
+}
+
+void ScanOutcomes::set(std::size_t i, ProbeStatus status,
+                       util::TimePoint when) {
+  const std::int64_t offset = (when - bases_[i / kBlock]).usec;
+  std::uint32_t& word = stored_[i].word;
+  const auto key = static_cast<std::uint32_t>(i);
+  if (offset >= 0 && offset < kExact) {
+    if (word >> kStatusBits == kExact) exact_.erase(key);
+    word = static_cast<std::uint32_t>(offset) << kStatusBits;
+  } else {
+    word = kExact << kStatusBits;
+    exact_[key] = when;
+  }
+  word |= static_cast<std::uint32_t>(status);
+}
+
+void ScanOutcomes::set_status(std::size_t i, ProbeStatus status) {
+  std::uint32_t& word = stored_[i].word;
+  word = (word & ~((1u << kStatusBits) - 1)) |
+         static_cast<std::uint32_t>(status);
+}
+
 std::size_t ScanRecord::count(ProbeStatus status) const {
-  return static_cast<std::size_t>(
-      std::count_if(outcomes.begin(), outcomes.end(),
-                    [&](const ProbeOutcome& o) { return o.status == status; }));
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    n += outcomes.status(i) == status;
+  }
+  return n;
 }
 
 std::vector<passive::ServiceKey> ScanRecord::open_services() const {
   std::vector<passive::ServiceKey> open;
-  for (const ProbeOutcome& o : outcomes) {
-    if (o.status == ProbeStatus::kOpen || o.status == ProbeStatus::kOpenUdp) {
-      open.push_back(o.key());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const ProbeStatus status = outcomes.status(i);
+    if (status == ProbeStatus::kOpen || status == ProbeStatus::kOpenUdp) {
+      open.push_back(outcomes.key(i));
     }
   }
   return open;
@@ -174,12 +258,14 @@ void Prober::start_scan(ScanSpec spec,
   }
   plan_.assign(machines, {});
 
+  space_ = std::make_shared<ProbeSpace>();
+  space_->tcp_ports = spec_.tcp_ports;
+  space_->udp_ports = spec_.udp_ports;
   if (adaptive_) {
     // The hints this scan ranks; later ones wait for the next scan.
-    scan_hints_.clear();
-    scan_hints_.reserve(hints_.size());
+    space_->hints.reserve(hints_.size());
     for (const passive::ServiceKey& hint : hints_) {
-      scan_hints_.push_back(hint);
+      space_->hints.push_back(hint);
     }
     budget_left_ = adaptive_->probe_budget == 0 ? ~std::uint64_t{0}
                                                 : adaptive_->probe_budget;
@@ -189,15 +275,18 @@ void Prober::start_scan(ScanSpec spec,
     }
   }
 
-  phase_targets_ = &spec_.targets;
   pinging_ = spec_.host_discovery;
   if (pinging_) {
     // Phase 1: one ICMP echo per target address; port probes follow for
     // responders only.
     current_.hosts_pinged = static_cast<std::uint32_t>(spec_.targets.size());
+    phase_targets_ = &spec_.targets;
+  } else {
+    space_->targets = share_targets(std::move(spec_.targets));
+    phase_targets_ = space_->targets.get();
   }
   try {
-    plan_phase(pinging_, spec_.targets.size());
+    plan_phase(pinging_, phase_targets_->size());
   } catch (...) {
     in_progress_ = false;  // nothing was sent; the prober stays usable
     throw;
@@ -211,11 +300,11 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
   // split is computed here; send_next() computes individual probes on
   // demand. A port phase also gets its index space: 4 bytes per hint and
   // per (target, port) cell.
-  const std::size_t columns = spec_.tcp_ports.size() + spec_.udp_ports.size();
+  const std::size_t columns = space_->columns();
   // Cells store 1 + an outcome index and the queue holds cell indices,
   // all in 32 bits; a phase has at most one outcome per cell. The ping
   // phase checks too: its target list bounds the port phase's.
-  if (scan_hints_.size() + target_count * columns >
+  if (space_->hints.size() + target_count * columns >
       std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error(
         "Prober: hints + targets x ports exceeds the 2^32 - 1 probe index "
@@ -236,8 +325,9 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
     total += plan.task_count;
   }
   if (ping) return;
+  current_.outcomes = ScanOutcomes(space_);
   // The adaptive mode reserves for its budget in rank_candidates.
-  if (!adaptive_) current_.outcomes.reserve(current_.outcomes.size() + total);
+  if (!adaptive_) current_.outcomes.reserve(total);
 
   // Index the grid: first occurrences win, so a repeated target or port
   // shares the first one's cells.
@@ -251,21 +341,17 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
   }
   port_column_.resize(columns);
   for (std::size_t c = 0; c < columns; ++c) {
-    const bool tcp = c < spec_.tcp_ports.size();
-    const net::Port port =
-        tcp ? spec_.tcp_ports[c] : spec_.udp_ports[c - spec_.tcp_ports.size()];
-    port_column_[c] =
-        column_of_
-            .emplace(column_key(tcp ? net::Proto::kTcp : net::Proto::kUdp,
-                                port),
-                     static_cast<std::uint32_t>(c))
-            .first->second;
+    const passive::ServiceKey key = space_->grid_key({}, c);
+    port_column_[c] = column_of_
+                          .emplace(column_key(key.proto, key.port),
+                                   static_cast<std::uint32_t>(c))
+                          .first->second;
   }
-  cell_outcome_.assign(scan_hints_.size() + target_count * columns, 0);
+  cell_outcome_.assign(space_->hints.size() + target_count * columns, 0);
 }
 
 void Prober::rank_candidates() {
-  const std::size_t hints = scan_hints_.size();
+  const std::size_t hints = space_->hints.size();
   // Hints first, in first-observed order: something already spoke to
   // them. A hint on the grid takes over that grid cell, which is then not
   // queued on its own; one off the grid gets cell `h`. After a ping
@@ -273,7 +359,7 @@ void Prober::rank_candidates() {
   std::vector<std::uint32_t> covered;  // grid cells taken by a hint
   std::size_t queued = 0;
   for (std::uint32_t h = 0; h < hints; ++h) {
-    const passive::ServiceKey& hint = scan_hints_[h];
+    const passive::ServiceKey& hint = space_->hints[h];
     if (spec_.host_discovery && !alive_hosts_.contains(hint.addr)) continue;
     if (const std::uint32_t* cell = grid_cell(hint)) {
       covered.push_back(
@@ -334,13 +420,14 @@ void Prober::begin_port_phase() {
   pinging_ = false;
   current_.hosts_alive = static_cast<std::uint32_t>(alive_hosts_.size());
   // Keep the original target order, filtered to responding hosts.
-  alive_targets_.clear();
-  alive_targets_.reserve(alive_hosts_.size());
+  std::vector<net::Ipv4> alive;
+  alive.reserve(alive_hosts_.size());
   for (const net::Ipv4 addr : spec_.targets) {
-    if (alive_hosts_.contains(addr)) alive_targets_.push_back(addr);
+    if (alive_hosts_.contains(addr)) alive.push_back(addr);
   }
-  phase_targets_ = &alive_targets_;
-  plan_phase(/*ping=*/false, alive_targets_.size());
+  space_->targets = share_targets(std::move(alive));
+  phase_targets_ = space_->targets.get();
+  plan_phase(/*ping=*/false, phase_targets_->size());
   start_phase();
 }
 
@@ -376,8 +463,9 @@ void Prober::send_next(std::size_t machine) {
       const std::size_t column = cursor % columns_;
       const std::size_t cell =
           std::size_t{target_row_[target]} * columns_ + port_column_[column];
-      send_port_probe(source, grid_key(target, column), cell_outcome_[cell],
-                      now);
+      send_port_probe(source,
+                      space_->grid_key((*phase_targets_)[target], column),
+                      static_cast<std::uint32_t>(cell), now);
     }
     last = ++cursor == plan.task_count;
   } else {
@@ -391,11 +479,14 @@ void Prober::send_next(std::size_t machine) {
       machine_done();
       return;
     }
-    const passive::ServiceKey key = key_of(*pick);
-    const bool hint = *pick < scan_hints_.size();
-    std::uint32_t& cell = hint ? *cell_of(key) : cell_outcome_[*pick];
+    const passive::ServiceKey key = space_->key(*pick);
+    const bool hint = *pick < space_->hints.size();
+    // A hint on the grid probes its grid cell.
+    const auto cell = hint ? static_cast<std::uint32_t>(
+                                 cell_of(key) - cell_outcome_.data())
+                           : *pick;
     // Each candidate is queued once and never re-queued after its pop.
-    assert(cell == 0);
+    assert(cell_outcome_[cell] == 0);
     send_port_probe(source, key, cell, now);
     --budget_left_;
     ++budget_spent_total_;
@@ -423,14 +514,13 @@ void Prober::send_next(std::size_t machine) {
 }
 
 void Prober::send_port_probe(net::Ipv4 source, const passive::ServiceKey& key,
-                             std::uint32_t& cell, util::TimePoint now) {
+                             std::uint32_t cell, util::TimePoint now) {
   // A cell gets a fresh outcome unless it still awaits an answer: a
   // repeated target or port probed while the first probe is pending
   // folds into that probe's outcome.
-  if (cell == 0) {
-    current_.outcomes.push_back(
-        {.addr = key.addr, .proto = key.proto, .port = key.port, .when = now});
-    cell = static_cast<std::uint32_t>(current_.outcomes.size());
+  if (cell_outcome_[cell] == 0) {
+    current_.outcomes.push(cell, now);
+    cell_outcome_[cell] = static_cast<std::uint32_t>(current_.outcomes.size());
   }
   send_probe(source, key.addr, key.proto, key.port);
 }
@@ -478,7 +568,8 @@ void Prober::finalize_scan() {
         static_cast<std::int64_t>(std::llround(priors_.entropy() * 1000.0)));
   }
   // Free the index space rather than clear it: it is sized by this scan
-  // alone.
+  // alone. The record keeps space_.
+  space_ = nullptr;
   cell_outcome_ = {};
   target_row_ = {};
   port_column_ = {};
@@ -486,7 +577,6 @@ void Prober::finalize_scan() {
   page_of_ = {};
   memo_page_ = nullptr;
   column_of_ = {};
-  scan_hints_ = {};
   hint_cell_ = {};
   queue_ = ScoreQueue{};
 
@@ -507,24 +597,18 @@ void Prober::finalize_scan() {
 // The index space
 // ---------------------------------------------------------------------------
 
-passive::ServiceKey Prober::grid_key(std::size_t target,
-                                  std::size_t column) const {
-  const net::Ipv4 addr = (*phase_targets_)[target];
-  const std::size_t tcp = spec_.tcp_ports.size();
-  if (column < tcp) return {addr, net::Proto::kTcp, spec_.tcp_ports[column]};
-  return {addr, net::Proto::kUdp, spec_.udp_ports[column - tcp]};
-}
-
-passive::ServiceKey Prober::key_of(std::uint32_t index) const {
-  const std::size_t hints = scan_hints_.size();
-  if (index < hints) return scan_hints_[index];
-  const std::size_t cell = index - hints;
-  return grid_key(cell / columns_, cell % columns_);
+std::shared_ptr<const std::vector<net::Ipv4>> Prober::share_targets(
+    std::vector<net::Ipv4> targets) {
+  if (!last_targets_ || *last_targets_ != targets) {
+    last_targets_ =
+        std::make_shared<const std::vector<net::Ipv4>>(std::move(targets));
+  }
+  return last_targets_;
 }
 
 double Prober::score_of(std::uint32_t index) const {
-  if (index < scan_hints_.size()) return kHintScore;
-  const passive::ServiceKey key = key_of(index);
+  if (index < space_->hints.size()) return kHintScore;
+  const passive::ServiceKey key = space_->key(index);
   return priors_.score(key.addr, key.port, key.proto);
 }
 
@@ -555,7 +639,7 @@ std::uint32_t* Prober::grid_cell(const passive::ServiceKey& key) {
   if (row == nullptr || *row == 0) return nullptr;
   const auto column = column_of_.find(column_key(key.proto, key.port));
   if (column == column_of_.end()) return nullptr;
-  return &cell_outcome_[scan_hints_.size() +
+  return &cell_outcome_[space_->hints.size() +
                         std::size_t{*row - 1} * columns_ + column->second];
 }
 
@@ -630,36 +714,34 @@ void Prober::resolve(const passive::ServiceKey& key, ProbeStatus status) {
   if (cell == nullptr || *cell == 0) return;  // stray, late or duplicate
   const std::size_t outcome_index = *cell - 1;
   *cell = 0;
-  settle(outcome_index, status);
+  settle(key, outcome_index, status);
 }
 
-void Prober::settle(std::size_t outcome_index, ProbeStatus status) {
-  ProbeOutcome& outcome = current_.outcomes[outcome_index];
-  outcome.status = status;
-  outcome.when = network_.simulator().now();
+void Prober::settle(const passive::ServiceKey& key, std::size_t outcome_index,
+                    ProbeStatus status) {
+  const util::TimePoint now = network_.simulator().now();
+  current_.outcomes.set(outcome_index, status, now);
   if (m_responses_) m_responses_->inc();
 
-  if (status == ProbeStatus::kOpen || status == ProbeStatus::kOpenUdp) {
-    record_open(outcome, status == ProbeStatus::kOpenUdp);
-  }
-  note_outcome(outcome);
+  const bool open =
+      status == ProbeStatus::kOpen || status == ProbeStatus::kOpenUdp;
+  if (open) record_open(key, now, status == ProbeStatus::kOpenUdp);
+  note_outcome(key, open);
 }
 
-void Prober::record_open(const ProbeOutcome& outcome, bool udp) {
-  const passive::ServiceKey key = outcome.key();
-  if (table_.discover(key, outcome.when)) {
-    SVCDISC_TRACE_INSTANT("prober.discover", outcome.when.usec);
+void Prober::record_open(const passive::ServiceKey& key, util::TimePoint when,
+                         bool udp) {
+  if (table_.discover(key, when)) {
+    SVCDISC_TRACE_INSTANT("prober.discover", when.usec);
     if (m_discoveries_) m_discoveries_->inc();
-    if (on_discovery) on_discovery(key, outcome.when);
+    if (on_discovery) on_discovery(key, when);
   }
-  if (on_open_response) on_open_response(key, outcome.when, udp);
+  if (on_open_response) on_open_response(key, when, udp);
 }
 
-void Prober::note_outcome(const ProbeOutcome& outcome) {
+void Prober::note_outcome(const passive::ServiceKey& key, bool open) {
   if (!adaptive_) return;
-  const bool open = outcome.status == ProbeStatus::kOpen ||
-                    outcome.status == ProbeStatus::kOpenUdp;
-  priors_.record(outcome.addr, outcome.port, outcome.proto, open);
+  priors_.record(key.addr, key.port, key.proto, open);
   if (open && m_yield_open_) m_yield_open_->inc();
 }
 
@@ -696,52 +778,57 @@ void Prober::send_verify(const net::Packet& syn_ack) {
 
 void Prober::end_verify(const passive::ServiceKey& key,
                         std::size_t outcome_index, ProbeStatus status) {
-  ProbeOutcome& outcome = current_.outcomes[outcome_index];
-  outcome.status = status;
-  outcome.when = network_.simulator().now();
+  const util::TimePoint now = network_.simulator().now();
+  current_.outcomes.set(outcome_index, status, now);
   verifying_.erase(key);
-  if (status == ProbeStatus::kOpen) {
+  const bool open = status == ProbeStatus::kOpen;
+  if (open) {
     ++verify_confirmed_total_;
     if (m_verify_confirmed_) m_verify_confirmed_->inc();
-    record_open(outcome, /*udp=*/false);
+    record_open(key, now, /*udp=*/false);
   } else {
     ++demotions_total_;
     if (m_demotions_) m_demotions_->inc();
-    SVCDISC_TRACE_INSTANT("prober.demote", outcome.when.usec);
+    SVCDISC_TRACE_INSTANT("prober.demote", now.usec);
   }
-  note_outcome(outcome);
+  note_outcome(key, open);
 }
 
 void Prober::classify_unanswered() {
+  ScanOutcomes& outcomes = current_.outcomes;
+  const auto pending = [&](std::size_t i) {
+    return outcomes.status(i) == ProbeStatus::kPending;
+  };
   // Only an unanswered UDP probe asks whether its host proved alive, so
-  // the set of answering hosts is built only when one is left.
-  const bool udp_pending = std::any_of(
-      current_.outcomes.begin(), current_.outcomes.end(),
-      [](const ProbeOutcome& o) {
-        return o.status == ProbeStatus::kPending &&
-               o.proto != net::Proto::kTcp;
-      });
-  util::FlatSet<net::Ipv4> answered;
-  if (udp_pending) {
-    for (const ProbeOutcome& o : current_.outcomes) {
-      if (o.status != ProbeStatus::kPending) answered.insert(o.addr);
+  // the set of answering hosts is built only when one is left; a space
+  // with no UDP key cannot leave one.
+  bool udp_pending = false;
+  if (!outcomes.empty() && outcomes.space()->holds_udp()) {
+    for (std::size_t i = 0; i < outcomes.size() && !udp_pending; ++i) {
+      udp_pending = pending(i) && outcomes.key(i).proto != net::Proto::kTcp;
     }
   }
-  for (ProbeOutcome& outcome : current_.outcomes) {
-    if (outcome.status != ProbeStatus::kPending) continue;
-    if (outcome.proto == net::Proto::kTcp) {
-      outcome.status = ProbeStatus::kFiltered;
+  util::FlatSet<net::Ipv4> answered;
+  if (udp_pending) {
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      if (!pending(i)) answered.insert(outcomes.key(i).addr);
+    }
+  }
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    if (!pending(i)) continue;
+    const passive::ServiceKey key = outcomes.key(i);
+    if (key.proto == net::Proto::kTcp) {
+      outcomes.set_status(i, ProbeStatus::kFiltered);
     } else {
       // A host that answered only the host-discovery ping proved itself
       // alive too.
-      const net::Ipv4 addr = outcome.addr;
-      outcome.status =
-          alive_hosts_.contains(addr) || answered.contains(addr)
-              ? ProbeStatus::kMaybeOpen
-              : ProbeStatus::kNoHost;
+      outcomes.set_status(i, alive_hosts_.contains(key.addr) ||
+                                     answered.contains(key.addr)
+                                 ? ProbeStatus::kMaybeOpen
+                                 : ProbeStatus::kNoHost);
     }
     // In the adaptive mode every silence is negative evidence too.
-    note_outcome(outcome);
+    note_outcome(key, /*open=*/false);
   }
 }
 

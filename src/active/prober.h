@@ -32,8 +32,11 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -66,9 +69,8 @@ enum class ProbeStatus : std::uint8_t {
   kPending,     ///< internal: awaiting response/timeout
 };
 
-/// One probe's result, 16 bytes: a scan keeps one per probe until the
-/// campaign ends, so the key's fields are laid out around `status`
-/// rather than nesting a padded ServiceKey.
+/// One probe's result as readers see it: a 16-byte value decoded from
+/// the scan's 8-byte stored record (ScanOutcomes), never kept itself.
 struct ProbeOutcome {
   net::Ipv4 addr{};
   net::Proto proto{net::Proto::kTcp};
@@ -77,16 +79,133 @@ struct ProbeOutcome {
   util::TimePoint when{};  ///< send time, then the answer's time
 
   passive::ServiceKey key() const { return {addr, proto, port}; }
+  bool operator==(const ProbeOutcome&) const = default;
 };
 static_assert(sizeof(ProbeOutcome) == 16);
 static_assert(std::has_unique_object_representations_v<ProbeOutcome>);
+
+/// A scan's probe index space (DESIGN.md §16): index h < H names the
+/// scan's h-th passive hint, H + row * columns + column the grid cell of
+/// port-phase target `row` x port-list entry `column` (TCP ports, then
+/// UDP). A finished scan keeps it so its outcomes can decode their keys;
+/// the prober hands scans with equal targets one shared target list.
+struct ProbeSpace {
+  std::vector<passive::ServiceKey> hints;
+  std::shared_ptr<const std::vector<net::Ipv4>> targets;
+  std::vector<net::Port> tcp_ports;
+  std::vector<net::Port> udp_ports;
+
+  std::size_t columns() const { return tcp_ports.size() + udp_ports.size(); }
+  passive::ServiceKey key(std::uint32_t index) const;
+  /// Whether some index names a UDP key.
+  bool holds_udp() const;
+  /// The key of `addr` x port-list entry `column`.
+  passive::ServiceKey grid_key(net::Ipv4 addr, std::size_t column) const {
+    if (column < tcp_ports.size()) {
+      return {addr, net::Proto::kTcp, tcp_ports[column]};
+    }
+    return {addr, net::Proto::kUdp, udp_ports[column - tcp_ports.size()]};
+  }
+};
+
+/// One stored probe: its index in the scan's ProbeSpace and one word of
+/// status (low 3 bits) and send-or-answer time (high 29 bits, µs after
+/// its block's base).
+struct StoredOutcome {
+  std::uint32_t index{0};
+  std::uint32_t word{0};
+};
+static_assert(sizeof(StoredOutcome) == 8);
+
+/// A scan's outcomes, 8 bytes per probe (DESIGN.md §16). Blocks of
+/// kBlock consecutive outcomes share a base time, the `when` of the
+/// block's first outcome; a `when` outside [base, base + kExact) stores
+/// the offset kExact and sits, exact, in a side map. Reads decode a
+/// ProbeOutcome through the ProbeSpace.
+class ScanOutcomes {
+ public:
+  static constexpr std::size_t kBlock = 256;
+  static constexpr unsigned kStatusBits = 3;
+  static constexpr std::uint32_t kExact = (std::uint32_t{1} << 29) - 1;
+  static_assert(static_cast<unsigned>(ProbeStatus::kPending) <
+                (1u << kStatusBits));
+
+  ScanOutcomes() = default;
+  /// An empty store whose indices name cells of `space`.
+  explicit ScanOutcomes(std::shared_ptr<const ProbeSpace> space);
+  /// Hand-built records: each outcome gets a hint index of its own.
+  void assign(std::span<const ProbeOutcome> outcomes);
+  ScanOutcomes& operator=(std::initializer_list<ProbeOutcome> outcomes) {
+    assign({outcomes.begin(), outcomes.size()});
+    return *this;
+  }
+
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = ProbeOutcome;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = ProbeOutcome;
+
+    const_iterator() = default;
+    const_iterator(const ScanOutcomes* owner, std::size_t i)
+        : owner_(owner), i_(i) {}
+    ProbeOutcome operator*() const { return (*owner_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const const_iterator old = *this;
+      ++i_;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const ScanOutcomes* owner_{nullptr};
+    std::size_t i_{0};
+  };
+
+  const std::shared_ptr<const ProbeSpace>& space() const { return space_; }
+  std::size_t size() const { return stored_.size(); }
+  bool empty() const { return stored_.empty(); }
+  ProbeOutcome operator[](std::size_t i) const;
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size()}; }
+
+  ProbeStatus status(std::size_t i) const {
+    return static_cast<ProbeStatus>(stored_[i].word &
+                                    ((1u << kStatusBits) - 1));
+  }
+  passive::ServiceKey key(std::size_t i) const {
+    return space_->key(stored_[i].index);
+  }
+  util::TimePoint when(std::size_t i) const;
+
+  // Writers (the prober's in-flight scan).
+  void reserve(std::size_t n) { stored_.reserve(n); }
+  /// Appends a pending outcome of cell `index` sent at `when`. The
+  /// prober pushes in send order, so a block's times fit its base.
+  void push(std::uint32_t index, util::TimePoint when);
+  void set(std::size_t i, ProbeStatus status, util::TimePoint when);
+  void set_status(std::size_t i, ProbeStatus status);
+
+ private:
+  std::shared_ptr<const ProbeSpace> space_;
+  std::vector<StoredOutcome> stored_;
+  std::vector<util::TimePoint> bases_;  // per block of kBlock outcomes
+  /// Outcome index -> `when`, for the outcomes stored with offset kExact.
+  util::FlatMap<std::uint32_t, util::TimePoint> exact_;
+};
 
 /// One completed scan's results.
 struct ScanRecord {
   int index{0};
   util::TimePoint started{};
   util::TimePoint finished{};
-  std::vector<ProbeOutcome> outcomes;
+  ScanOutcomes outcomes;
   /// Host-discovery bookkeeping (zero when the pre-pass was off).
   std::uint32_t hosts_pinged{0};
   std::uint32_t hosts_alive{0};
@@ -260,18 +379,18 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   void start_phase();
   void begin_port_phase();
   void send_next(std::size_t machine);
-  /// Sends a port probe and opens (or folds into) its cell's outcome.
+  /// Sends a port probe and opens (or folds into) the outcome of cell
+  /// `cell`.
   void send_port_probe(net::Ipv4 source, const passive::ServiceKey& key,
-                       std::uint32_t& cell, util::TimePoint now);
+                       std::uint32_t cell, util::TimePoint now);
   void machine_done();
   void finalize_scan();
 
   // The index space. Cell and candidate indices coincide: [0, H) are
   // this scan's hints, H + row * columns_ + column the grid cells.
-  /// The key of phase target `target` x port-list entry `column`.
-  passive::ServiceKey grid_key(std::size_t target, std::size_t column) const;
-  /// Decodes a candidate index back to its key.
-  passive::ServiceKey key_of(std::uint32_t index) const;
+  /// The shared copy of `targets`: the last port phase's list when equal.
+  std::shared_ptr<const std::vector<net::Ipv4>> share_targets(
+      std::vector<net::Ipv4> targets);
   /// Hints score above every prior; grid cells score by the priors.
   double score_of(std::uint32_t index) const;
   /// A row page: the rows of one /24's 256 addresses, each 0 (no row)
@@ -293,11 +412,13 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   void resolve(const passive::ServiceKey& key, ProbeStatus status);
   /// Sets the outcome's status and time, counts the response, records an
   /// open and notes the outcome.
-  void settle(std::size_t outcome_index, ProbeStatus status);
+  void settle(const passive::ServiceKey& key, std::size_t outcome_index,
+              ProbeStatus status);
   /// Table discovery + callbacks for an open outcome.
-  void record_open(const ProbeOutcome& outcome, bool udp);
+  void record_open(const passive::ServiceKey& key, util::TimePoint when,
+                   bool udp);
   /// The adaptive mode's online prior update; nothing in the sweep.
-  void note_outcome(const ProbeOutcome& outcome);
+  void note_outcome(const passive::ServiceKey& key, bool open);
   void send_probe(net::Ipv4 source, net::Ipv4 addr, net::Proto proto,
                   net::Port port);
   void send_verify(const net::Packet& syn_ack);
@@ -329,20 +450,24 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   net::Port next_ephemeral_{40000};
   std::vector<MachinePlan> plan_;    // per machine share of the phase
   std::vector<std::size_t> cursor_;  // per machine: next probe
-  /// Targets of the current phase: spec_.targets, or alive_targets_
-  /// after a host-discovery pre-pass. Both outlive the phase.
+  /// Targets of the current phase: spec_.targets while pinging, then the
+  /// port phase's space_->targets.
   const std::vector<net::Ipv4>* phase_targets_{nullptr};
   std::size_t machines_done_{0};
   bool pinging_{false};
   util::FlatSet<net::Ipv4> alive_hosts_;
-  std::vector<net::Ipv4> alive_targets_;
 
-  // The port phase's index space (DESIGN.md §16), built by plan_phase and
-  // rank_candidates and freed when the scan finishes. Grid row r is the
-  // r-th phase target, column c the c-th port-list entry (TCP ports, then
-  // UDP); a repeated target or port maps to the row or column of its
-  // first occurrence. A cell holds 0 while not awaiting an answer, else
-  // 1 + the index in current_.outcomes of its pending probe.
+  // The port phase's index space (DESIGN.md §16). space_ holds the
+  // scan's hints, targets and ports, and passes to the ScanRecord; the
+  // rest is built by plan_phase and rank_candidates and freed when the
+  // scan finishes. Grid row r is the r-th phase target, column c the c-th
+  // port-list entry (TCP ports, then UDP); a repeated target or port maps
+  // to the row or column of its first occurrence. A cell holds 0 while
+  // not awaiting an answer, else 1 + the index in current_.outcomes of
+  // its pending probe.
+  std::shared_ptr<ProbeSpace> space_;
+  /// The last port phase's targets, shared with the next scan if equal.
+  std::shared_ptr<const std::vector<net::Ipv4>> last_targets_;
   std::size_t columns_{0};
   std::vector<std::uint32_t> cell_outcome_;  // hint cells, then the grid
   std::vector<std::uint32_t> target_row_;   // per phase target: its row
@@ -362,9 +487,6 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   /// Accumulated passive hints, deduped, in first-observed order.
   util::FlatSet<passive::ServiceKey, passive::ServiceKeyHash> hints_;
   ScanPriors priors_;
-  /// The hints at scan start: candidates [0, H). Hints noted later wait
-  /// for the next scan.
-  std::vector<passive::ServiceKey> scan_hints_;
   /// Queued hints off the grid -> their own cell (index < H).
   util::FlatMap<passive::ServiceKey, std::uint32_t, passive::ServiceKeyHash>
       hint_cell_;

@@ -48,20 +48,20 @@ std::string format_scan_report(const ScanRecord& record,
   }
 
   // Group outcomes per host, ordered by address.
-  std::map<std::uint32_t, std::vector<const ProbeOutcome*>> by_host;
+  std::map<std::uint32_t, std::vector<ProbeOutcome>> by_host;
   for (const ProbeOutcome& outcome : record.outcomes) {
-    by_host[outcome.addr.value()].push_back(&outcome);
+    by_host[outcome.addr.value()].push_back(outcome);
   }
 
   std::size_t open_hosts = 0, responding = 0, silent = 0, printed = 0;
   for (const auto& [addr_value, outcomes] : by_host) {
     std::size_t open = 0, closed = 0, filtered = 0;
-    for (const ProbeOutcome* o : outcomes) {
-      open += o->status == ProbeStatus::kOpen ||
-              o->status == ProbeStatus::kOpenUdp;
-      closed += o->status == ProbeStatus::kClosed;
-      filtered += o->status == ProbeStatus::kFiltered ||
-                  o->status == ProbeStatus::kMaybeOpen;
+    for (const ProbeOutcome& o : outcomes) {
+      open += o.status == ProbeStatus::kOpen ||
+              o.status == ProbeStatus::kOpenUdp;
+      closed += o.status == ProbeStatus::kClosed;
+      filtered += o.status == ProbeStatus::kFiltered ||
+                  o.status == ProbeStatus::kMaybeOpen;
     }
     if (open + closed > 0) {
       ++responding;
@@ -77,18 +77,18 @@ std::string format_scan_report(const ScanRecord& record,
                   net::Ipv4(addr_value).to_string().c_str(), open, closed,
                   filtered);
     out += line;
-    for (const ProbeOutcome* o : outcomes) {
-      const bool is_open = o->status == ProbeStatus::kOpen ||
-                           o->status == ProbeStatus::kOpenUdp;
+    for (const ProbeOutcome& o : outcomes) {
+      const bool is_open = o.status == ProbeStatus::kOpen ||
+                           o.status == ProbeStatus::kOpenUdp;
       if (!is_open && !(options.show_closed &&
-                        o->status == ProbeStatus::kClosed)) {
+                        o.status == ProbeStatus::kClosed)) {
         continue;
       }
-      const std::string_view known = net::port_name(o->port);
+      const std::string_view known = net::port_name(o.port);
       const std::string name(known.empty() ? std::string_view("-") : known);
-      std::snprintf(line, sizeof line, "  %u/%s %s %s\n", o->port,
-                    o->proto == net::Proto::kTcp ? "tcp" : "udp",
-                    status_name(o->status), name.c_str());
+      std::snprintf(line, sizeof line, "  %u/%s %s %s\n", o.port,
+                    o.proto == net::Proto::kTcp ? "tcp" : "udp",
+                    status_name(o.status), name.c_str());
       out += line;
     }
   }

@@ -43,9 +43,14 @@ void Tap::observe(const net::Packet& p) {
 }
 
 void Tap::observe_batch(std::span<const net::Packet> packets) {
+  // Each counter bump is a locked add, and most batches hold one packet,
+  // so zero amounts are skipped.
+  const auto bump = [](util::Counter* counter, std::uint64_t amount) {
+    if (counter != nullptr && amount != 0) counter->inc(amount);
+  };
   const std::uint64_t n = packets.size();
   seen_ += n;
-  if (m_seen_) m_seen_->inc(n);
+  bump(m_seen_, n);
 
   // Filter + sampler pre-pass, in packet order (the sampler may be
   // stateful, so it must see survivors in the same sequence as the
@@ -67,11 +72,11 @@ void Tap::observe_batch(std::span<const net::Packet> packets) {
   filtered_out_ += rejected;
   sampled_out_ += sampled_out;
   delivered_ += survivors_.size();
-  if (m_filter_reject_) m_filter_reject_->inc(rejected);
-  if (m_filter_match_) m_filter_match_->inc(n - rejected);
-  if (m_sampled_out_) m_sampled_out_->inc(sampled_out);
-  if (m_dropped_) m_dropped_->inc(rejected + sampled_out);
-  if (m_delivered_) m_delivered_->inc(survivors_.size());
+  bump(m_filter_reject_, rejected);
+  bump(m_filter_match_, n - rejected);
+  bump(m_sampled_out_, sampled_out);
+  bump(m_dropped_, rejected + sampled_out);
+  bump(m_delivered_, survivors_.size());
 
   if (survivors_.empty()) return;
   if (consumers_.size() == 1) {

@@ -1043,8 +1043,8 @@ TEST(ProberPacing, ScanWithEverySlotTakenMatchesScanWithSlots) {
                                  : std::nullopt;
       const PacedScan slotted = run_paced_scan(false, ping, mode);
       const PacedScan spilled = run_paced_scan(true, ping, mode);
-      const std::vector<ProbeOutcome>& want = slotted.record.outcomes;
-      const std::vector<ProbeOutcome>& got = spilled.record.outcomes;
+      const ScanOutcomes& want = slotted.record.outcomes;
+      const ScanOutcomes& got = spilled.record.outcomes;
       EXPECT_GT(slotted.record.count(ProbeStatus::kOpen), 0u);
       EXPECT_GT(slotted.record.count(ProbeStatus::kClosed), 0u);
       ASSERT_EQ(got.size(), want.size());

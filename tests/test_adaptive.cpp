@@ -311,12 +311,12 @@ net::Packet tcp_reply(const World& w, Ipv4 from, net::Port sport,
   return p;
 }
 
-const ProbeOutcome* find_outcome(const ScanRecord& record, Ipv4 addr,
-                                 net::Port port) {
+std::optional<ProbeOutcome> find_outcome(const ScanRecord& record,
+                                         Ipv4 addr, net::Port port) {
   for (const ProbeOutcome& o : record.outcomes) {
-    if (o.addr == addr && o.port == port) return &o;
+    if (o.addr == addr && o.port == port) return o;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 /// The four-host world of the sweep-equivalence tests: 1.1 serves 80,
@@ -402,7 +402,7 @@ TEST(AdaptiveMode, TwoMachinesShareOneQueueWhereTheSweepSplitsTargets) {
         fixed.outcomes.begin(), fixed.outcomes.end(),
         [&](const ProbeOutcome& f) { return f.key() == o.key(); });
     ASSERT_NE(it, fixed.outcomes.end());
-    EXPECT_EQ(o.status, it->status);
+    EXPECT_EQ(o.status, (*it).status);
   }
 }
 
@@ -658,8 +658,8 @@ TEST(AdaptivePending, ReplyForCandidateNotYetProbedSettlesNothing) {
 
   ASSERT_TRUE(record.has_value());
   ASSERT_EQ(record->outcomes.size(), 2u);
-  const ProbeOutcome* late = find_outcome(*record, dark, 80);
-  ASSERT_NE(late, nullptr);
+  const std::optional<ProbeOutcome> late = find_outcome(*record, dark, 80);
+  ASSERT_TRUE(late.has_value());
   // Probed after the stray replies and never answered: filtered.
   EXPECT_EQ(late->status, ProbeStatus::kFiltered);
   EXPECT_EQ(record->count(ProbeStatus::kClosed), 0u);
@@ -721,7 +721,7 @@ TEST(AdaptivePending, HintAddedMidScanWaitsForTheNextScan) {
 
   ASSERT_TRUE(record.has_value());
   EXPECT_EQ(record->outcomes.size(), 4u);
-  EXPECT_EQ(find_outcome(*record, alt, 8080), nullptr);
+  EXPECT_FALSE(find_outcome(*record, alt, 8080).has_value());
   EXPECT_EQ(prober.seeds_probed_total(), 0u);
   EXPECT_EQ(prober.table().size(), 1u);
 

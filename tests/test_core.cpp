@@ -103,16 +103,17 @@ TEST(Report, ScanTimesRespectPredicate) {
   std::vector<ScanRecord> scans(2);
   scans[0].index = 0;
   scans[0].started = kEpoch + hours(1);
-  scans[0].outcomes.push_back(ProbeOutcome{
-      addr(1), net::Proto::kTcp, ProbeStatus::kOpen, 80, kEpoch + hours(1)});
+  scans[0].outcomes = {ProbeOutcome{addr(1), net::Proto::kTcp,
+                                    ProbeStatus::kOpen, 80,
+                                    kEpoch + hours(1)}};
   scans[1].index = 1;
   scans[1].started = kEpoch + hours(13);
-  scans[1].outcomes.push_back(ProbeOutcome{addr(2), net::Proto::kTcp,
-                                           ProbeStatus::kOpen, 80,
-                                           kEpoch + hours(13)});
-  scans[1].outcomes.push_back(ProbeOutcome{addr(3), net::Proto::kTcp,
-                                           ProbeStatus::kClosed, 80,
-                                           kEpoch + hours(13)});
+  scans[1].outcomes = {
+      ProbeOutcome{addr(2), net::Proto::kTcp, ProbeStatus::kOpen, 80,
+                   kEpoch + hours(13)},
+      ProbeOutcome{addr(3), net::Proto::kTcp, ProbeStatus::kClosed, 80,
+                   kEpoch + hours(13)},
+  };
 
   const auto all = address_times_from_scans(scans, nullptr);
   EXPECT_EQ(all.size(), 2u);  // closed outcome is not a discovery
