@@ -64,7 +64,7 @@ run_asan() {
   # The event_core label covers the event heap's index arithmetic and
   # slab reuse, the packet lanes' ring wrap and growth, the pacing slots'
   # bit masks and heap fallback, the dense address-owner tables and the
-  # scan detector's capped sets, each replayed against a reference model.
+  # scan detector's pair sets, each replayed against a reference model.
   echo "== ASan + UBSan: event core =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L event_core)
   # The figures label renders every table, figure and ablation at
@@ -76,7 +76,8 @@ run_asan() {
   # The scale label runs the universe suite; SVCDISC_SCALE_SMOKE shrinks
   # its million-address campaign to one /16 block so the ASan pass stays
   # fast (the RSS ceiling is skipped under ASan anyway — shadow memory
-  # would dominate it).
+  # would dominate it). Its other entry, the adaptive campaign's RSS
+  # ceiling, skips itself under ASan for the same reason.
   echo "== ASan + UBSan: scale universe =="
   (cd build-asan && SVCDISC_SCALE_SMOKE=1 ctest --output-on-failure -L scale)
 }

@@ -4,7 +4,9 @@
 #
 #  1. `ctest -L scale` — the test_scale suite: ScaleUniverse profile and
 #     reply semantics, lazy materialization, and a full million-address
-#     campaign with an in-process peak-RSS ceiling (getrusage).
+#     campaign with an in-process peak-RSS ceiling (getrusage); and
+#     test_adaptive_rss, the same kind of ceiling on a half-budget
+#     adaptive dtcp1_18d campaign.
 #  2. Two same-seed CLI campaigns over the scale1m scenario, with the
 #     JSON exports diffed — `wall_sec` is the only field allowed to
 #     differ (it is the one intentionally nondeterministic export field).
@@ -21,7 +23,8 @@ cd "$(dirname "$0")/.."
 jobs="$(nproc 2>/dev/null || echo 2)"
 
 cmake -B build -S . >/dev/null
-cmake --build build -j "$jobs" --target test_scale svcdisc_cli
+cmake --build build -j "$jobs" --target test_scale test_adaptive_rss \
+  svcdisc_cli
 
 echo "== scale: ctest -L scale =="
 (cd build && ctest --output-on-failure -L scale)

@@ -33,17 +33,16 @@ constexpr double kHintScore = 2.0;
 // ---------------------------------------------------------------------------
 
 passive::ServiceKey ProbeSpace::key(std::uint32_t index) const {
-  if (index < hints.size()) return hints[index];
-  const std::size_t cell = index - hints.size();
+  if (index < hint_count) return (*hint_list)[index];
+  const std::size_t cell = index - hint_count;
   return grid_key((*targets)[cell / columns()], cell % columns());
 }
 
 bool ProbeSpace::holds_udp() const {
   return !udp_ports.empty() ||
-         std::any_of(hints.begin(), hints.end(),
-                     [](const passive::ServiceKey& hint) {
-                       return hint.proto != net::Proto::kTcp;
-                     });
+         std::ranges::any_of(hints(), [](const passive::ServiceKey& hint) {
+           return hint.proto != net::Proto::kTcp;
+         });
 }
 
 ScanOutcomes::ScanOutcomes(std::shared_ptr<const ProbeSpace> space)
@@ -51,8 +50,10 @@ ScanOutcomes::ScanOutcomes(std::shared_ptr<const ProbeSpace> space)
 
 void ScanOutcomes::assign(std::span<const ProbeOutcome> outcomes) {
   auto space = std::make_shared<ProbeSpace>();
-  space->hints.reserve(outcomes.size());
-  for (const ProbeOutcome& o : outcomes) space->hints.push_back(o.key());
+  std::vector<passive::ServiceKey> keys;
+  keys.reserve(outcomes.size());
+  for (const ProbeOutcome& o : outcomes) keys.push_back(o.key());
+  space->own_hints(std::move(keys));
   *this = ScanOutcomes(std::move(space));
   // Pushed at its block's base, each outcome then takes its own time,
   // which may fall before that base.
@@ -189,7 +190,7 @@ void Prober::configure_feed(std::vector<net::Prefix> internal,
 }
 
 void Prober::note_passive(const passive::ServiceKey& key) {
-  hints_.insert(key);
+  if (hints_.insert(key)) hint_list_->push_back(key);
 }
 
 void Prober::seed_from_table(const passive::ServiceTable& table) {
@@ -213,12 +214,12 @@ void Prober::observe_passive(const net::Packet& p) {
       // service hint on whatever port it spoke from, configured scan
       // port or not (LZR: services live on unexpected ports).
       if (!p.flags.is_syn_ack() || !is_internal(p.src)) return;
-      hints_.insert({p.src, net::Proto::kTcp, p.sport});
+      note_passive({p.src, net::Proto::kTcp, p.sport});
       return;
     case net::Proto::kUdp:
       if (p.payload_len == 0 || !is_internal(p.src)) return;
       if (!udp_seed_ports_.contains(p.sport)) return;
-      hints_.insert({p.src, net::Proto::kUdp, p.sport});
+      note_passive({p.src, net::Proto::kUdp, p.sport});
       return;
     default:
       return;
@@ -231,9 +232,19 @@ void Prober::observe_passive(const net::Packet& p) {
 
 void Prober::start_scan(ScanSpec spec,
                         std::function<void(const ScanRecord&)> on_complete) {
+  auto targets =
+      std::make_shared<const std::vector<net::Ipv4>>(std::move(spec.targets));
+  start_scan(std::move(spec), std::move(targets), std::move(on_complete));
+}
+
+void Prober::start_scan(ScanSpec spec,
+                        std::shared_ptr<const std::vector<net::Ipv4>> targets,
+                        std::function<void(const ScanRecord&)> on_complete) {
   if (in_progress_) throw std::logic_error("Prober: scan already in flight");
   in_progress_ = true;
   spec_ = std::move(spec);
+  spec_.targets.clear();
+  scan_targets_ = std::move(targets);
   on_complete_ = std::move(on_complete);
   current_ = ScanRecord{};
   current_.index = static_cast<int>(scans_.size());
@@ -263,10 +274,8 @@ void Prober::start_scan(ScanSpec spec,
   space_->udp_ports = spec_.udp_ports;
   if (adaptive_) {
     // The hints this scan ranks; later ones wait for the next scan.
-    space_->hints.reserve(hints_.size());
-    for (const passive::ServiceKey& hint : hints_) {
-      space_->hints.push_back(hint);
-    }
+    space_->hint_list = hint_list_;
+    space_->hint_count = hint_list_->size();
     budget_left_ = adaptive_->probe_budget == 0 ? ~std::uint64_t{0}
                                                 : adaptive_->probe_budget;
     verifying_.clear();
@@ -279,10 +288,11 @@ void Prober::start_scan(ScanSpec spec,
   if (pinging_) {
     // Phase 1: one ICMP echo per target address; port probes follow for
     // responders only.
-    current_.hosts_pinged = static_cast<std::uint32_t>(spec_.targets.size());
-    phase_targets_ = &spec_.targets;
+    current_.hosts_pinged =
+        static_cast<std::uint32_t>(scan_targets_->size());
+    phase_targets_ = scan_targets_.get();
   } else {
-    space_->targets = share_targets(std::move(spec_.targets));
+    space_->targets = share_targets(std::move(scan_targets_));
     phase_targets_ = space_->targets.get();
   }
   try {
@@ -304,7 +314,7 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
   // Cells store 1 + an outcome index and the queue holds cell indices,
   // all in 32 bits; a phase has at most one outcome per cell. The ping
   // phase checks too: its target list bounds the port phase's.
-  if (space_->hints.size() + target_count * columns >
+  if (space_->hint_count + target_count * columns >
       std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error(
         "Prober: hints + targets x ports exceeds the 2^32 - 1 probe index "
@@ -347,19 +357,19 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
                                    static_cast<std::uint32_t>(c))
                           .first->second;
   }
-  cell_outcome_.assign(space_->hints.size() + target_count * columns, 0);
+  cell_outcome_.assign(space_->hint_count + target_count * columns, 0);
 }
 
 void Prober::rank_candidates() {
-  const std::size_t hints = space_->hints.size();
+  const std::span<const passive::ServiceKey> hints = space_->hints();
   // Hints first, in first-observed order: something already spoke to
   // them. A hint on the grid takes over that grid cell, which is then not
   // queued on its own; one off the grid gets cell `h`. After a ping
   // pre-pass only the responders' hints are queued.
   std::vector<std::uint32_t> covered;  // grid cells taken by a hint
   std::size_t queued = 0;
-  for (std::uint32_t h = 0; h < hints; ++h) {
-    const passive::ServiceKey& hint = space_->hints[h];
+  for (std::uint32_t h = 0; h < hints.size(); ++h) {
+    const passive::ServiceKey& hint = hints[h];
     if (spec_.host_discovery && !alive_hosts_.contains(hint.addr)) continue;
     if (const std::uint32_t* cell = grid_cell(hint)) {
       covered.push_back(
@@ -380,7 +390,7 @@ void Prober::rank_candidates() {
     for (std::size_t column = 0; column < columns_; ++column) {
       if (port_column_[column] != column) continue;
       const auto index =
-          static_cast<std::uint32_t>(hints + row * columns_ + column);
+          static_cast<std::uint32_t>(hints.size() + row * columns_ + column);
       if (next_covered != covered.end() && *next_covered == index) {
         ++next_covered;
         continue;
@@ -422,10 +432,12 @@ void Prober::begin_port_phase() {
   // Keep the original target order, filtered to responding hosts.
   std::vector<net::Ipv4> alive;
   alive.reserve(alive_hosts_.size());
-  for (const net::Ipv4 addr : spec_.targets) {
+  for (const net::Ipv4 addr : *scan_targets_) {
     if (alive_hosts_.contains(addr)) alive.push_back(addr);
   }
-  space_->targets = share_targets(std::move(alive));
+  scan_targets_.reset();
+  space_->targets = share_targets(
+      std::make_shared<const std::vector<net::Ipv4>>(std::move(alive)));
   phase_targets_ = space_->targets.get();
   plan_phase(/*ping=*/false, phase_targets_->size());
   start_phase();
@@ -480,7 +492,7 @@ void Prober::send_next(std::size_t machine) {
       return;
     }
     const passive::ServiceKey key = space_->key(*pick);
-    const bool hint = *pick < space_->hints.size();
+    const bool hint = *pick < space_->hint_count;
     // A hint on the grid probes its grid cell.
     const auto cell = hint ? static_cast<std::uint32_t>(
                                  cell_of(key) - cell_outcome_.data())
@@ -570,6 +582,7 @@ void Prober::finalize_scan() {
   // Free the index space rather than clear it: it is sized by this scan
   // alone. The record keeps space_.
   space_ = nullptr;
+  scan_targets_ = nullptr;
   cell_outcome_ = {};
   target_row_ = {};
   port_column_ = {};
@@ -598,16 +611,16 @@ void Prober::finalize_scan() {
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const std::vector<net::Ipv4>> Prober::share_targets(
-    std::vector<net::Ipv4> targets) {
-  if (!last_targets_ || *last_targets_ != targets) {
-    last_targets_ =
-        std::make_shared<const std::vector<net::Ipv4>>(std::move(targets));
+    std::shared_ptr<const std::vector<net::Ipv4>> targets) {
+  if (targets != last_targets_ &&
+      (!last_targets_ || *last_targets_ != *targets)) {
+    last_targets_ = std::move(targets);
   }
   return last_targets_;
 }
 
 double Prober::score_of(std::uint32_t index) const {
-  if (index < space_->hints.size()) return kHintScore;
+  if (index < space_->hint_count) return kHintScore;
   const passive::ServiceKey key = space_->key(index);
   return priors_.score(key.addr, key.port, key.proto);
 }
@@ -639,7 +652,7 @@ std::uint32_t* Prober::grid_cell(const passive::ServiceKey& key) {
   if (row == nullptr || *row == 0) return nullptr;
   const auto column = column_of_.find(column_key(key.proto, key.port));
   if (column == column_of_.end()) return nullptr;
-  return &cell_outcome_[space_->hints.size() +
+  return &cell_outcome_[space_->hint_count +
                         std::size_t{*row - 1} * columns_ + column->second];
 }
 

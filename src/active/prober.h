@@ -88,14 +88,30 @@ static_assert(std::has_unique_object_representations_v<ProbeOutcome>);
 /// scan's h-th passive hint, H + row * columns + column the grid cell of
 /// port-phase target `row` x port-list entry `column` (TCP ports, then
 /// UDP). A finished scan keeps it so its outcomes can decode their keys;
-/// the prober hands scans with equal targets one shared target list.
+/// the prober hands scans with equal targets one shared target list, and
+/// every scan its one hint list.
 struct ProbeSpace {
-  std::vector<passive::ServiceKey> hints;
+  /// The hints are the first `hint_count` entries of `hint_list`. The
+  /// prober only ever appends to its list, so each scan's hints are a
+  /// prefix of the next scan's.
+  std::shared_ptr<const std::vector<passive::ServiceKey>> hint_list;
+  std::size_t hint_count{0};
   std::shared_ptr<const std::vector<net::Ipv4>> targets;
   std::vector<net::Port> tcp_ports;
   std::vector<net::Port> udp_ports;
 
   std::size_t columns() const { return tcp_ports.size() + udp_ports.size(); }
+  /// The scan's hints; a view the prober's next hint may invalidate.
+  std::span<const passive::ServiceKey> hints() const {
+    if (hint_count == 0) return {};
+    return {hint_list->data(), hint_count};
+  }
+  /// Gives the space a hint list of its own.
+  void own_hints(std::vector<passive::ServiceKey> list) {
+    hint_count = list.size();
+    hint_list = std::make_shared<const std::vector<passive::ServiceKey>>(
+        std::move(list));
+  }
   passive::ServiceKey key(std::uint32_t index) const;
   /// Whether some index names a UDP key.
   bool holds_udp() const;
@@ -279,6 +295,12 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   /// fit in 32 bits.
   void start_scan(ScanSpec spec,
                   std::function<void(const ScanRecord&)> on_complete = {});
+  /// The same, probing the shared list `targets` in place of
+  /// spec.targets, which is not read. A caller repeating one scan hands
+  /// every scan the same list, and no scan copies or compares it.
+  void start_scan(ScanSpec spec,
+                  std::shared_ptr<const std::vector<net::Ipv4>> targets,
+                  std::function<void(const ScanRecord&)> on_complete = {});
 
   bool scan_in_progress() const { return in_progress_; }
 
@@ -324,7 +346,7 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   void note_passive(const passive::ServiceKey& key);
   /// Seeds one hint per discovered service, in first-seen order.
   void seed_from_table(const passive::ServiceTable& table);
-  std::size_t hint_count() const { return hints_.size(); }
+  std::size_t hint_count() const { return hint_list_->size(); }
 
   const ScanPriors& priors() const { return priors_; }
   std::uint64_t budget_spent_total() const { return budget_spent_total_; }
@@ -388,9 +410,10 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
 
   // The index space. Cell and candidate indices coincide: [0, H) are
   // this scan's hints, H + row * columns_ + column the grid cells.
-  /// The shared copy of `targets`: the last port phase's list when equal.
+  /// The shared copy of `targets`: the last port phase's list when it is
+  /// the same list or an equal one.
   std::shared_ptr<const std::vector<net::Ipv4>> share_targets(
-      std::vector<net::Ipv4> targets);
+      std::shared_ptr<const std::vector<net::Ipv4>> targets);
   /// Hints score above every prior; grid cells score by the priors.
   double score_of(std::uint32_t index) const;
   /// A row page: the rows of one /24's 256 addresses, each 0 (no row)
@@ -440,7 +463,9 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
 
   // In-flight scan state.
   bool in_progress_{false};
-  ScanSpec spec_;
+  ScanSpec spec_;  // its targets are in scan_targets_
+  /// The scan's target list; held only until its port phase begins.
+  std::shared_ptr<const std::vector<net::Ipv4>> scan_targets_;
   ScanRecord current_;
   std::function<void(const ScanRecord&)> on_complete_;
   std::vector<TokenBucket> buckets_;  // per machine pacing
@@ -450,7 +475,7 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   net::Port next_ephemeral_{40000};
   std::vector<MachinePlan> plan_;    // per machine share of the phase
   std::vector<std::size_t> cursor_;  // per machine: next probe
-  /// Targets of the current phase: spec_.targets while pinging, then the
+  /// Targets of the current phase: *scan_targets_ while pinging, then the
   /// port phase's space_->targets.
   const std::vector<net::Ipv4>* phase_targets_{nullptr};
   std::size_t machines_done_{0};
@@ -484,8 +509,11 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   Feed feed_;
   std::vector<net::Prefix> internal_;
   util::FlatSet<net::Port> udp_seed_ports_;
-  /// Accumulated passive hints, deduped, in first-observed order.
+  /// Accumulated passive hints, deduped, in first-observed order: the
+  /// set answers "seen?", the list is what scans share.
   util::FlatSet<passive::ServiceKey, passive::ServiceKeyHash> hints_;
+  std::shared_ptr<std::vector<passive::ServiceKey>> hint_list_ =
+      std::make_shared<std::vector<passive::ServiceKey>>();
   ScanPriors priors_;
   /// Queued hints off the grid -> their own cell (index < H).
   util::FlatMap<passive::ServiceKey, std::uint32_t, passive::ServiceKeyHash>

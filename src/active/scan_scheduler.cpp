@@ -8,8 +8,14 @@ namespace svcdisc::active {
 
 ScanScheduler::ScanScheduler(sim::Simulator& sim, Prober& prober,
                              ScanSpec spec, ScheduleConfig schedule)
-    : sim_(sim), prober_(prober), spec_(std::move(spec)),
-      schedule_(schedule) {}
+    : sim_(sim),
+      prober_(prober),
+      spec_(std::move(spec)),
+      targets_(std::make_shared<const std::vector<net::Ipv4>>(
+          std::move(spec_.targets))),
+      schedule_(schedule) {
+  spec_.targets.clear();
+}
 
 void ScanScheduler::arm() {
   if (armed_) throw std::logic_error("ScanScheduler: already armed");
@@ -28,7 +34,7 @@ void ScanScheduler::fire() {
     return;
   }
   ++fired_;
-  prober_.start_scan(spec_, [this](const ScanRecord& record) {
+  prober_.start_scan(spec_, targets_, [this](const ScanRecord& record) {
     if (on_scan_complete) on_scan_complete(record);
   });
 }

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "active/prober.h"
 #include "sim/simulator.h"
@@ -25,8 +27,9 @@ struct ScheduleConfig {
 
 class ScanScheduler final : public sim::TimerTarget {
  public:
-  /// `spec` is reused for every scan. The scheduler does not own the
-  /// prober; both must outlive the simulation run.
+  /// `spec` is reused for every scan, and every scan shares its one
+  /// target list. The scheduler does not own the prober; both must
+  /// outlive the simulation run.
   ScanScheduler(sim::Simulator& sim, Prober& prober, ScanSpec spec,
                 ScheduleConfig schedule);
 
@@ -47,7 +50,8 @@ class ScanScheduler final : public sim::TimerTarget {
 
   sim::Simulator& sim_;
   Prober& prober_;
-  ScanSpec spec_;
+  ScanSpec spec_;  // its targets are in targets_
+  std::shared_ptr<const std::vector<net::Ipv4>> targets_;
   ScheduleConfig schedule_;
   int fired_{0};
   int skipped_{0};

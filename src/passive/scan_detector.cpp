@@ -23,7 +23,9 @@ void ScanDetector::roll_window(util::TimePoint t) {
   if (window != current_window_) {
     SVCDISC_TRACE_INSTANT("scan_detector.window_roll", t.usec);
     current_window_ = window;
-    window_state_.clear();
+    window_counts_.clear();
+    target_pairs_.clear();
+    rst_pairs_.clear();
   }
 }
 
@@ -34,22 +36,19 @@ void ScanDetector::attach_metrics(util::MetricsRegistry& registry,
   m_flagged_ = &registry.counter(base + ".scanners_flagged");
 }
 
-void ScanDetector::CappedSet::insert(net::Ipv4 addr, std::uint32_t cap) {
-  if (count_ >= cap) return;
-  if (count_ == 0) {
-    first_ = addr;
-    count_ = 1;
-    return;
+void ScanDetector::count_peer(util::FlatSet<std::uint64_t>& pairs,
+                              net::Ipv4 source, net::Ipv4 peer,
+                              std::uint32_t& count, std::uint32_t threshold) {
+  if (count >= threshold) return;
+  if (pairs.insert(std::uint64_t{source.value()} << 32 | peer.value())) {
+    ++count;
   }
-  if (addr == first_) return;
-  if (!rest_) rest_ = std::make_unique<util::FlatSet<net::Ipv4>>();
-  if (rest_->insert(addr)) ++count_;
 }
 
 void ScanDetector::flag(net::Ipv4 src, util::TimePoint t) {
   SVCDISC_TRACE_INSTANT("scan_detector.flagged", t.usec);
   scanners_.insert(src);
-  window_state_.erase(src);
+  window_counts_.erase(src);
   if (m_flagged_) m_flagged_->inc();
 }
 
@@ -62,16 +61,18 @@ void ScanDetector::observe(const net::Packet& p) {
     // Inbound connection attempt: external source -> internal target.
     if (is_internal(p.src) || !is_internal(p.dst)) return;
     if (scanners_.contains(p.src)) return;  // already flagged
-    SourceState& state = window_state_[p.src];
-    state.targets.insert(p.dst, config_.target_threshold);
-    if (crossed(state)) flag(p.src, p.time);
+    SourceCounts& counts = window_counts_[p.src];
+    count_peer(target_pairs_, p.src, p.dst, counts.targets,
+               config_.target_threshold);
+    if (crossed(counts)) flag(p.src, p.time);
   } else if (p.flags.rst()) {
     // Refusal flowing back out: internal host -> external source.
     if (!is_internal(p.src) || is_internal(p.dst)) return;
     if (scanners_.contains(p.dst)) return;
-    SourceState& state = window_state_[p.dst];
-    state.rst_from.insert(p.src, config_.rst_threshold);
-    if (crossed(state)) flag(p.dst, p.time);
+    SourceCounts& counts = window_counts_[p.dst];
+    count_peer(rst_pairs_, p.dst, p.src, counts.rst_from,
+               config_.rst_threshold);
+    if (crossed(counts)) flag(p.dst, p.time);
   }
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -64,38 +63,36 @@ class ScanDetector final : public sim::PacketObserver {
   std::vector<net::Prefix> internal_;
   util::FlatSet<net::Ipv4> scanners_;
 
-  /// Distinct addresses seen, counted up to a cap. The thresholds are
-  /// only ever compared against (`count() >= threshold`), so once the
-  /// count reaches the cap further addresses change nothing and are not
-  /// stored. Most sources contact one address per window: the first is
-  /// kept inline and the spill set is allocated only for a second.
-  class CappedSet {
-   public:
-    /// Adds `addr` unless it was seen or the count already reached `cap`.
-    void insert(net::Ipv4 addr, std::uint32_t cap);
-    std::uint32_t count() const { return count_; }
-
-   private:
-    std::uint32_t count_{0};
-    net::Ipv4 first_{};
-    std::unique_ptr<util::FlatSet<net::Ipv4>> rest_;  ///< the others
+  /// A source's distinct targets and distinct RST senders in the
+  /// current window, each counted up to its threshold: the thresholds
+  /// are only ever compared against, so once a count reaches its
+  /// threshold further addresses change nothing and are not recorded.
+  struct SourceCounts {
+    std::uint32_t targets{0};
+    std::uint32_t rst_from{0};
   };
-  struct SourceState {
-    CappedSet targets;
-    CappedSet rst_from;
-  };
-  /// True when `state` crosses both thresholds.
-  bool crossed(const SourceState& state) const {
-    return state.targets.count() >= config_.target_threshold &&
-           state.rst_from.count() >= config_.rst_threshold;
+  /// True when `counts` cross both thresholds.
+  bool crossed(const SourceCounts& counts) const {
+    return counts.targets >= config_.target_threshold &&
+           counts.rst_from >= config_.rst_threshold;
   }
-  /// Flags `src` and drops its window state.
+  /// Counts `peer` for `source` in `pairs` unless the pair was seen or
+  /// `count` already reached `threshold`.
+  static void count_peer(util::FlatSet<std::uint64_t>& pairs,
+                         net::Ipv4 source, net::Ipv4 peer,
+                         std::uint32_t& count, std::uint32_t threshold);
+  /// Flags `src` and drops its window counts (its pairs stay until the
+  /// window rolls; a flagged source is never counted again).
   void flag(net::Ipv4 src, util::TimePoint t);
   // Tumbling-window state: cleared at each window boundary. A burst scan
   // (minutes) always lands inside one window; a scan straddling a
   // boundary is still caught once its post-boundary portion crosses the
   // thresholds, which the paper's own 12-hour bucketing also requires.
-  util::FlatMap<net::Ipv4, SourceState> window_state_;
+  util::FlatMap<net::Ipv4, SourceCounts> window_counts_;
+  /// The (source, peer) pairs counted this window, one set per rule:
+  /// source << 32 | peer.
+  util::FlatSet<std::uint64_t> target_pairs_;
+  util::FlatSet<std::uint64_t> rst_pairs_;
   std::int64_t current_window_{0};
   util::Counter* m_packets_{nullptr};
   util::Counter* m_flagged_{nullptr};

@@ -24,8 +24,7 @@ void ServiceTable::count_flow(const ServiceKey& key, net::Ipv4 client,
     }
     e.record.client_sketch.add(util::hash_mix(client.value()));
   } else {
-    auto [it, inserted] = e.record.clients.emplace(client, t);
-    if (!inserted && it->second < t) it->second = t;
+    e.record.clients.note(client, t);
   }
   if (e.record.last_activity < t) e.record.last_activity = t;
   if (e.record.last_flow <= t) {
@@ -52,7 +51,7 @@ std::uint64_t ServiceTable::restore(const ServiceKey& key,
       }
       e.record.client_sketch.add(util::hash_mix(placeholder.value()));
     } else {
-      e.record.clients.emplace(placeholder, first_seen);
+      e.record.clients.insert(placeholder, first_seen);
     }
   }
   // Flow recency: persisted rows carry no per-flow timestamps, so the
@@ -82,25 +81,20 @@ const ServiceRecord* ServiceTable::find(const ServiceKey& key) const {
 }
 
 std::size_t ServiceTable::memory_bytes() const {
-  std::size_t clients = 0;
-  std::size_t sketch_bytes = 0;
+  std::size_t side_bytes = 0;
   for (const auto& [key, entry] : services_) {
-    clients += entry.record.clients.size();
-    if (entry.record.client_sketch.enabled()) {
-      sketch_bytes += entry.record.client_sketch.memory_bytes();
-    }
+    side_bytes += entry.record.clients.heap_bytes() +
+                  entry.record.client_sketch.memory_bytes();
   }
-  // Entry storage plus the open-addressing slot arrays at their ~50% max
-  // load factor; an estimate, not an accounting — the scale smoke test
-  // compares orders of magnitude, not bytes. In kSketch mode the client
-  // term is a fixed sketch per service, so the total is O(services)
-  // regardless of how many distinct clients contacted the campus.
+  // Entry storage plus the open-addressing slot array at its ~50% max
+  // load factor (an estimate), plus the bytes each record holds beside
+  // its entry: a client block past ClientTimes::kInline clients in kExact
+  // mode, a fixed sketch in kSketch mode — so a kSketch total is
+  // O(services) however many distinct clients contacted the campus.
   constexpr std::size_t kSlotOverhead = 2 * sizeof(std::uint32_t);
   return services_.size() *
              (sizeof(std::pair<ServiceKey, Entry>) + kSlotOverhead) +
-         clients * (sizeof(std::pair<net::Ipv4, util::TimePoint>) +
-                    kSlotOverhead) +
-         sketch_bytes;
+         side_bytes;
 }
 
 std::size_t ServiceTable::address_count() const {

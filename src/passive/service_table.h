@@ -14,6 +14,7 @@
 
 #include "net/ipv4.h"
 #include "net/packet.h"
+#include "passive/client_times.h"
 #include "util/flat_hash.h"
 #include "util/sim_time.h"
 #include "util/sketch.h"
@@ -21,9 +22,9 @@
 namespace svcdisc::passive {
 
 /// How a table tracks the per-service unique-client set (DESIGN.md §15).
-///   kExact:  one FlatMap entry per client — exact counts and per-client
-///            recency, memory O(total client entries). The default; every
-///            historical artifact is produced in this mode.
+///   kExact:  a ClientTimes table per service — exact counts and
+///            per-client recency, memory O(total client entries). The
+///            default; every historical artifact is produced in this mode.
 ///   kSketch: a fixed-size HyperLogLog per service — estimated counts,
 ///            memory O(services). The constant-memory backend behind
 ///            --streaming; client *identities* and per-client recency are
@@ -34,8 +35,8 @@ enum class ClientAccounting : std::uint8_t { kExact, kSketch };
 /// per service. Per-service client sets run tens to a few thousand, which
 /// keeps a p=14 sketch in its near-exact linear-counting regime — the
 /// ±2% bound the streaming test suite enforces needs that margin. Still a
-/// bargain: an exact client map crosses 16 KiB at ~1k clients and keeps
-/// growing, while the sketch never does.
+/// bargain: an exact client table crosses 16 KiB at ~900 clients and
+/// keeps growing, while the sketch never does.
 inline constexpr int kClientSketchPrecision = 14;
 
 /// Identity of one service instance.
@@ -74,9 +75,9 @@ struct ServiceRecord {
   /// the full client scan when that client is not excluded.
   net::Ipv4 last_flow_client{};
   std::uint64_t flows{0};
-  /// Client address -> time of its most recent flow, insertion-ordered.
+  /// Client address -> time of its most recent flow, in no order.
   /// Empty (never populated) in ClientAccounting::kSketch tables.
-  util::FlatMap<net::Ipv4, util::TimePoint> clients;
+  ClientTimes clients;
   /// Unique-client HLL; disabled (zero memory) in kExact tables.
   util::HyperLogLog client_sketch;
 
@@ -95,12 +96,14 @@ struct ServiceRecord {
     if (flows == 0) return {};
     if (!exclude.contains(last_flow_client)) return last_flow;
     util::TimePoint latest{};
-    for (const auto& [client, t] : clients) {
+    clients.for_each([&](net::Ipv4 client, util::TimePoint t) {
       if (t > latest && !exclude.contains(client)) latest = t;
-    }
+    });
     return latest;
   }
 };
+// stream.table_bytes multiplies this size into a benchmark digest.
+static_assert(sizeof(ServiceRecord) == 136);
 
 /// Timestamped registry of discovered services with activity tallies.
 class ServiceTable {
@@ -150,8 +153,8 @@ class ServiceTable {
   std::size_t size() const { return discovered_count_; }
   /// Number of distinct server addresses discovered.
   std::size_t address_count() const;
-  /// Estimated bytes held by the table (entries plus per-service client
-  /// maps). O(entries); feeds the scale campaign's memory gauges.
+  /// Estimated bytes held by the table: entries, per-service client
+  /// blocks and sketches. O(entries); feeds the stream.table_bytes gauge.
   std::size_t memory_bytes() const;
 
   /// Visits every discovered service (key, record).

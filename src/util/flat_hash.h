@@ -6,13 +6,18 @@
 // FlatSet keep the elements contiguous in insertion order and index them
 // through a power-of-two open-addressing slot table of 32-bit entry
 // references, so a probe touches one cache line of slots and the element
-// array stays scan-friendly.
+// array stays scan-friendly. Both are thin fronts over one core,
+// detail::FlatTable, which stores each element as its bare value_type:
+// no per-entry flag. Erased entries are marked in a bit vector that is
+// allocated on the first erase, so a table that never erases carries
+// none.
 //
 // Guarantees the rest of the system relies on:
 //   * Iteration visits live elements in insertion order — deterministic
 //     across platforms and standard libraries, unlike unordered_map.
-//   * Erase is O(1) (tombstone); erased elements are compacted away on
-//     the next rehash, preserving the relative order of survivors.
+//   * Erase is O(1) (tombstone slot plus a dead bit); erased elements are
+//     compacted away on the next rehash, preserving the relative order of
+//     survivors.
 //   * The user-supplied hash is finalized through hash_mix, so the
 //     sequential keys this simulator produces (pool addresses, ports)
 //     cannot cluster even under a weak seed hash.
@@ -26,6 +31,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -45,8 +52,6 @@ constexpr std::uint64_t hash_mix(std::uint64_t x) {
 
 namespace detail {
 
-/// Shared open-addressing core over a dense entry vector. `Traits`
-/// provides the stored Entry type and key access.
 inline constexpr std::uint32_t kSlotEmpty = 0;
 inline constexpr std::uint32_t kSlotTombstone = ~std::uint32_t{0};
 
@@ -59,170 +64,165 @@ inline std::size_t slot_capacity_for(std::size_t live) {
   return cap;
 }
 
-/// Iterator over a dense entry vector that skips dead entries.
-template <typename Entry, bool Const>
-class FlatIter {
-  using EntryPtr = std::conditional_t<Const, const Entry*, Entry*>;
-
+/// The open-addressing core of FlatMap and FlatSet: a dense vector of
+/// `Value` in insertion order, a slot table holding 1 + entry index (0
+/// empty, ~0 tombstone), and the dead-entry bits. `KeyOf` projects a
+/// stored value to its key.
+template <typename Value, typename Key, typename KeyOf, typename Hash,
+          typename Eq>
+class FlatTable {
  public:
-  FlatIter() = default;
-  FlatIter(EntryPtr p, EntryPtr end) : p_(p), end_(end) { skip_dead(); }
-  /// iterator -> const_iterator conversion.
-  template <bool C = Const, typename = std::enable_if_t<C>>
-  FlatIter(const FlatIter<Entry, false>& o)
-      : p_(o.raw()), end_(o.raw_end()) {}
+  /// Iterator over the live entries, in insertion order.
+  template <bool Const>
+  class Iter {
+    using Table = std::conditional_t<Const, const FlatTable, FlatTable>;
 
-  decltype(auto) operator*() const { return p_->value(); }
-  auto operator->() const { return &p_->value(); }
-  FlatIter& operator++() {
-    ++p_;
-    skip_dead();
-    return *this;
-  }
-  FlatIter operator++(int) {
-    FlatIter tmp = *this;
-    ++*this;
-    return tmp;
-  }
-  bool operator==(const FlatIter& o) const { return p_ == o.p_; }
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Value;
+    using difference_type = std::ptrdiff_t;
+    using pointer = std::conditional_t<Const, const Value*, Value*>;
+    using reference = std::conditional_t<Const, const Value&, Value&>;
 
-  EntryPtr raw() const { return p_; }
-  EntryPtr raw_end() const { return end_; }
+    Iter() = default;
+    Iter(Table* table, std::size_t i) : t_(table), i_(i) { skip_dead(); }
+    /// iterator -> const_iterator conversion.
+    template <bool C = Const, typename = std::enable_if_t<C>>
+    Iter(const Iter<false>& o) : t_(o.t_), i_(o.i_) {}
 
- private:
-  void skip_dead() {
-    while (p_ != end_ && !p_->alive) ++p_;
-  }
-  EntryPtr p_{nullptr};
-  EntryPtr end_{nullptr};
-};
+    reference operator*() const { return t_->entries_[i_]; }
+    pointer operator->() const { return &t_->entries_[i_]; }
+    Iter& operator++() {
+      ++i_;
+      skip_dead();
+      return *this;
+    }
+    Iter operator++(int) {
+      Iter tmp = *this;
+      ++*this;
+      return tmp;
+    }
+    bool operator==(const Iter& o) const { return i_ == o.i_; }
 
-}  // namespace detail
-
-/// Insertion-ordered open-addressing map. See file comment for the
-/// guarantees and the reference-invalidation caveat.
-template <typename Key, typename T, typename Hash = std::hash<Key>,
-          typename Eq = std::equal_to<Key>>
-class FlatMap {
-  struct Entry {
-    std::pair<Key, T> kv;
-    bool alive{true};
-    std::pair<Key, T>& value() { return kv; }
-    const std::pair<Key, T>& value() const { return kv; }
+   private:
+    template <bool>
+    friend class Iter;
+    void skip_dead() {
+      while (t_->is_dead(i_)) ++i_;
+    }
+    Table* t_{nullptr};
+    std::size_t i_{0};
   };
 
- public:
-  using value_type = std::pair<Key, T>;
-  using iterator = detail::FlatIter<Entry, false>;
-  using const_iterator = detail::FlatIter<Entry, true>;
+  FlatTable() = default;
+  FlatTable(const FlatTable&) = default;
+  FlatTable& operator=(const FlatTable&) = default;
+  /// A moved-from table is empty and reusable.
+  FlatTable(FlatTable&& o) noexcept
+      : entries_(std::move(o.entries_)),
+        slots_(std::move(o.slots_)),
+        dead_(std::move(o.dead_)),
+        size_(std::exchange(o.size_, 0)),
+        used_slots_(std::exchange(o.used_slots_, 0)) {
+    o.clear();
+  }
+  FlatTable& operator=(FlatTable&& o) noexcept {
+    entries_ = std::move(o.entries_);
+    slots_ = std::move(o.slots_);
+    dead_ = std::move(o.dead_);
+    size_ = std::exchange(o.size_, 0);
+    used_slots_ = std::exchange(o.used_slots_, 0);
+    o.clear();
+    return *this;
+  }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  iterator begin() {
-    return {entries_.data(), entries_.data() + entries_.size()};
-  }
-  iterator end() {
-    return {entries_.data() + entries_.size(),
-            entries_.data() + entries_.size()};
-  }
-  const_iterator begin() const {
-    return {entries_.data(), entries_.data() + entries_.size()};
-  }
-  const_iterator end() const {
-    return {entries_.data() + entries_.size(),
-            entries_.data() + entries_.size()};
-  }
+  Iter<false> begin() { return {this, 0}; }
+  Iter<false> end() { return {this, entries_.size()}; }
+  Iter<true> begin() const { return {this, 0}; }
+  Iter<true> end() const { return {this, entries_.size()}; }
 
   void clear() {
     entries_.clear();
-    std::fill(slots_.begin(), slots_.end(), detail::kSlotEmpty);
+    std::fill(slots_.begin(), slots_.end(), kSlotEmpty);
+    dead_.clear();
     size_ = 0;
     used_slots_ = 0;
   }
 
   void reserve(std::size_t n) {
     entries_.reserve(n);
-    const std::size_t cap = detail::slot_capacity_for(n);
+    const std::size_t cap = slot_capacity_for(n);
     if (cap > slots_.size()) rehash(cap);
   }
 
-  bool contains(const Key& k) const {
-    return find_slot(k) != detail::flat_npos;
-  }
-
-  iterator find(const Key& k) {
-    const std::size_t slot = find_slot(k);
-    if (slot == detail::flat_npos) return end();
-    return {entries_.data() + (slots_[slot] - 1),
-            entries_.data() + entries_.size()};
-  }
-  const_iterator find(const Key& k) const {
-    const std::size_t slot = find_slot(k);
-    if (slot == detail::flat_npos) return end();
-    return {entries_.data() + (slots_[slot] - 1),
-            entries_.data() + entries_.size()};
-  }
-
-  T& operator[](const Key& k) { return emplace(k).first->second; }
-
-  /// Inserts (k, T(args...)) unless present. Returns (pointer-like
-  /// iterator to the element, inserted?).
-  template <typename... Args>
-  std::pair<iterator, bool> emplace(const Key& k, Args&&... args) {
-    grow_if_needed();
-    const std::size_t hash = mixed_hash(k);
-    std::size_t i = hash & (slots_.size() - 1);
-    std::size_t first_tomb = detail::flat_npos;
-    while (true) {
-      const std::uint32_t s = slots_[i];
-      if (s == detail::kSlotEmpty) break;
-      if (s == detail::kSlotTombstone) {
-        if (first_tomb == detail::flat_npos) first_tomb = i;
-      } else if (Eq{}(entries_[s - 1].kv.first, k)) {
-        return {{entries_.data() + (s - 1),
-                 entries_.data() + entries_.size()},
-                false};
-      }
-      i = (i + 1) & (slots_.size() - 1);
-    }
-    if (first_tomb != detail::flat_npos) {
-      i = first_tomb;  // reuse a tombstone; slot usage unchanged
-    } else {
-      ++used_slots_;
-    }
-    entries_.push_back({{k, T(std::forward<Args>(args)...)}, true});
-    slots_[i] = static_cast<std::uint32_t>(entries_.size());
-    ++size_;
-    return {{entries_.data() + (entries_.size() - 1),
-             entries_.data() + entries_.size()},
-            true};
-  }
+  bool contains(const Key& k) const { return find_slot(k) != flat_npos; }
 
   std::size_t erase(const Key& k) {
     const std::size_t slot = find_slot(k);
-    if (slot == detail::flat_npos) return 0;
-    entries_[slots_[slot] - 1].alive = false;
-    slots_[slot] = detail::kSlotTombstone;
+    if (slot == flat_npos) return 0;
+    const std::size_t idx = slots_[slot] - 1;
+    if (idx / 64 >= dead_.size()) dead_.resize(entries_.size() / 64 + 1);
+    dead_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+    slots_[slot] = kSlotTombstone;
     --size_;
     return 1;
   }
 
+ protected:
+  /// Entry index of `k`, or end index when absent.
+  std::size_t index_of(const Key& k) const {
+    const std::size_t slot = find_slot(k);
+    return slot == flat_npos ? entries_.size() : slots_[slot] - 1;
+  }
+
+  /// Appends Value(args...) for key `k` unless `k` is present. Returns
+  /// (entry index, inserted?).
+  template <typename... Args>
+  std::pair<std::size_t, bool> try_emplace(const Key& k, Args&&... args) {
+    grow_if_needed();
+    std::size_t i = mixed_hash(k) & (slots_.size() - 1);
+    std::size_t first_tomb = flat_npos;
+    while (true) {
+      const std::uint32_t s = slots_[i];
+      if (s == kSlotEmpty) break;
+      if (s == kSlotTombstone) {
+        if (first_tomb == flat_npos) first_tomb = i;
+      } else if (Eq{}(KeyOf{}(entries_[s - 1]), k)) {
+        return {s - 1, false};
+      }
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    if (first_tomb != flat_npos) {
+      i = first_tomb;  // reuse a tombstone; slot usage unchanged
+    } else {
+      ++used_slots_;
+    }
+    entries_.emplace_back(std::forward<Args>(args)...);
+    slots_[i] = static_cast<std::uint32_t>(entries_.size());
+    ++size_;
+    return {entries_.size() - 1, true};
+  }
+
  private:
+  bool is_dead(std::size_t i) const {
+    return i / 64 < dead_.size() && ((dead_[i / 64] >> (i % 64)) & 1) != 0;
+  }
+
   std::size_t mixed_hash(const Key& k) const {
     return static_cast<std::size_t>(
         hash_mix(static_cast<std::uint64_t>(Hash{}(k))));
   }
 
   std::size_t find_slot(const Key& k) const {
-    if (slots_.empty()) return detail::flat_npos;
+    if (slots_.empty()) return flat_npos;
     std::size_t i = mixed_hash(k) & (slots_.size() - 1);
     while (true) {
       const std::uint32_t s = slots_[i];
-      if (s == detail::kSlotEmpty) return detail::flat_npos;
-      if (s != detail::kSlotTombstone && Eq{}(entries_[s - 1].kv.first, k)) {
-        return i;
-      }
+      if (s == kSlotEmpty) return flat_npos;
+      if (s != kSlotTombstone && Eq{}(KeyOf{}(entries_[s - 1]), k)) return i;
       i = (i + 1) & (slots_.size() - 1);
     }
   }
@@ -236,166 +236,103 @@ class FlatMap {
     // dominate the dense array (insert/erase churn).
     if ((used_slots_ + 1) * 4 > slots_.size() * 3 ||
         entries_.size() > 2 * size_ + 8) {
-      rehash(detail::slot_capacity_for(size_ + 1));
+      rehash(slot_capacity_for(size_ + 1));
     }
   }
 
-  /// Rebuilds both arrays: compacts dead entries (preserving insertion
-  /// order of the living) and reinserts into a tombstone-free slot table.
+  /// Rebuilds the slot table tombstone-free, first compacting dead
+  /// entries away (survivors keep their insertion order).
   void rehash(std::size_t capacity) {
     if (entries_.size() != size_) {
-      std::vector<Entry> compact;
+      std::vector<Value> compact;
       compact.reserve(size_);
-      for (Entry& e : entries_) {
-        if (e.alive) compact.push_back(std::move(e));
+      for (std::size_t i = 0; i < entries_.size(); ++i) {
+        if (!is_dead(i)) compact.push_back(std::move(entries_[i]));
       }
       entries_ = std::move(compact);
+      dead_.clear();
     }
-    slots_.assign(capacity, detail::kSlotEmpty);
+    slots_.assign(capacity, kSlotEmpty);
     for (std::size_t idx = 0; idx < entries_.size(); ++idx) {
-      std::size_t i = mixed_hash(entries_[idx].kv.first) & (capacity - 1);
-      while (slots_[i] != detail::kSlotEmpty) i = (i + 1) & (capacity - 1);
+      std::size_t i = mixed_hash(KeyOf{}(entries_[idx])) & (capacity - 1);
+      while (slots_[i] != kSlotEmpty) i = (i + 1) & (capacity - 1);
       slots_[i] = static_cast<std::uint32_t>(idx + 1);
     }
     used_slots_ = size_;
   }
 
-  std::vector<Entry> entries_;
+  std::vector<Value> entries_;
   std::vector<std::uint32_t> slots_;
+  std::vector<std::uint64_t> dead_;  ///< erased bits; empty until an erase
   std::size_t size_{0};
   std::size_t used_slots_{0};  ///< filled slots incl. tombstones
+};
+
+template <typename Key, typename T>
+struct PairFirst {
+  const Key& operator()(const std::pair<Key, T>& kv) const { return kv.first; }
+};
+
+template <typename Key>
+struct Identity {
+  const Key& operator()(const Key& k) const { return k; }
+};
+
+}  // namespace detail
+
+/// Insertion-ordered open-addressing map. See file comment for the
+/// guarantees and the reference-invalidation caveat.
+template <typename Key, typename T, typename Hash = std::hash<Key>,
+          typename Eq = std::equal_to<Key>>
+class FlatMap : public detail::FlatTable<std::pair<Key, T>, Key,
+                                         detail::PairFirst<Key, T>, Hash, Eq> {
+  using Table = detail::FlatTable<std::pair<Key, T>, Key,
+                                  detail::PairFirst<Key, T>, Hash, Eq>;
+
+ public:
+  using value_type = std::pair<Key, T>;
+  using iterator = typename Table::template Iter<false>;
+  using const_iterator = typename Table::template Iter<true>;
+
+  iterator find(const Key& k) { return {this, this->index_of(k)}; }
+  const_iterator find(const Key& k) const { return {this, this->index_of(k)}; }
+
+  T& operator[](const Key& k) { return emplace(k).first->second; }
+
+  /// Inserts (k, T(args...)) unless present. Returns (pointer-like
+  /// iterator to the element, inserted?).
+  template <typename... Args>
+  std::pair<iterator, bool> emplace(const Key& k, Args&&... args) {
+    const auto [idx, inserted] = this->try_emplace(
+        k, std::piecewise_construct, std::forward_as_tuple(k),
+        std::forward_as_tuple(std::forward<Args>(args)...));
+    return {iterator(this, idx), inserted};
+  }
 };
 
 /// Insertion-ordered open-addressing set; iteration yields const Key&.
 template <typename Key, typename Hash = std::hash<Key>,
           typename Eq = std::equal_to<Key>>
-class FlatSet {
-  struct Entry {
-    Key key;
-    bool alive{true};
-    const Key& value() const { return key; }
-  };
+class FlatSet
+    : private detail::FlatTable<Key, Key, detail::Identity<Key>, Hash, Eq> {
+  using Table = detail::FlatTable<Key, Key, detail::Identity<Key>, Hash, Eq>;
 
  public:
-  using const_iterator = detail::FlatIter<Entry, true>;
+  using const_iterator = typename Table::template Iter<true>;
   using iterator = const_iterator;
 
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  using Table::clear;
+  using Table::contains;
+  using Table::empty;
+  using Table::erase;
+  using Table::reserve;
+  using Table::size;
 
-  const_iterator begin() const {
-    return {entries_.data(), entries_.data() + entries_.size()};
-  }
-  const_iterator end() const {
-    return {entries_.data() + entries_.size(),
-            entries_.data() + entries_.size()};
-  }
-
-  void clear() {
-    entries_.clear();
-    std::fill(slots_.begin(), slots_.end(), detail::kSlotEmpty);
-    size_ = 0;
-    used_slots_ = 0;
-  }
-
-  void reserve(std::size_t n) {
-    entries_.reserve(n);
-    const std::size_t cap = detail::slot_capacity_for(n);
-    if (cap > slots_.size()) rehash(cap);
-  }
-
-  bool contains(const Key& k) const {
-    return find_slot(k) != detail::flat_npos;
-  }
+  const_iterator begin() const { return Table::begin(); }
+  const_iterator end() const { return Table::end(); }
 
   /// Returns true when `k` was newly inserted.
-  bool insert(const Key& k) {
-    grow_if_needed();
-    const std::size_t hash = mixed_hash(k);
-    std::size_t i = hash & (slots_.size() - 1);
-    std::size_t first_tomb = detail::flat_npos;
-    while (true) {
-      const std::uint32_t s = slots_[i];
-      if (s == detail::kSlotEmpty) break;
-      if (s == detail::kSlotTombstone) {
-        if (first_tomb == detail::flat_npos) first_tomb = i;
-      } else if (Eq{}(entries_[s - 1].key, k)) {
-        return false;
-      }
-      i = (i + 1) & (slots_.size() - 1);
-    }
-    if (first_tomb != detail::flat_npos) {
-      i = first_tomb;
-    } else {
-      ++used_slots_;
-    }
-    entries_.push_back({k, true});
-    slots_[i] = static_cast<std::uint32_t>(entries_.size());
-    ++size_;
-    return true;
-  }
-
-  std::size_t erase(const Key& k) {
-    const std::size_t slot = find_slot(k);
-    if (slot == detail::flat_npos) return 0;
-    entries_[slots_[slot] - 1].alive = false;
-    slots_[slot] = detail::kSlotTombstone;
-    --size_;
-    return 1;
-  }
-
- private:
-  std::size_t mixed_hash(const Key& k) const {
-    return static_cast<std::size_t>(
-        hash_mix(static_cast<std::uint64_t>(Hash{}(k))));
-  }
-
-  std::size_t find_slot(const Key& k) const {
-    if (slots_.empty()) return detail::flat_npos;
-    std::size_t i = mixed_hash(k) & (slots_.size() - 1);
-    while (true) {
-      const std::uint32_t s = slots_[i];
-      if (s == detail::kSlotEmpty) return detail::flat_npos;
-      if (s != detail::kSlotTombstone && Eq{}(entries_[s - 1].key, k)) {
-        return i;
-      }
-      i = (i + 1) & (slots_.size() - 1);
-    }
-  }
-
-  void grow_if_needed() {
-    if (slots_.empty()) {
-      rehash(16);
-      return;
-    }
-    if ((used_slots_ + 1) * 4 > slots_.size() * 3 ||
-        entries_.size() > 2 * size_ + 8) {
-      rehash(detail::slot_capacity_for(size_ + 1));
-    }
-  }
-
-  void rehash(std::size_t capacity) {
-    if (entries_.size() != size_) {
-      std::vector<Entry> compact;
-      compact.reserve(size_);
-      for (Entry& e : entries_) {
-        if (e.alive) compact.push_back(std::move(e));
-      }
-      entries_ = std::move(compact);
-    }
-    slots_.assign(capacity, detail::kSlotEmpty);
-    for (std::size_t idx = 0; idx < entries_.size(); ++idx) {
-      std::size_t i = mixed_hash(entries_[idx].key) & (capacity - 1);
-      while (slots_[i] != detail::kSlotEmpty) i = (i + 1) & (capacity - 1);
-      slots_[i] = static_cast<std::uint32_t>(idx + 1);
-    }
-    used_slots_ = size_;
-  }
-
-  std::vector<Entry> entries_;
-  std::vector<std::uint32_t> slots_;
-  std::size_t size_{0};
-  std::size_t used_slots_{0};
+  bool insert(const Key& k) { return this->try_emplace(k, k).second; }
 };
 
 }  // namespace svcdisc::util

@@ -148,6 +148,84 @@ TEST(FlatMap, RandomOpsAgreeWithReferenceModel) {
   EXPECT_EQ(got, order);
 }
 
+TEST(FlatMap, EraseThenIterateReinsertAndRehash) {
+  FlatMap<int, int> m;
+  for (int i = 0; i < 12; ++i) m[i] = 10 * i;
+  for (int i = 0; i < 12; i += 3) m.erase(i);  // 0, 3, 6, 9
+  std::vector<int> keys;
+  for (const auto& [k, v] : m) {
+    keys.push_back(k);
+    EXPECT_EQ(v, 10 * k);
+  }
+  EXPECT_EQ(keys, (std::vector<int>{1, 2, 4, 5, 7, 8, 10, 11}));
+  // Erased first and last entries are skipped at both ends.
+  m.erase(1);
+  m.erase(11);
+  keys.clear();
+  for (const auto& kv : m) keys.push_back(kv.first);
+  EXPECT_EQ(keys, (std::vector<int>{2, 4, 5, 7, 8, 10}));
+  // A reinserted key goes to the back with its new value.
+  m[3] = -3;
+  EXPECT_EQ(m.find(3)->second, -3);
+  EXPECT_EQ(m.find(0), m.end());
+  // Enough inserts to rehash (compacting the erased entries away) while
+  // the earlier order holds.
+  for (int i = 100; i < 300; ++i) m.emplace(i, i);
+  keys.clear();
+  for (const auto& kv : m) keys.push_back(kv.first);
+  std::vector<int> expect{2, 4, 5, 7, 8, 10, 3};
+  for (int i = 100; i < 300; ++i) expect.push_back(i);
+  EXPECT_EQ(keys, expect);
+  EXPECT_EQ(m.size(), expect.size());
+  for (int i = 0; i < 12; i += 3) EXPECT_EQ(m.contains(i), i == 3) << i;
+}
+
+TEST(FlatMap, CopyAndMoveKeepErasedEntriesOut) {
+  FlatMap<int, std::string> m;
+  for (int i = 0; i < 40; ++i) m[i] = std::to_string(i);
+  for (int i = 0; i < 40; i += 2) m.erase(i);  // no rehash since
+  const auto keys_of = [](const FlatMap<int, std::string>& map) {
+    std::vector<int> keys;
+    for (const auto& [k, v] : map) {
+      keys.push_back(k);
+      EXPECT_EQ(v, std::to_string(k));
+    }
+    return keys;
+  };
+  const std::vector<int> odds = keys_of(m);
+  ASSERT_EQ(odds.size(), 20u);
+
+  FlatMap<int, std::string> copy = m;
+  EXPECT_EQ(keys_of(copy), odds);
+  EXPECT_EQ(copy.size(), 20u);
+  // The copy's erased entries stay erased, and erasing in it leaves the
+  // original alone.
+  EXPECT_FALSE(copy.contains(4));
+  copy.erase(1);
+  EXPECT_TRUE(m.contains(1));
+  EXPECT_EQ(keys_of(m), odds);
+
+  FlatMap<int, std::string> moved = std::move(m);
+  EXPECT_EQ(keys_of(moved), odds);
+  moved[4] = "4";
+  EXPECT_EQ(moved.size(), 21u);
+  EXPECT_EQ(keys_of(moved).back(), 4);
+  // A moved-from map is empty and usable.
+  EXPECT_TRUE(m.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(m.begin(), m.end());
+  m[7] = "7";
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_EQ(keys_of(m), std::vector<int>{7});
+
+  copy = moved;  // copy-assign over a map with erased entries
+  EXPECT_EQ(keys_of(copy), keys_of(moved));
+  FlatMap<int, std::string> target;
+  target[99] = "99";
+  target = std::move(copy);
+  EXPECT_EQ(keys_of(target), keys_of(moved));
+  EXPECT_FALSE(target.contains(99));
+}
+
 TEST(FlatSet, BasicInsertContainsErase) {
   FlatSet<int> s;
   EXPECT_TRUE(s.insert(3));
@@ -165,6 +243,32 @@ TEST(FlatSet, IterationIsInsertionOrdered) {
   int expect = 100;
   for (const int k : s) EXPECT_EQ(k, expect--);
   EXPECT_EQ(expect, 0);
+}
+
+TEST(FlatSet, EraseThenIterateReinsertAndRehash) {
+  FlatSet<int> s;
+  for (int i = 0; i < 10; ++i) s.insert(i);
+  s.erase(0);
+  s.erase(5);
+  s.erase(9);
+  std::vector<int> keys(s.begin(), s.end());
+  EXPECT_EQ(keys, (std::vector<int>{1, 2, 3, 4, 6, 7, 8}));
+  EXPECT_TRUE(s.insert(5));  // back, after the survivors
+  EXPECT_FALSE(s.insert(5));
+  for (int i = 50; i < 250; ++i) s.insert(i);  // rehash
+  keys.assign(s.begin(), s.end());
+  std::vector<int> expect{1, 2, 3, 4, 6, 7, 8, 5};
+  for (int i = 50; i < 250; ++i) expect.push_back(i);
+  EXPECT_EQ(keys, expect);
+  EXPECT_FALSE(s.contains(0));
+  EXPECT_FALSE(s.contains(9));
+  // Erase everything: iteration yields nothing, and the set refills.
+  for (const int k : expect) s.erase(k);
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.begin(), s.end());
+  s.insert(9);
+  keys.assign(s.begin(), s.end());
+  EXPECT_EQ(keys, std::vector<int>{9});
 }
 
 TEST(FlatSet, RandomOpsAgreeWithReferenceModel) {

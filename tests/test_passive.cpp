@@ -423,6 +423,80 @@ TEST(ScanDetectorModel, MatchesUnboundedReference) {
   EXPECT_GT(flagged_at_paper_thresholds, 0u);
 }
 
+TEST(ScanDetectorModel, MatchesReferenceAtPaperThresholdsAcrossWindows) {
+  // Sources reach 99, 100 or 101 distinct targets and as many distinct
+  // RST senders, with repeats, inside one window or straddling a window
+  // boundary, at the paper's 100/100 thresholds.
+  constexpr std::uint32_t kCounts[] = {99, 100, 101};
+  std::size_t flagged_total = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    util::Rng rng(seed);
+    ScanDetectorConfig cfg;  // 100 targets, 100 RSTs, 12 h
+    ScanDetector detector(cfg, {kCampus});
+    ReferenceScanDetector reference(cfg, kCampus);
+
+    std::vector<Packet> packets;
+    std::vector<Ipv4> expect_flagged;  // sources wholly in one window
+    for (std::uint8_t s = 0; s < 12; ++s) {
+      const Ipv4 source = Ipv4::from_octets(7, 7, s, 7);
+      const std::uint32_t targets = kCounts[rng.below(3)];
+      const std::uint32_t rsts = kCounts[rng.below(3)];
+      const bool straddle = rng.chance(0.3);
+      // Window k's boundary sits at 12k h; a straddling source starts
+      // half an hour before one, the rest well inside a window.
+      const std::int64_t window = static_cast<std::int64_t>(rng.below(3));
+      const util::TimePoint start =
+          kEpoch + hours(12 * window) +
+          (straddle ? hours(12) - minutes(30) : hours(2));
+      const auto at_random = [&] {
+        return start + util::seconds(
+                           static_cast<std::int64_t>(rng.below(3600)));
+      };
+      // Distinct internal hosts per source, from a shuffled offset.
+      const std::uint32_t base = static_cast<std::uint32_t>(rng.below(200));
+      const auto host = [&](std::uint32_t i) {
+        const std::uint32_t n = base + i;
+        return Ipv4::from_octets(128, 125, static_cast<std::uint8_t>(n / 250),
+                                 static_cast<std::uint8_t>(1 + n % 250));
+      };
+      for (std::uint32_t i = 0; i < targets; ++i) {
+        for (std::uint64_t r = 1 + rng.below(2); r > 0; --r) {
+          packets.push_back(at(
+              net::make_tcp(source, 1, host(i), 22, net::flags_syn()),
+              at_random()));
+        }
+      }
+      for (std::uint32_t i = 0; i < rsts; ++i) {
+        for (std::uint64_t r = 1 + rng.below(2); r > 0; --r) {
+          packets.push_back(at(
+              net::make_tcp(host(i), 22, source, 1, net::flags_rst()),
+              at_random()));
+        }
+      }
+      if (!straddle && targets >= 100 && rsts >= 100) {
+        expect_flagged.push_back(source);
+      }
+    }
+    std::stable_sort(packets.begin(), packets.end(),
+                     [](const Packet& a, const Packet& b) {
+                       return a.time < b.time;
+                     });
+    for (const Packet& p : packets) {
+      detector.observe(p);
+      reference.observe(p);
+    }
+    std::vector<Ipv4> got;
+    for (const Ipv4 a : detector.scanners()) got.push_back(a);
+    EXPECT_EQ(got, reference.flagged);
+    for (const Ipv4 source : expect_flagged) {
+      EXPECT_TRUE(detector.is_scanner(source)) << source.to_string();
+    }
+    flagged_total += got.size();
+  }
+  EXPECT_GT(flagged_total, 0u);
+}
+
 TEST(ScanDetectorModel, RepeatedSynsToOneTargetCountOnce) {
   ScanDetectorConfig cfg;
   cfg.target_threshold = 3;
@@ -435,8 +509,8 @@ TEST(ScanDetectorModel, RepeatedSynsToOneTargetCountOnce) {
                                       22, net::flags_syn()),
                         kEpoch));
   };
-  // The first target (held inline) and the second (the first address
-  // in the spill set) are each repeated: still two distinct targets.
+  // The first and second targets are each repeated, the first again
+  // after the second: still two distinct (source, target) pairs.
   for (int i = 0; i < 5; ++i) syn_to(1);
   for (int i = 0; i < 5; ++i) syn_to(2);
   syn_to(1);
@@ -520,6 +594,186 @@ TEST(ServiceRecord, LastFlowExcludingFastPathMatchesScan) {
   exclude.insert(scanner);
   EXPECT_EQ(table.find(key)->last_flow_excluding(exclude),
             kEpoch + minutes(5));
+}
+
+// ---------------------------------------------------------- ClientTimes --
+// The per-service client table against a std::map reference: the same
+// clients, each with the latest time it was noted (or the first time it
+// was inserted).
+
+using ClientModel = std::map<std::uint32_t, util::TimePoint>;
+
+void expect_matches(const ClientTimes& table, const ClientModel& model) {
+  ASSERT_EQ(table.size(), model.size());
+  EXPECT_EQ(table.empty(), model.empty());
+  ClientModel seen;
+  table.for_each([&](Ipv4 client, util::TimePoint t) {
+    EXPECT_TRUE(seen.emplace(client.value(), t).second)
+        << "client visited twice: " << client.to_string();
+  });
+  EXPECT_EQ(seen, model);
+  for (const auto& [client, t] : model) {
+    EXPECT_TRUE(table.contains(Ipv4(client))) << Ipv4(client).to_string();
+  }
+}
+
+TEST(ClientTimes, MatchesReferenceThroughSpillAndGrowth) {
+  const Ipv4 edges[] = {Ipv4(0), Ipv4(0xFFFFFFFFu), Ipv4(1),
+                        Ipv4(0xFFFFFFFEu)};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    util::Rng rng(seed);
+    ClientTimes table;
+    ClientModel model;
+    // Small seeds stay near the inline limit; larger ones grow the
+    // block several times. Client pools this small force repeats.
+    const std::uint64_t pool = seed < 10 ? 3 + seed : 40 * seed;
+    for (int step = 0; step < 3000; ++step) {
+      const Ipv4 client =
+          rng.chance(0.05) ? edges[rng.below(4)]
+                           : Ipv4(0x42000000u +
+                                  static_cast<std::uint32_t>(rng.below(pool)));
+      const util::TimePoint t{static_cast<std::int64_t>(rng.below(1000)) - 500};
+      if (rng.chance(0.8)) {
+        table.note(client, t);
+        auto [it, added] = model.emplace(client.value(), t);
+        if (!added && it->second < t) it->second = t;
+      } else {
+        EXPECT_EQ(table.insert(client, t),
+                  model.emplace(client.value(), t).second);
+      }
+      EXPECT_EQ(table.contains(Ipv4(0x41000000u)), false);
+    }
+    expect_matches(table, model);
+    // Copies and moves carry the clients, inline or spilled.
+    ClientTimes copy = table;
+    expect_matches(copy, model);
+    ClientTimes moved = std::move(copy);
+    expect_matches(moved, model);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+    copy = moved;
+    expect_matches(copy, model);
+  }
+}
+
+TEST(ClientTimes, SpillsPastTheInlineLimit) {
+  ClientTimes table;
+  EXPECT_EQ(table.heap_bytes(), 0u);
+  for (std::uint32_t i = 0; i < ClientTimes::kInline; ++i) {
+    table.note(Ipv4(100 + i), kEpoch + minutes(i));
+  }
+  EXPECT_EQ(table.size(), ClientTimes::kInline);
+  EXPECT_EQ(table.heap_bytes(), 0u) << "the first kInline clients sit inline";
+  table.note(Ipv4(100), kEpoch + hours(1));  // a repeat does not spill
+  EXPECT_EQ(table.heap_bytes(), 0u);
+  table.note(Ipv4(200), kEpoch + hours(2));
+  EXPECT_EQ(table.size(), ClientTimes::kInline + 1);
+  EXPECT_GT(table.heap_bytes(), 0u);
+  for (std::uint32_t i = 0; i < ClientTimes::kInline; ++i) {
+    EXPECT_TRUE(table.contains(Ipv4(100 + i)));
+  }
+  EXPECT_TRUE(table.contains(Ipv4(200)));
+  EXPECT_FALSE(table.contains(Ipv4(300)));
+}
+
+TEST(ClientTimes, KeepsTheLatestFlowTime) {
+  // Inline and spilled alike: a newer flow raises the time, an older
+  // one leaves it, and insert never overwrites.
+  for (const std::uint32_t others : {0u, 10u}) {
+    ClientTimes table;
+    for (std::uint32_t i = 0; i < others; ++i) {
+      table.note(Ipv4(500 + i), kEpoch);
+    }
+    const Ipv4 client = Ipv4::from_octets(66, 1, 2, 3);
+    table.note(client, kEpoch + minutes(10));
+    table.note(client, kEpoch + minutes(20));  // newer
+    table.note(client, kEpoch + minutes(5));   // older
+    EXPECT_FALSE(table.insert(client, kEpoch + hours(5)));
+    util::TimePoint got{};
+    table.for_each([&](Ipv4 c, util::TimePoint t) {
+      if (c == client) got = t;
+    });
+    EXPECT_EQ(got, kEpoch + minutes(20)) << others << " other clients";
+    EXPECT_EQ(table.size(), others + 1);
+  }
+}
+
+TEST(ClientTimes, ZeroAndBroadcastAddressesAreClients) {
+  // 255.255.255.255 marks a free block slot, so once spilled it is kept
+  // beside the block; 0.0.0.0 is the first restore placeholder.
+  ClientTimes table;
+  table.note(Ipv4(0), kEpoch + minutes(1));
+  table.note(Ipv4(0xFFFFFFFFu), kEpoch + minutes(2));
+  EXPECT_EQ(table.size(), 2u);
+  for (std::uint32_t i = 1; i <= 20; ++i) table.note(Ipv4(i), kEpoch);
+  EXPECT_EQ(table.size(), 22u);
+  EXPECT_GT(table.heap_bytes(), 0u);
+  EXPECT_TRUE(table.contains(Ipv4(0)));
+  EXPECT_TRUE(table.contains(Ipv4(0xFFFFFFFFu)));
+  table.note(Ipv4(0xFFFFFFFFu), kEpoch + minutes(9));
+  table.note(Ipv4(0), kEpoch);
+  EXPECT_EQ(table.size(), 22u);
+  ClientModel model;
+  table.for_each([&](Ipv4 c, util::TimePoint t) { model[c.value()] = t; });
+  EXPECT_EQ(model.at(0), kEpoch + minutes(1));
+  EXPECT_EQ(model.at(0xFFFFFFFFu), kEpoch + minutes(9));
+
+  // Spilled with the broadcast client first noted after the spill.
+  ClientTimes late;
+  for (std::uint32_t i = 1; i <= 6; ++i) late.note(Ipv4(i), kEpoch);
+  EXPECT_FALSE(late.contains(Ipv4(0xFFFFFFFFu)));
+  EXPECT_TRUE(late.insert(Ipv4(0xFFFFFFFFu), kEpoch + minutes(3)));
+  EXPECT_FALSE(late.insert(Ipv4(0xFFFFFFFFu), kEpoch + minutes(4)));
+  EXPECT_TRUE(late.contains(Ipv4(0xFFFFFFFFu)));
+  EXPECT_EQ(late.size(), 7u);
+}
+
+TEST(ClientTimes, RestorePlaceholdersSpillPastTheInlineLimit) {
+  ServiceTable table;
+  const ServiceKey key{kServer, net::Proto::kTcp, 80};
+  // A live client first, then a restored row of 9 clients on top: the
+  // placeholders are 0.0.0.0..0.0.0.8 stamped at first_seen.
+  table.count_flow(key, Ipv4(3), kEpoch + hours(2));
+  EXPECT_EQ(table.restore(key, kEpoch + hours(1), kEpoch + hours(3), 20, 9,
+                          1000),
+            9u);
+  const ServiceRecord* record = table.find(key);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->clients.size(), 9u);  // 0.0.0.3 was already there
+  EXPECT_EQ(record->client_count(), 9u);
+  ClientModel model;
+  record->clients.for_each(
+      [&](Ipv4 c, util::TimePoint t) { model[c.value()] = t; });
+  for (std::uint32_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(model.at(i), i == 3 ? kEpoch + hours(2) : kEpoch + hours(1))
+        << i;
+  }
+  EXPECT_EQ(record->flows, 21u);
+}
+
+TEST(ServiceRecord, LastFlowExcludingAfterSpill) {
+  ServiceTable table;
+  const ServiceKey key{kServer, net::Proto::kTcp, 80};
+  const Ipv4 scanner = Ipv4::from_octets(7, 7, 7, 7);
+  // Twelve genuine clients (past the inline limit), the newest at
+  // minute 12; the scanner's flow is the latest of all.
+  for (std::uint32_t i = 1; i <= 12; ++i) {
+    table.count_flow(key, Ipv4::from_octets(66, 1, 2, static_cast<uint8_t>(i)),
+                     kEpoch + minutes(i));
+  }
+  table.count_flow(key, scanner, kEpoch + minutes(40));
+  table.count_flow(key, Ipv4::from_octets(66, 1, 2, 5),
+                   kEpoch + minutes(30));  // a repeat raises 66.1.2.5
+  table.discover(key, kEpoch);
+  const ServiceRecord* record = table.find(key);
+  ASSERT_NE(record, nullptr);
+  ASSERT_GT(record->clients.heap_bytes(), 0u);
+  util::FlatSet<Ipv4> exclude;
+  EXPECT_EQ(record->last_flow_excluding(exclude), kEpoch + minutes(40));
+  exclude.insert(scanner);
+  EXPECT_EQ(record->last_flow_excluding(exclude), kEpoch + minutes(30));
+  exclude.insert(Ipv4::from_octets(66, 1, 2, 5));
+  EXPECT_EQ(record->last_flow_excluding(exclude), kEpoch + minutes(12));
 }
 
 // ------------------------------------------- batch/single equivalence --

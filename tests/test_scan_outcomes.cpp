@@ -39,11 +39,16 @@ struct Space {
       return Ipv4::from_octets(128, 125, 3,
                                static_cast<std::uint8_t>(1 + rng.below(5)));
     };
-    for (std::uint64_t n = rng.below(4); n > 0; --n) {
-      space->hints.push_back(
+    // The hints are a prefix of a longer list, as a scan's are of the
+    // prober's shared one.
+    auto hints = std::make_shared<std::vector<passive::ServiceKey>>();
+    for (std::uint64_t n = rng.below(6); n > 0; --n) {
+      hints->push_back(
           {addr(), rng.chance(0.5) ? net::Proto::kTcp : net::Proto::kUdp,
            static_cast<net::Port>(8000 + rng.below(3))});
     }
+    space->hint_count = rng.below(hints->size() + 1);
+    space->hint_list = hints;
     auto targets = std::make_shared<std::vector<Ipv4>>();
     for (std::uint64_t n = 1 + rng.below(6); n > 0; --n) {
       targets->push_back(addr());
@@ -59,15 +64,15 @@ struct Space {
   }
 
   std::uint32_t size() const {
-    return static_cast<std::uint32_t>(space->hints.size() +
+    return static_cast<std::uint32_t>(space->hint_count +
                                       space->targets->size() *
                                           space->columns());
   }
 
   /// The key of `index`, built from the layout rather than decoded.
   passive::ServiceKey expected_key(std::uint32_t index) const {
-    const std::size_t hints = space->hints.size();
-    if (index < hints) return space->hints[index];
+    const std::size_t hints = space->hint_count;
+    if (index < hints) return (*space->hint_list)[index];
     const std::size_t columns = space->columns();
     const std::size_t row = (index - hints) / columns;
     const std::size_t column = (index - hints) % columns;
