@@ -5,7 +5,8 @@
 #  1. `ctest -L scale` — the test_scale suite: ScaleUniverse profile and
 #     reply semantics, lazy materialization, and a full million-address
 #     campaign with an in-process peak-RSS ceiling (getrusage); and
-#     test_adaptive_rss, the same kind of ceiling on a half-budget
+#     test_sweep_rss / test_adaptive_rss (both from test_campaign_rss),
+#     the same kind of ceiling on a fixed-sweep and a half-budget
 #     adaptive dtcp1_18d campaign.
 #  2. Two same-seed CLI campaigns over the scale1m scenario, with the
 #     JSON exports diffed — `wall_sec` is the only field allowed to
@@ -23,7 +24,7 @@ cd "$(dirname "$0")/.."
 jobs="$(nproc 2>/dev/null || echo 2)"
 
 cmake -B build -S . >/dev/null
-cmake --build build -j "$jobs" --target test_scale test_adaptive_rss \
+cmake --build build -j "$jobs" --target test_scale test_campaign_rss \
   svcdisc_cli
 
 echo "== scale: ctest -L scale =="

@@ -45,8 +45,23 @@ bool ProbeSpace::holds_udp() const {
          });
 }
 
+SweepOrder::SweepOrder(std::size_t targets, std::size_t columns,
+                       std::size_t machines) {
+  if (targets == 0) return;
+  const std::size_t share = (targets + machines - 1) / machines;
+  share_ = static_cast<std::uint32_t>(share * columns);
+  full_ = static_cast<std::uint32_t>(targets / share);
+  short_ = static_cast<std::uint32_t>(targets % share * columns);
+}
+
 ScanOutcomes::ScanOutcomes(std::shared_ptr<const ProbeSpace> space)
     : space_(std::move(space)) {}
+
+ScanOutcomes::ScanOutcomes(std::shared_ptr<const ProbeSpace> space,
+                           SweepOrder order)
+    : space_(std::move(space)), order_(order) {
+  assert(space_->hint_count == 0);
+}
 
 void ScanOutcomes::assign(std::span<const ProbeOutcome> outcomes) {
   auto space = std::make_shared<ProbeSpace>();
@@ -57,7 +72,7 @@ void ScanOutcomes::assign(std::span<const ProbeOutcome> outcomes) {
   *this = ScanOutcomes(std::move(space));
   // Pushed at its block's base, each outcome then takes its own time,
   // which may fall before that base.
-  stored_.reserve(outcomes.size());
+  reserve(outcomes.size());
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const util::TimePoint base =
         i % kBlock == 0 ? outcomes[i].when : bases_.back();
@@ -76,7 +91,7 @@ ProbeOutcome ScanOutcomes::operator[](std::size_t i) const {
 }
 
 util::TimePoint ScanOutcomes::when(std::size_t i) const {
-  const std::uint32_t offset = stored_[i].word >> kStatusBits;
+  const std::uint32_t offset = word(i) >> kStatusBits;
   if (offset == kExact) {
     return exact_.find(static_cast<std::uint32_t>(i))->second;
   }
@@ -84,30 +99,37 @@ util::TimePoint ScanOutcomes::when(std::size_t i) const {
 }
 
 void ScanOutcomes::push(std::uint32_t index, util::TimePoint when) {
-  if (stored_.size() % kBlock == 0) bases_.push_back(when);
-  stored_.push_back({.index = index, .word = 0});
-  set(stored_.size() - 1, ProbeStatus::kPending, when);
+  const std::size_t i = size();
+  if (i % kBlock == 0) bases_.push_back(when);
+  if (order_) {
+    // The machines' lockstep makes the send position name the cell.
+    assert(order_->cell(static_cast<std::uint32_t>(i)) == index);
+    words_.push_back(0);
+  } else {
+    indexed_.push_back({.index = index, .word = 0});
+  }
+  set(i, ProbeStatus::kPending, when);
 }
 
 void ScanOutcomes::set(std::size_t i, ProbeStatus status,
                        util::TimePoint when) {
   const std::int64_t offset = (when - bases_[i / kBlock]).usec;
-  std::uint32_t& word = stored_[i].word;
+  std::uint32_t& stored = word(i);
   const auto key = static_cast<std::uint32_t>(i);
   if (offset >= 0 && offset < kExact) {
-    if (word >> kStatusBits == kExact) exact_.erase(key);
-    word = static_cast<std::uint32_t>(offset) << kStatusBits;
+    if (stored >> kStatusBits == kExact) exact_.erase(key);
+    stored = static_cast<std::uint32_t>(offset) << kStatusBits;
   } else {
-    word = kExact << kStatusBits;
+    stored = kExact << kStatusBits;
     exact_[key] = when;
   }
-  word |= static_cast<std::uint32_t>(status);
+  stored |= static_cast<std::uint32_t>(status);
 }
 
 void ScanOutcomes::set_status(std::size_t i, ProbeStatus status) {
-  std::uint32_t& word = stored_[i].word;
-  word = (word & ~((1u << kStatusBits) - 1)) |
-         static_cast<std::uint32_t>(status);
+  std::uint32_t& stored = word(i);
+  stored = (stored & ~((1u << kStatusBits) - 1)) |
+           static_cast<std::uint32_t>(status);
 }
 
 std::size_t ScanRecord::count(ProbeStatus status) const {
@@ -267,7 +289,6 @@ void Prober::start_scan(ScanSpec spec,
                                      metrics_prefix_ + ".rate_limiter");
     }
   }
-  plan_.assign(machines, {});
 
   space_ = std::make_shared<ProbeSpace>();
   space_->tcp_ports = spec_.tcp_ports;
@@ -308,8 +329,7 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
   // Split targets evenly across prober machines, preserving probe order
   // within each machine's share (address-major, port-minor). Only the
   // split is computed here; send_next() computes individual probes on
-  // demand. A port phase also gets its index space: 4 bytes per hint and
-  // per (target, port) cell.
+  // demand. A port phase also gets its index space.
   const std::size_t columns = space_->columns();
   // Cells store 1 + an outcome index and the queue holds cell indices,
   // all in 32 bits; a phase has at most one outcome per cell. The ping
@@ -320,44 +340,56 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
         "Prober: hints + targets x ports exceeds the 2^32 - 1 probe index "
         "space");
   }
-  const std::size_t machines = plan_.size();
-  const std::size_t per_machine =
-      (target_count + machines - 1) / std::max<std::size_t>(machines, 1);
-  const std::size_t tasks_per_target = ping ? 1 : columns;
-  std::size_t total = 0;
-  for (std::size_t m = 0; m < machines; ++m) {
-    const std::size_t begin = m * per_machine;
-    const std::size_t end = std::min(target_count, begin + per_machine);
-    MachinePlan& plan = plan_[m];
-    plan.first_target = begin;
-    plan.target_count = end > begin ? end - begin : 0;
-    plan.task_count = plan.target_count * tasks_per_target;
-    total += plan.task_count;
-  }
+  plan_ = SweepOrder(target_count, ping ? 1 : columns,
+                     config_.source_addrs.size());
   if (ping) return;
-  current_.outcomes = ScanOutcomes(space_);
-  // The adaptive mode reserves for its budget in rank_candidates.
-  if (!adaptive_) current_.outcomes.reserve(total);
 
   // Index the grid: first occurrences win, so a repeated target or port
   // shares the first one's cells.
   const std::vector<net::Ipv4>& targets = *phase_targets_;
   columns_ = columns;
-  target_row_.resize(target_count);
+  bool repeats = false;
   for (std::size_t i = 0; i < target_count; ++i) {
     std::uint32_t& slot = row_slot(targets[i]);
+    repeats |= slot != 0;
     if (slot == 0) slot = static_cast<std::uint32_t>(i) + 1;
-    target_row_[i] = slot - 1;
+  }
+  for (std::size_t c = 0; c < columns; ++c) {
+    const passive::ServiceKey key = space_->grid_key({}, c);
+    repeats |= !column_of_
+                    .emplace(column_key(key.proto, key.port),
+                             static_cast<std::uint32_t>(c))
+                    .second;
+  }
+  // A sweep whose machines start in step sends every cell once, in its
+  // SweepOrder, so the order alone names each outcome's cell.
+  if (!adaptive_ && !repeats &&
+      buckets_in_step(network_.simulator().now())) {
+    current_.outcomes = ScanOutcomes(space_, plan_);
+    current_.outcomes.reserve(plan_.size());
+    return;
+  }
+  current_.outcomes = ScanOutcomes(space_);
+  // The adaptive mode reserves for its budget in rank_candidates.
+  if (!adaptive_) current_.outcomes.reserve(plan_.size());
+  target_row_.resize(target_count);
+  for (std::size_t i = 0; i < target_count; ++i) {
+    target_row_[i] = *find_row(targets[i]) - 1;
   }
   port_column_.resize(columns);
   for (std::size_t c = 0; c < columns; ++c) {
     const passive::ServiceKey key = space_->grid_key({}, c);
-    port_column_[c] = column_of_
-                          .emplace(column_key(key.proto, key.port),
-                                   static_cast<std::uint32_t>(c))
-                          .first->second;
+    port_column_[c] = column_of_.find(column_key(key.proto, key.port))->second;
   }
   cell_outcome_.assign(space_->hint_count + target_count * columns, 0);
+}
+
+bool Prober::buckets_in_step(util::TimePoint now) const {
+  // Same rate and burst by construction; equal tokens now make equal
+  // states after each machine's first send at `now`.
+  return std::ranges::all_of(buckets_, [&](const TokenBucket& bucket) {
+    return bucket.tokens_at(now) == buckets_.front().tokens_at(now);
+  });
 }
 
 void Prober::rank_candidates() {
@@ -371,9 +403,8 @@ void Prober::rank_candidates() {
   for (std::uint32_t h = 0; h < hints.size(); ++h) {
     const passive::ServiceKey& hint = hints[h];
     if (spec_.host_discovery && !alive_hosts_.contains(hint.addr)) continue;
-    if (const std::uint32_t* cell = grid_cell(hint)) {
-      covered.push_back(
-          static_cast<std::uint32_t>(cell - cell_outcome_.data()));
+    if (const std::optional<std::uint32_t> cell = grid_cell(hint)) {
+      covered.push_back(*cell);
     } else {
       hint_cell_.emplace(hint, h);
     }
@@ -406,23 +437,26 @@ void Prober::rank_candidates() {
 void Prober::start_phase() {
   const bool ranked = adaptive_ && !pinging_;
   if (ranked) rank_candidates();
-  cursor_.assign(plan_.size(), 0);
+  const std::size_t machines = config_.source_addrs.size();
+  cursor_.assign(machines, 0);
   // Count the idle machines before the first send: a machine whose whole
   // share is one probe finishes inside that send_next, and its end-of-
   // phase check must already see them. Ranked machines share one queue.
-  machines_done_ =
-      ranked ? 0
-             : static_cast<std::size_t>(std::count_if(
-                   plan_.begin(), plan_.end(),
-                   [](const MachinePlan& p) { return p.task_count == 0; }));
-  if (ranked ? queue_.empty() : machines_done_ == plan_.size()) {
+  machines_done_ = 0;
+  if (!ranked) {
+    for (std::size_t m = 0; m < machines; ++m) {
+      machines_done_ += plan_.probes(m) == 0;
+    }
+  }
+  if (ranked ? queue_.empty() : machines_done_ == machines) {
     // Degenerate phase with no probes: complete the scan immediately.
     pinging_ = false;
     network_.simulator().after_timer(util::usec(0), this, kTimerFinalize);
     return;
   }
-  for (std::size_t m = 0; m < plan_.size(); ++m) {
-    if (ranked || plan_[m].task_count > 0) send_next(m);
+  // Machine order: same-time ticks then fire in it all phase long.
+  for (std::size_t m = 0; m < machines; ++m) {
+    if (ranked || plan_.probes(m) > 0) send_next(m);
   }
 }
 
@@ -460,26 +494,30 @@ void Prober::send_next(std::size_t machine) {
   if (pinging_ || !adaptive_) {
     // This machine's contiguous share, probe `cursor` in sweep order (the
     // sweep has no hints, so a grid cell's index is row * columns_ + col).
-    const MachinePlan& plan = plan_[machine];
     std::size_t& cursor = cursor_[machine];
+    const std::size_t cell = plan_.first_cell(machine) + cursor;
     if (pinging_) {
       net::Packet ping;
       ping.src = source;
-      ping.dst = (*phase_targets_)[plan.first_target + cursor];
+      ping.dst = (*phase_targets_)[cell];
       ping.proto = net::Proto::kIcmp;
       ping.icmp_type = net::IcmpType::kEchoRequest;
       network_.send(ping);
       if (m_pings_) m_pings_->inc();
     } else {
-      const std::size_t target = plan.first_target + cursor / columns_;
-      const std::size_t column = cursor % columns_;
-      const std::size_t cell =
-          std::size_t{target_row_[target]} * columns_ + port_column_[column];
+      const std::size_t target = cell / columns_;
+      const std::size_t column = cell % columns_;
+      // Indexed, a repeated target or port folds into its first's cell.
+      const std::size_t grid =
+          current_.outcomes.index_free()
+              ? cell
+              : std::size_t{target_row_[target]} * columns_ +
+                    port_column_[column];
       send_port_probe(source,
                       space_->grid_key((*phase_targets_)[target], column),
-                      static_cast<std::uint32_t>(cell), now);
+                      static_cast<std::uint32_t>(grid), now);
     }
-    last = ++cursor == plan.task_count;
+    last = ++cursor == plan_.probes(machine);
   } else {
     // The best candidate of the shared queue, re-scored lazily.
     std::optional<std::uint32_t> pick;
@@ -494,9 +532,7 @@ void Prober::send_next(std::size_t machine) {
     const passive::ServiceKey key = space_->key(*pick);
     const bool hint = *pick < space_->hint_count;
     // A hint on the grid probes its grid cell.
-    const auto cell = hint ? static_cast<std::uint32_t>(
-                                 cell_of(key) - cell_outcome_.data())
-                           : *pick;
+    const std::uint32_t cell = hint ? *cell_of(key) : *pick;
     // Each candidate is queued once and never re-queued after its pop.
     assert(cell_outcome_[cell] == 0);
     send_port_probe(source, key, cell, now);
@@ -529,8 +565,10 @@ void Prober::send_port_probe(net::Ipv4 source, const passive::ServiceKey& key,
                              std::uint32_t cell, util::TimePoint now) {
   // A cell gets a fresh outcome unless it still awaits an answer: a
   // repeated target or port probed while the first probe is pending
-  // folds into that probe's outcome.
-  if (cell_outcome_[cell] == 0) {
+  // folds into that probe's outcome. An index-free sweep repeats none.
+  if (current_.outcomes.index_free()) {
+    current_.outcomes.push(cell, now);
+  } else if (cell_outcome_[cell] == 0) {
     current_.outcomes.push(cell, now);
     cell_outcome_[cell] = static_cast<std::uint32_t>(current_.outcomes.size());
   }
@@ -538,7 +576,7 @@ void Prober::send_port_probe(net::Ipv4 source, const passive::ServiceKey& key,
 }
 
 void Prober::machine_done() {
-  if (++machines_done_ < plan_.size()) return;
+  if (++machines_done_ < config_.source_addrs.size()) return;
   // All probes of this phase sent (or the budget ran dry); allow
   // stragglers and outstanding verifications to answer.
   network_.simulator().after_timer(
@@ -646,21 +684,43 @@ std::uint32_t& Prober::row_slot(net::Ipv4 addr) {
   return (*memo_page_)[addr.value() & 0xff];
 }
 
-std::uint32_t* Prober::grid_cell(const passive::ServiceKey& key) {
+std::optional<std::uint32_t> Prober::grid_cell(
+    const passive::ServiceKey& key) {
   // Before the port phase (pinging) the grid is empty.
   const std::uint32_t* row = find_row(key.addr);
-  if (row == nullptr || *row == 0) return nullptr;
+  if (row == nullptr || *row == 0) return std::nullopt;
   const auto column = column_of_.find(column_key(key.proto, key.port));
-  if (column == column_of_.end()) return nullptr;
-  return &cell_outcome_[space_->hint_count +
-                        std::size_t{*row - 1} * columns_ + column->second];
+  if (column == column_of_.end()) return std::nullopt;
+  return static_cast<std::uint32_t>(
+      space_->hint_count + std::size_t{*row - 1} * columns_ + column->second);
 }
 
-std::uint32_t* Prober::cell_of(const passive::ServiceKey& key) {
-  if (std::uint32_t* cell = grid_cell(key)) return cell;
-  if (hint_cell_.empty()) return nullptr;
+std::optional<std::uint32_t> Prober::cell_of(const passive::ServiceKey& key) {
+  if (const std::optional<std::uint32_t> cell = grid_cell(key)) return cell;
+  if (hint_cell_.empty()) return std::nullopt;
   const auto it = hint_cell_.find(key);
-  return it == hint_cell_.end() ? nullptr : &cell_outcome_[it->second];
+  if (it == hint_cell_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::optional<std::size_t> Prober::take_pending(
+    const passive::ServiceKey& key) {
+  const std::optional<std::uint32_t> cell = cell_of(key);
+  if (!cell) return std::nullopt;
+  const ScanOutcomes& outcomes = current_.outcomes;
+  if (outcomes.index_free()) {
+    // Sent once it has a position below size(); answered once settled.
+    const std::uint32_t i = outcomes.order().position(*cell);
+    if (i >= outcomes.size() || outcomes.status(i) != ProbeStatus::kPending) {
+      return std::nullopt;
+    }
+    return i;
+  }
+  std::uint32_t& slot = cell_outcome_[*cell];
+  if (slot == 0) return std::nullopt;
+  const std::size_t i = slot - 1;
+  slot = 0;
+  return i;
 }
 
 // ---------------------------------------------------------------------------
@@ -678,13 +738,13 @@ void Prober::on_packet(const net::Packet& p) {
           resolve(key, ProbeStatus::kOpen);
           return;
         }
-        std::uint32_t* cell = cell_of(key);
-        if (cell == nullptr || *cell == 0) return;  // stray, late, duplicate
+        // The adaptive mode is always indexed: the cell stops awaiting an
+        // answer while the outcome stays pending.
+        const std::optional<std::size_t> outcome_index = take_pending(key);
+        if (!outcome_index) return;  // stray, late, duplicate
         // First stage answered; the verdict now rides on the data probe.
-        const std::size_t outcome_index = *cell - 1;
-        *cell = 0;
         if (m_responses_) m_responses_->inc();
-        verifying_[key] = {outcome_index, p.time};
+        verifying_[key] = {*outcome_index, p.time};
         send_verify(p);
       } else if (verify && p.flags.ack() && !p.flags.syn() &&
                  p.payload_len > 0) {
@@ -723,11 +783,9 @@ void Prober::on_packet(const net::Packet& p) {
 }
 
 void Prober::resolve(const passive::ServiceKey& key, ProbeStatus status) {
-  std::uint32_t* cell = cell_of(key);
-  if (cell == nullptr || *cell == 0) return;  // stray, late or duplicate
-  const std::size_t outcome_index = *cell - 1;
-  *cell = 0;
-  settle(key, outcome_index, status);
+  if (const std::optional<std::size_t> i = take_pending(key)) {
+    settle(key, *i, status);
+  }
 }
 
 void Prober::settle(const passive::ServiceKey& key, std::size_t outcome_index,

@@ -124,20 +124,73 @@ struct ProbeSpace {
   }
 };
 
-/// One stored probe: its index in the scan's ProbeSpace and one word of
-/// status (low 3 bits) and send-or-answer time (high 29 bits, µs after
-/// its block's base).
+/// The send order of a sweep's port (or ping) phase (DESIGN.md §16).
+/// `machines` machines split `targets` targets into contiguous shares of
+/// ceil(targets / machines) targets; each walks its share address-major,
+/// port-minor over `columns` port-list entries, and the machines send in
+/// lockstep, round-robin over those that still have probes. Machine m's
+/// r-th probe is grid cell m * share + r (cell = target * columns +
+/// column), so a probe's send position and its cell each follow from the
+/// other.
+class SweepOrder {
+ public:
+  SweepOrder() = default;
+  /// Requires targets x columns < 2^32, as the prober's guard ensures.
+  SweepOrder(std::size_t targets, std::size_t columns, std::size_t machines);
+
+  /// Probes of every share together.
+  std::size_t size() const { return std::size_t{full_} * share_ + short_; }
+  /// Probes of machine `m`'s share.
+  std::size_t probes(std::size_t m) const {
+    return m < full_ ? share_ : m == full_ ? short_ : 0;
+  }
+  /// The cell of machine `m`'s first probe.
+  std::size_t first_cell(std::size_t m) const { return m * share_; }
+  /// The cell of the probe sent at `position`, for position < size().
+  /// (32-bit arithmetic: every cell and position fits.)
+  std::uint32_t cell(std::uint32_t position) const {
+    const std::uint32_t wide = full_ + (short_ > 0);  // machines per round
+    if (position < short_ * wide) {
+      return position % wide * share_ + position / wide;
+    }
+    const std::uint32_t rest = position - short_ * wide;
+    return rest % full_ * share_ + short_ + rest / full_;
+  }
+  /// The send position of the probe of `cell`, for cell < size().
+  std::uint32_t position(std::uint32_t cell) const {
+    const std::uint32_t wide = full_ + (short_ > 0);
+    const std::uint32_t machine = cell / share_;
+    const std::uint32_t round = cell % share_;
+    if (round < short_) return round * wide + machine;
+    return short_ * wide + (round - short_) * full_ + machine;
+  }
+
+ private:
+  std::uint32_t share_{0};  ///< probes of a full share
+  std::uint32_t full_{0};   ///< machines with a full share
+  std::uint32_t short_{0};  ///< probes of the share after them (< share_)
+};
+
+/// One stored probe of the indexed layout: its index in the scan's
+/// ProbeSpace and its word.
 struct StoredOutcome {
   std::uint32_t index{0};
   std::uint32_t word{0};
 };
 static_assert(sizeof(StoredOutcome) == 8);
 
-/// A scan's outcomes, 8 bytes per probe (DESIGN.md §16). Blocks of
-/// kBlock consecutive outcomes share a base time, the `when` of the
-/// block's first outcome; a `when` outside [base, base + kExact) stores
-/// the offset kExact and sits, exact, in a side map. Reads decode a
-/// ProbeOutcome through the ProbeSpace.
+/// A scan's outcomes in send order (DESIGN.md §16). Each is one 32-bit
+/// word of status (low 3 bits) and send-or-answer time (high 29 bits, µs
+/// after its block's base). Blocks of kBlock consecutive outcomes share a
+/// base time, the `when` of the block's first outcome; a `when` outside
+/// [base, base + kExact) stores the offset kExact and sits, exact, in a
+/// side map. Two layouts name an outcome's probe:
+///   * index-free: a sweep over a grid with no repeated target or port,
+///     sent in its SweepOrder; outcome i is the probe of cell
+///     order().cell(i), 4 bytes per probe;
+///   * indexed: every other scan keeps each outcome's index in the
+///     ProbeSpace beside its word, 8 bytes per probe.
+/// Reads decode a ProbeOutcome through the ProbeSpace in either layout.
 class ScanOutcomes {
  public:
   static constexpr std::size_t kBlock = 256;
@@ -147,8 +200,11 @@ class ScanOutcomes {
                 (1u << kStatusBits));
 
   ScanOutcomes() = default;
-  /// An empty store whose indices name cells of `space`.
+  /// An empty indexed store whose indices name cells of `space`.
   explicit ScanOutcomes(std::shared_ptr<const ProbeSpace> space);
+  /// An empty index-free store of a sweep over the grid of `space` (no
+  /// hints), sent in `order`.
+  ScanOutcomes(std::shared_ptr<const ProbeSpace> space, SweepOrder order);
   /// Hand-built records: each outcome gets a hint index of its own.
   void assign(std::span<const ProbeOutcome> outcomes);
   ScanOutcomes& operator=(std::initializer_list<ProbeOutcome> outcomes) {
@@ -185,35 +241,59 @@ class ScanOutcomes {
   };
 
   const std::shared_ptr<const ProbeSpace>& space() const { return space_; }
-  std::size_t size() const { return stored_.size(); }
-  bool empty() const { return stored_.empty(); }
+  /// Whether outcomes are named by their send position alone.
+  bool index_free() const { return order_.has_value(); }
+  /// The send order of an index-free store.
+  const SweepOrder& order() const { return *order_; }
+  std::size_t size() const {
+    return order_ ? words_.size() : indexed_.size();
+  }
+  bool empty() const { return size() == 0; }
   ProbeOutcome operator[](std::size_t i) const;
   const_iterator begin() const { return {this, 0}; }
   const_iterator end() const { return {this, size()}; }
 
   ProbeStatus status(std::size_t i) const {
-    return static_cast<ProbeStatus>(stored_[i].word &
-                                    ((1u << kStatusBits) - 1));
+    return static_cast<ProbeStatus>(word(i) & ((1u << kStatusBits) - 1));
   }
   passive::ServiceKey key(std::size_t i) const {
-    return space_->key(stored_[i].index);
+    const auto at = static_cast<std::uint32_t>(i);
+    return space_->key(order_ ? order_->cell(at) : indexed_[i].index);
   }
   util::TimePoint when(std::size_t i) const;
 
   // Writers (the prober's in-flight scan).
-  void reserve(std::size_t n) { stored_.reserve(n); }
+  void reserve(std::size_t n) {
+    if (order_) {
+      words_.reserve(n);
+    } else {
+      indexed_.reserve(n);
+    }
+  }
   /// Appends a pending outcome of cell `index` sent at `when`. The
-  /// prober pushes in send order, so a block's times fit its base.
+  /// prober pushes in send order, so a block's times fit its base and an
+  /// index-free store's next position names cell `index`.
   void push(std::uint32_t index, util::TimePoint when);
   void set(std::size_t i, ProbeStatus status, util::TimePoint when);
   void set_status(std::size_t i, ProbeStatus status);
 
  private:
   std::shared_ptr<const ProbeSpace> space_;
-  std::vector<StoredOutcome> stored_;
+  std::optional<SweepOrder> order_;     // set: the index-free layout
+  // Per outcome, in send order, one of the two: index-free, the word
+  // alone; indexed, the probe index beside the word.
+  std::vector<std::uint32_t> words_;
+  std::vector<StoredOutcome> indexed_;
   std::vector<util::TimePoint> bases_;  // per block of kBlock outcomes
   /// Outcome index -> `when`, for the outcomes stored with offset kExact.
   util::FlatMap<std::uint32_t, util::TimePoint> exact_;
+
+  std::uint32_t word(std::size_t i) const {
+    return order_ ? words_[i] : indexed_[i].word;
+  }
+  std::uint32_t& word(std::size_t i) {
+    return order_ ? words_[i] : indexed_[i].word;
+  }
 };
 
 /// One completed scan's results.
@@ -381,14 +461,6 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
     Prober& owner_;
   };
 
-  /// One machine's share of a phase in the sweep order. Tasks are never
-  /// materialized: the plan is three integers and the send path computes
-  /// probe `cursor` on demand, address-major, port-minor.
-  struct MachinePlan {
-    std::size_t first_target{0};  ///< index into *phase_targets_
-    std::size_t target_count{0};
-    std::size_t task_count{0};
-  };
   struct VerifyState {
     std::size_t outcome{0};      ///< index into current_.outcomes
     util::TimePoint sent{};      ///< data-probe send time
@@ -398,11 +470,14 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   void plan_phase(bool ping, std::size_t target_count);
   /// Queues the adaptive port phase's candidates: hints, then the grid.
   void rank_candidates();
+  /// Whether every machine's pacing bucket is in the same state now, so
+  /// machines that start a phase together stay in lockstep.
+  bool buckets_in_step(util::TimePoint now) const;
   void start_phase();
   void begin_port_phase();
   void send_next(std::size_t machine);
-  /// Sends a port probe and opens (or folds into) the outcome of cell
-  /// `cell`.
+  /// Sends a port probe and opens (or, indexed, folds into) the outcome
+  /// of cell `cell`.
   void send_port_probe(net::Ipv4 source, const passive::ServiceKey& key,
                        std::uint32_t cell, util::TimePoint now);
   void machine_done();
@@ -423,11 +498,15 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   std::uint32_t* find_row(net::Ipv4 addr);
   /// The row slot of `addr`, allocating its /24's page if needed.
   std::uint32_t& row_slot(net::Ipv4 addr);
-  /// The grid cell of `key`, or null when it is no target x port pair.
-  std::uint32_t* grid_cell(const passive::ServiceKey& key);
+  /// The grid cell of `key`, or none when it is no target x port pair.
+  std::optional<std::uint32_t> grid_cell(const passive::ServiceKey& key);
   /// The cell of `key`: its grid cell, else its queued hint's cell, else
-  /// null.
-  std::uint32_t* cell_of(const passive::ServiceKey& key);
+  /// none.
+  std::optional<std::uint32_t> cell_of(const passive::ServiceKey& key);
+  /// The outcome index of `key`'s probe awaiting an answer, or none (a
+  /// stray, late or duplicate reply). Indexed, the cell stops awaiting;
+  /// index-free, the outcome awaits until the caller settles it.
+  std::optional<std::size_t> take_pending(const passive::ServiceKey& key);
 
   // Replies.
   /// Settles the pending probe of `key` (no-op on a stray, late or
@@ -473,7 +552,8 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   /// sim::Simulator::kNoPacingSlot), reserved for the prober's lifetime.
   std::vector<std::size_t> pacing_slots_;
   net::Port next_ephemeral_{40000};
-  std::vector<MachinePlan> plan_;    // per machine share of the phase
+  /// The sweep order of the phase: machine shares, probe by probe.
+  SweepOrder plan_;
   std::vector<std::size_t> cursor_;  // per machine: next probe
   /// Targets of the current phase: *scan_targets_ while pinging, then the
   /// port phase's space_->targets.
@@ -487,9 +567,11 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   // rest is built by plan_phase and rank_candidates and freed when the
   // scan finishes. Grid row r is the r-th phase target, column c the c-th
   // port-list entry (TCP ports, then UDP); a repeated target or port maps
-  // to the row or column of its first occurrence. A cell holds 0 while
-  // not awaiting an answer, else 1 + the index in current_.outcomes of
-  // its pending probe.
+  // to the row or column of its first occurrence. An index-free sweep
+  // needs only the row pages and column_of_: a cell's outcome is at its
+  // send position. The indexed layout adds the three vectors; a cell
+  // there holds 0 while not awaiting an answer, else 1 + the index in
+  // current_.outcomes of its pending probe.
   std::shared_ptr<ProbeSpace> space_;
   /// The last port phase's targets, shared with the next scan if equal.
   std::shared_ptr<const std::vector<net::Ipv4>> last_targets_;

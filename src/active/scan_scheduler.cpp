@@ -8,11 +8,19 @@ namespace svcdisc::active {
 
 ScanScheduler::ScanScheduler(sim::Simulator& sim, Prober& prober,
                              ScanSpec spec, ScheduleConfig schedule)
+    : ScanScheduler(sim, prober, spec,
+                    std::make_shared<const std::vector<net::Ipv4>>(
+                        std::move(spec.targets)),
+                    schedule) {}
+
+ScanScheduler::ScanScheduler(
+    sim::Simulator& sim, Prober& prober, ScanSpec spec,
+    std::shared_ptr<const std::vector<net::Ipv4>> targets,
+    ScheduleConfig schedule)
     : sim_(sim),
       prober_(prober),
       spec_(std::move(spec)),
-      targets_(std::make_shared<const std::vector<net::Ipv4>>(
-          std::move(spec_.targets))),
+      targets_(std::move(targets)),
       schedule_(schedule) {
   spec_.targets.clear();
 }

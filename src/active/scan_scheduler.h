@@ -32,6 +32,11 @@ class ScanScheduler final : public sim::TimerTarget {
   /// outlive the simulation run.
   ScanScheduler(sim::Simulator& sim, Prober& prober, ScanSpec spec,
                 ScheduleConfig schedule);
+  /// The same, every scan probing the shared list `targets` in place of
+  /// spec.targets, which is not read.
+  ScanScheduler(sim::Simulator& sim, Prober& prober, ScanSpec spec,
+                std::shared_ptr<const std::vector<net::Ipv4>> targets,
+                ScheduleConfig schedule);
 
   /// Registers all scan firings with the simulator. Call once.
   void arm();

@@ -145,7 +145,6 @@ DiscoveryEngine::DiscoveryEngine(workload::Campus& campus, EngineConfig config)
 
   if (config_.scan_count > 0) {
     active::ScanSpec spec;
-    spec.targets = campus_.scan_targets();
     spec.tcp_ports = campus_.tcp_ports();
     spec.udp_ports = campus_.udp_ports();
     spec.probes_per_sec = campus_.config().probe_rate_per_sec;
@@ -154,7 +153,8 @@ DiscoveryEngine::DiscoveryEngine(workload::Campus& campus, EngineConfig config)
     schedule.period = config_.scan_period;
     schedule.count = config_.scan_count;
     scheduler_ = std::make_unique<active::ScanScheduler>(
-        campus_.simulator(), *prober_, std::move(spec), schedule);
+        campus_.simulator(), *prober_, std::move(spec),
+        campus_.shared_scan_targets(), schedule);
     scheduler_->arm();
   }
 }

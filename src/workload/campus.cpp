@@ -254,23 +254,23 @@ void Campus::build_address_plan() {
     prober_sources_.push_back(mgmt.at(m + 1));
   }
 
-  scan_targets_.reserve(config_.static_addresses + 2304);
+  scan_targets_->reserve(config_.static_addresses + 2304);
   for (std::uint32_t i = 0; i < config_.static_addresses; ++i) {
-    scan_targets_.push_back(campus.at(i));
+    scan_targets_->push_back(campus.at(i));
   }
   if (config_.transient_blocks) {
     for (std::uint32_t i = 0; i < 256; ++i) {
-      scan_targets_.push_back(campus.at(kVpnOffset + i));
+      scan_targets_->push_back(campus.at(kVpnOffset + i));
     }
     for (std::uint32_t i = 0; i < 1024; ++i) {
-      scan_targets_.push_back(campus.at(kDhcpOffset + i));
+      scan_targets_->push_back(campus.at(kDhcpOffset + i));
     }
     for (std::uint32_t i = 0; i < 512; ++i) {
-      scan_targets_.push_back(campus.at(kPppOffset + i));
+      scan_targets_->push_back(campus.at(kPppOffset + i));
     }
     if (config_.include_wireless_in_scan) {
       for (std::uint32_t i = 0; i < 512; ++i) {
-        scan_targets_.push_back(campus.at(kWirelessOffset + i));
+        scan_targets_->push_back(campus.at(kWirelessOffset + i));
       }
     }
   }
@@ -288,22 +288,22 @@ void Campus::build_address_plan() {
     config_.cgnat_addresses =
         round_up_pow2(std::max<std::uint32_t>(config_.cgnat_addresses, 1));
     for (std::uint32_t i = 0; i < config_.middlebox_hosts; ++i) {
-      scan_targets_.push_back(campus.at(kMiddleboxBlockOffset + i));
+      scan_targets_->push_back(campus.at(kMiddleboxBlockOffset + i));
     }
     for (std::uint32_t i = 0; i < config_.tarpit_hosts; ++i) {
-      scan_targets_.push_back(campus.at(kTarpitBlockOffset + i));
+      scan_targets_->push_back(campus.at(kTarpitBlockOffset + i));
     }
     if (config_.cgnat_hosts > 0) {
       for (std::uint32_t i = 0; i < config_.cgnat_addresses; ++i) {
-        scan_targets_.push_back(campus.at(kCgnatBlockOffset + i));
+        scan_targets_->push_back(campus.at(kCgnatBlockOffset + i));
       }
     }
     for (std::uint32_t i = 0; i < config_.iot_burst_hosts; ++i) {
-      scan_targets_.push_back(campus.at(kIotBlockOffset + i));
+      scan_targets_->push_back(campus.at(kIotBlockOffset + i));
     }
     if (config_.outage_renumber) {
       for (std::uint32_t i = 0; i < config_.outage_hosts; ++i) {
-        scan_targets_.push_back(campus.at(kRenumberBlockOffset + i));
+        scan_targets_->push_back(campus.at(kRenumberBlockOffset + i));
       }
     }
   }
@@ -318,8 +318,8 @@ void Campus::build_address_plan() {
       throw std::invalid_argument("campus: scale universe capped at 2^28");
     }
     if (config_.scale_scan) {
-      scan_targets_.reserve(scan_targets_.size() +
-                            config_.scale_blocks * per_block);
+      scan_targets_->reserve(scan_targets_->size() +
+                             config_.scale_blocks * per_block);
     }
     for (std::uint32_t b = 0; b < config_.scale_blocks; ++b) {
       const net::Prefix block(
@@ -330,7 +330,7 @@ void Campus::build_address_plan() {
       // inbound contacts cross the border once, like any other target.
       internal_prefixes_.push_back(block);
       if (config_.scale_scan) {
-        for (const net::Ipv4 addr : block) scan_targets_.push_back(addr);
+        for (const net::Ipv4 addr : block) scan_targets_->push_back(addr);
       }
     }
   }
@@ -833,7 +833,7 @@ void Campus::build_traffic() {
 
 void Campus::build_scanners() {
   if (!config_.external_scans) return;
-  const std::size_t n = scan_targets_.size();
+  const std::size_t n = scan_targets_->size();
   const double dur_days = config_.duration.days();
   std::uint64_t salt = 0x5CA40000ULL;
 
@@ -1331,7 +1331,7 @@ void Campus::start() {
   flows_->start();
   scanners_->start();
   SVCDISC_LOG(kInfo) << "campus started: " << hosts_.size() << " hosts, "
-                     << scan_targets_.size() << " probe targets, "
+                     << scan_targets_->size() << " probe targets, "
                      << flows_->target_count() << " traffic streams, "
                      << scanners_->sweeps().size() << " external sweeps";
 }

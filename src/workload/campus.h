@@ -264,7 +264,12 @@ class Campus {
   const util::Calendar& calendar() const { return calendar_; }
 
   /// The probe target list (the paper's "16,130 IP addresses").
-  const std::vector<net::Ipv4>& scan_targets() const { return scan_targets_; }
+  const std::vector<net::Ipv4>& scan_targets() const { return *scan_targets_; }
+  /// The same list, shared: the external scanners and the prober's
+  /// schedule hold it rather than a copy.
+  std::shared_ptr<const std::vector<net::Ipv4>> shared_scan_targets() const {
+    return scan_targets_;
+  }
   /// Campus prefixes (for monitors/detectors).
   const std::vector<net::Prefix>& internal_prefixes() const {
     return internal_prefixes_;
@@ -323,7 +328,9 @@ class Campus {
   std::unique_ptr<ExternalScannerFleet> scanners_;
 
   std::vector<net::Prefix> internal_prefixes_;
-  std::vector<net::Ipv4> scan_targets_;
+  // Filled while the address plan is built, then only shared.
+  std::shared_ptr<std::vector<net::Ipv4>> scan_targets_ =
+      std::make_shared<std::vector<net::Ipv4>>();
   std::vector<net::Ipv4> prober_sources_;
   std::vector<net::Port> tcp_ports_;
   std::vector<net::Port> udp_ports_;

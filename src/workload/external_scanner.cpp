@@ -5,8 +5,9 @@
 
 namespace svcdisc::workload {
 
-ExternalScannerFleet::ExternalScannerFleet(sim::Network& network,
-                                           std::vector<net::Ipv4> targets)
+ExternalScannerFleet::ExternalScannerFleet(
+    sim::Network& network,
+    std::shared_ptr<const std::vector<net::Ipv4>> targets)
     : network_(network), targets_(std::move(targets)) {}
 
 void ExternalScannerFleet::start() {
@@ -14,8 +15,8 @@ void ExternalScannerFleet::start() {
   started_ = true;
   for (std::size_t i = 0; i < sweeps_.size(); ++i) {
     auto& sweep = sweeps_[i];
-    if (sweep.last_target == 0 || sweep.last_target > targets_.size()) {
-      sweep.last_target = targets_.size();
+    if (sweep.last_target == 0 || sweep.last_target > targets_->size()) {
+      sweep.last_target = targets_->size();
     }
     if (sweep.first_target >= sweep.last_target) continue;
     network_.simulator().at_timer(sweep.start, this,
@@ -27,10 +28,10 @@ void ExternalScannerFleet::step(std::size_t sweep_index,
                                 std::size_t target_index) {
   const SweepSpec& sweep = sweeps_[sweep_index];
   if (sweep.proto == net::Proto::kTcp) {
-    network_.send(net::make_tcp(sweep.source, 55000, targets_[target_index],
+    network_.send(net::make_tcp(sweep.source, 55000, (*targets_)[target_index],
                                 sweep.port, net::flags_syn()));
   } else {
-    network_.send(net::make_udp(sweep.source, 55000, targets_[target_index],
+    network_.send(net::make_udp(sweep.source, 55000, (*targets_)[target_index],
                                 sweep.port, 0));
   }
   ++probes_sent_;

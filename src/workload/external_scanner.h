@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,8 +38,10 @@ struct SweepSpec {
 
 class ExternalScannerFleet final : public sim::TimerTarget {
  public:
-  /// `targets` is the campus address list sweeps index into.
-  ExternalScannerFleet(sim::Network& network, std::vector<net::Ipv4> targets);
+  /// `targets` is the campus address list sweeps index into, shared
+  /// with its owner.
+  ExternalScannerFleet(sim::Network& network,
+                       std::shared_ptr<const std::vector<net::Ipv4>> targets);
 
   void add_sweep(SweepSpec spec) { sweeps_.push_back(spec); }
   const std::vector<SweepSpec>& sweeps() const { return sweeps_; }
@@ -67,7 +70,7 @@ class ExternalScannerFleet final : public sim::TimerTarget {
   void step(std::size_t sweep_index, std::size_t target_index);
 
   sim::Network& network_;
-  std::vector<net::Ipv4> targets_;
+  std::shared_ptr<const std::vector<net::Ipv4>> targets_;
   std::vector<SweepSpec> sweeps_;
   std::uint64_t probes_sent_{0};
   bool started_{false};

@@ -511,7 +511,31 @@ TEST_F(BookkeepingFixture, PortUnreachableQuotingTcpProbeCloses) {
 // count match a reference model of the bookkeeping rules: a std::map of
 // pending probes, each erased when its first reply arrives. The model
 // replays whatever the prober sent, in send order, so it holds for the
-// adaptive mode's ranked order as for the sweep's.
+// adaptive mode's ranked order as for the sweep's, and for both outcome
+// layouts (DESIGN.md §16): the sweep runs on one to five machines, and
+// half its scans drop repeated targets and ports.
+
+/// How many of a property run's scans kept each outcome layout.
+struct Layouts {
+  int index_free{0};
+  int indexed{0};
+};
+
+template <typename T>
+bool has_repeat(std::vector<T> list) {
+  std::sort(list.begin(), list.end());
+  return std::adjacent_find(list.begin(), list.end()) != list.end();
+}
+
+template <typename T>
+void drop_repeats(std::vector<T>& list) {
+  std::vector<T> seen;
+  std::erase_if(list, [&seen](const T& x) {
+    if (std::find(seen.begin(), seen.end(), x) != seen.end()) return true;
+    seen.push_back(x);
+    return false;
+  });
+}
 
 /// Where a random scan's targets and stray replies come from.
 struct TargetPool {
@@ -529,7 +553,8 @@ struct TargetPool {
 };
 
 void check_reference_model(const TargetPool& pool,
-                           std::optional<AdaptiveConfig> adaptive) {
+                           std::optional<AdaptiveConfig> adaptive,
+                           Layouts* layouts) {
   constexpr util::Duration kLatency = util::msec(1);  // campus one-way
   const auto tcp_reply = BookkeepingFixture::tcp_reply;
   const auto echo_reply = BookkeepingFixture::echo_reply;
@@ -540,11 +565,13 @@ void check_reference_model(const TargetPool& pool,
     net.set_internal_latency(kLatency);
     util::Rng rng(seed);
 
+    // The sweep runs on one to five machines, so shares come out uneven
+    // and some machines get none; the adaptive mode runs on one (the draw
+    // stays, so a seed draws the same scan in both modes).
     std::vector<Ipv4> machines = {Ipv4::from_octets(10, 1, 0, 1)};
-    // The adaptive mode runs on one machine (the draw stays, so a seed
-    // draws the same scan in both modes).
-    if (rng.below(2) == 1 && !adaptive) {
-      machines.push_back(Ipv4::from_octets(10, 1, 0, 2));
+    for (std::uint64_t n = rng.below(5); n > 0 && !adaptive; --n) {
+      machines.push_back(Ipv4::from_octets(
+          10, 1, 0, static_cast<std::uint8_t>(machines.size() + 1)));
     }
     ScanSpec spec;
     pool.draw_targets(rng, spec.targets);
@@ -555,6 +582,11 @@ void check_reference_model(const TargetPool& pool,
     }
     for (std::uint64_t n = rng.below(4); n > 0; --n) {
       spec.udp_ports.push_back(udp_pool[rng.below(3)]);
+    }
+    if (rng.chance(0.5)) {
+      drop_repeats(spec.targets);
+      drop_repeats(spec.tcp_ports);
+      drop_repeats(spec.udp_ports);
     }
     // 10 ms between probes, so every send falls on an even microsecond;
     // replies are delayed by an odd number of microseconds, so no reply
@@ -725,6 +757,22 @@ void check_reference_model(const TargetPool& pool,
       }
     }
 
+    // A sweep over a port-phase grid with no repeated target or port is
+    // index-free (its machines start the port phase in step: 150 ms
+    // between the phases refill every bucket); all else is indexed.
+    std::vector<Ipv4> grid_targets;
+    for (const Ipv4 addr : spec.targets) {
+      if (!spec.host_discovery || ping_alive.contains(addr.value())) {
+        grid_targets.push_back(addr);
+      }
+    }
+    const bool repeats = has_repeat(grid_targets) ||
+                         has_repeat(spec.tcp_ports) ||
+                         has_repeat(spec.udp_ports);
+    EXPECT_EQ(record->outcomes.index_free(), !adaptive && !repeats);
+    ++(record->outcomes.index_free() ? layouts->index_free
+                                     : layouts->indexed);
+
     ASSERT_EQ(record->outcomes.size(), outcomes.size());
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       const ProbeOutcome& got = record->outcomes[i];
@@ -828,11 +876,17 @@ TargetPool row_pages_pool() {
 }
 
 TEST_F(BookkeepingFixture, MatchesReferenceModelOnRandomScans) {
-  check_reference_model(single_page_pool(), std::nullopt);
+  Layouts layouts;
+  check_reference_model(single_page_pool(), std::nullopt, &layouts);
+  EXPECT_GT(layouts.index_free, 60);
+  EXPECT_GT(layouts.indexed, 60);
 }
 
 TEST_F(BookkeepingFixture, MatchesReferenceModelAcrossRowPages) {
-  check_reference_model(row_pages_pool(), std::nullopt);
+  Layouts layouts;
+  check_reference_model(row_pages_pool(), std::nullopt, &layouts);
+  EXPECT_GT(layouts.index_free, 60);
+  EXPECT_GT(layouts.indexed, 60);
 }
 
 // The adaptive mode on one machine, verification off (a SYN-ACK is
@@ -842,7 +896,9 @@ TEST_F(BookkeepingFixture, MatchesReferenceModelAcrossRowPages) {
 TEST_F(BookkeepingFixture, AdaptiveModeMatchesReferenceModel) {
   AdaptiveConfig config;
   config.verify = false;
-  check_reference_model(row_pages_pool(), config);
+  Layouts layouts;
+  check_reference_model(row_pages_pool(), config, &layouts);
+  EXPECT_EQ(layouts.index_free, 0);
 }
 
 // Directed row-page cases. a and b share the /24 page 128.125.5; c sits
@@ -968,6 +1024,122 @@ TEST_F(BookkeepingFixture, RejectsGridBeyondIndexRange) {
   prober.start_scan(spec_for({a}));
   sim.run();
   EXPECT_EQ(prober.scans().size(), 1u);
+}
+
+// ------------------------------------------------------ Outcome layouts --
+//
+// A scan's record layout (DESIGN.md §16) follows from the scan alone: a
+// sweep whose machines start the port phase in step, over a grid with no
+// repeated target or port, is index-free; every other scan keeps each
+// outcome's probe index.
+
+TEST_F(BookkeepingFixture, RepeatFreeSweepIsIndexFreeInRoundRobinOrder) {
+  // Five targets on three machines: shares of two, two and one target,
+  // walked address-major, port-minor, one probe per machine per round.
+  Host& up = add_host(a);
+  up.add_service(tcp(80));
+  std::vector<Ipv4> targets = {a, b};
+  for (std::uint8_t octet = 3; octet <= 5; ++octet) {
+    targets.push_back(Ipv4::from_octets(128, 125, 5, octet));
+  }
+  ScanSpec spec = spec_for(targets);
+  spec.udp_ports = {53};
+  Prober prober(network, {{prober_addr, Ipv4::from_octets(10, 1, 0, 2),
+                           Ipv4::from_octets(10, 1, 0, 3)}});
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  EXPECT_TRUE(record->outcomes.index_free());
+
+  const std::vector<std::vector<std::size_t>> shares = {{0, 1}, {2, 3}, {4}};
+  std::vector<passive::ServiceKey> want;
+  for (std::size_t round = 0; round < 6; ++round) {
+    for (const std::vector<std::size_t>& share : shares) {
+      if (round >= 3 * share.size()) continue;
+      const Ipv4 addr = targets[share[round / 3]];
+      want.push_back(round % 3 == 2
+                         ? passive::ServiceKey{addr, net::Proto::kUdp, 53}
+                         : passive::ServiceKey{addr, net::Proto::kTcp,
+                                               round % 3 == 0 ? net::Port{80}
+                                                              : net::Port{22}});
+    }
+  }
+  ASSERT_EQ(record->outcomes.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(record->outcomes.key(i), want[i]) << i;
+  }
+  // The machines send together: round 1 goes out 10 ms after round 0.
+  EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
+  EXPECT_EQ(record->outcomes[2].when, kEpoch);
+  EXPECT_EQ(record->outcomes[4].when, kEpoch + util::msec(10));
+  EXPECT_EQ(record->count(ProbeStatus::kFiltered), 8u);
+}
+
+TEST_F(BookkeepingFixture, RepeatedTargetOrPortKeepsIndexedLayout) {
+  const auto index_free = [&](const ScanSpec& spec) {
+    Prober prober(network, {{prober_addr, Ipv4::from_octets(10, 1, 0, 2)}});
+    std::optional<ScanRecord> record;
+    prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+    sim.run();
+    return record.has_value() && record->outcomes.index_free();
+  };
+  EXPECT_TRUE(index_free(spec_for({a, b})));
+  EXPECT_FALSE(index_free(spec_for({a, b, a})));
+  ScanSpec ports = spec_for({a, b});
+  ports.tcp_ports = {80, 22, 80};
+  EXPECT_FALSE(index_free(ports));
+  // A record built by hand is indexed too.
+  ScanRecord hand;
+  hand.outcomes = {{a, net::Proto::kTcp, ProbeStatus::kOpen, 80, kEpoch}};
+  EXPECT_FALSE(hand.outcomes.index_free());
+}
+
+TEST_F(BookkeepingFixture, AdaptiveModeKeepsIndexedLayout) {
+  Prober prober(network, {{prober_addr}}, AdaptiveConfig{});
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec_for({a, b}),
+                    [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->outcomes.size(), 4u);
+  EXPECT_FALSE(record->outcomes.index_free());
+}
+
+TEST_F(BookkeepingFixture, PingPrePassOutOfStepKeepsIndexedLayout) {
+  // At 0.2 probes/s machine 0 pings twice (0 s, 5 s) and machine 1 once;
+  // 1.1 s later the port phase starts with machine 1's bucket full and
+  // machine 0's at 0.22 tokens, so machine 1 runs ahead and the send
+  // order is not the round-robin one. At 100 probes/s the pause refills
+  // both buckets and the port phase starts in step.
+  const Ipv4 c = Ipv4::from_octets(128, 125, 5, 3);
+  for (const Ipv4 addr : {a, b, c}) add_host(addr);
+  ScanSpec spec = spec_for({a, b, c});
+  spec.host_discovery = true;
+  spec.timeout = util::seconds(1);
+  const auto run = [&](double rate) {
+    spec.probes_per_sec = rate;
+    Prober prober(network, {{prober_addr, Ipv4::from_octets(10, 1, 0, 2)}});
+    std::optional<ScanRecord> record;
+    prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+    sim.run();
+    return record.value_or(ScanRecord{});
+  };
+  const ScanRecord slow = run(0.2);
+  EXPECT_EQ(slow.hosts_alive, 3u);
+  EXPECT_FALSE(slow.outcomes.index_free());
+  ASSERT_EQ(slow.outcomes.size(), 6u);
+  // Machine 1's second probe goes out before machine 0's.
+  EXPECT_EQ(slow.outcomes.key(1).addr, c);
+  EXPECT_EQ(slow.outcomes.key(2),
+            (passive::ServiceKey{c, net::Proto::kTcp, 22}));
+  EXPECT_LT(slow.outcomes.when(2), slow.outcomes.when(3));
+
+  const ScanRecord fast = run(100.0);
+  EXPECT_EQ(fast.hosts_alive, 3u);
+  EXPECT_TRUE(fast.outcomes.index_free());
+  EXPECT_EQ(fast.outcomes.key(2),
+            (passive::ServiceKey{a, net::Proto::kTcp, 22}));
 }
 
 // --------------------------------------------------------- Pacing slots --

@@ -1,10 +1,14 @@
-// The scan outcome store (active::ScanOutcomes): 8-byte records of a
-// probe index, a status and a block-relative time, decoded through the
-// scan's ProbeSpace. Random push / settle / verify / classify sequences
-// are replayed against a std::vector<ProbeOutcome> reference model.
+// The scan outcome store (active::ScanOutcomes): per probe a word of
+// status and block-relative time, plus its probe index unless the store
+// is index-free (a sweep's, named by send position through its
+// SweepOrder), decoded through the scan's ProbeSpace. Random push /
+// settle / verify / classify sequences are replayed against a
+// std::vector<ProbeOutcome> reference model in both layouts, and the
+// sweep order against machines stepped round-robin.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -22,10 +26,9 @@ using net::Ipv4;
 using net::Prefix;
 using util::kEpoch;
 
-static_assert(sizeof(StoredOutcome) == 8);
-static_assert(std::has_unique_object_representations_v<StoredOutcome>);
 static_assert(sizeof(ProbeOutcome) == 16);
-// Indices keep the full 32-bit range the prober's guard allows.
+static_assert(sizeof(StoredOutcome) == 8);
+// Indices and words keep the full 32-bit range the prober's guard allows.
 static_assert(std::is_same_v<decltype(StoredOutcome::index), std::uint32_t>);
 static_assert(std::is_same_v<decltype(StoredOutcome::word), std::uint32_t>);
 
@@ -103,82 +106,192 @@ ProbeStatus random_status(util::Rng& rng) {
   return static_cast<ProbeStatus>(rng.below(8));
 }
 
-TEST(ScanOutcomes, MatchesVectorModelOnRandomSequences) {
+/// Replays random sends, settles, classifications and a mid-sequence
+/// record copy on `store` and on a vector model, then compares them.
+/// `next_index(n)` names the cell of the n-th send, or none once the
+/// store takes no more.
+void replay_against_model(
+    util::Rng& rng, const Space& space, ScanOutcomes store,
+    util::TimePoint now,
+    const std::function<std::optional<std::uint32_t>(std::size_t)>&
+        next_index) {
   const std::int64_t exact = ScanOutcomes::kExact;
+  std::vector<ProbeOutcome> model;
+  std::optional<ScanRecord> copied;  // a record copied mid-sequence
+  std::vector<ProbeOutcome> copied_model;
+  const std::size_t ops = 200 + rng.below(900);
+  for (std::size_t op = 0; op < ops; ++op) {
+    const std::uint64_t pick = rng.below(10);
+    const std::optional<std::uint32_t> index =
+        pick < 5 || model.empty() ? next_index(model.size()) : std::nullopt;
+    if (index) {
+      // Send: time moves on by a usual pacing gap, or (about once in two
+      // blocks) by a gap that leaves the rest of the block beyond the
+      // 29-bit offset.
+      now = now + util::usec(rng.chance(0.002) ? exact - 1 + rng.below(3)
+                                               : rng.below(200'000));
+      const passive::ServiceKey key = space.expected_key(*index);
+      store.push(*index, now);
+      model.push_back({.addr = key.addr,
+                       .proto = key.proto,
+                       .status = ProbeStatus::kPending,
+                       .port = key.port,
+                       .when = now});
+    } else if (model.empty()) {
+      break;  // a store that takes no send
+    } else if (pick < 8) {
+      // Settle or end a verification: an answer after the send, near or
+      // far; now and then one before the block's base (only a hand-built
+      // record does that) or on the sentinel boundary.
+      const std::size_t i = rng.below(model.size());
+      const std::size_t base = i - i % ScanOutcomes::kBlock;
+      const util::TimePoint from = model[base].when;
+      util::TimePoint when;
+      switch (rng.below(6)) {
+        case 0:
+          when = from - util::usec(1 + rng.below(5));
+          break;
+        case 1:
+          when = from + util::usec(exact - 1 + rng.below(3));
+          break;
+        default:
+          when = model[i].when + util::usec(rng.below(4'000'000));
+      }
+      const ProbeStatus status = random_status(rng);
+      store.set(i, status, when);
+      model[i].status = status;
+      model[i].when = when;
+    } else if (pick < 9) {
+      // Classify: only the status moves.
+      const std::size_t i = rng.below(model.size());
+      const ProbeStatus status = random_status(rng);
+      store.set_status(i, status);
+      model[i].status = status;
+    } else if (!copied) {
+      copied = ScanRecord{.index = 7, .outcomes = store};
+      copied_model = model;
+    }
+  }
+  expect_matches(store, model);
+  if (copied) {
+    // The copy kept its own words, bases and exact times, and its layout.
+    EXPECT_EQ(copied->index, 7);
+    EXPECT_EQ(copied->outcomes.index_free(), store.index_free());
+    expect_matches(copied->outcomes, copied_model);
+  }
+  const ScanRecord whole{.outcomes = store};
+  expect_matches(whole.outcomes, model);
+  std::size_t open = 0;
+  for (const ProbeOutcome& o : model) {
+    open +=
+        o.status == ProbeStatus::kOpen || o.status == ProbeStatus::kOpenUdp;
+  }
+  EXPECT_EQ(whole.open_services().size(), open);
+}
+
+TEST(ScanOutcomes, MatchesVectorModelOnRandomSequences) {
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     util::Rng rng(seed);
     const Space space(rng);
-    ScanOutcomes store(space.space);
-    std::vector<ProbeOutcome> model;
-    std::optional<ScanRecord> copied;  // a record copied mid-sequence
-    std::vector<ProbeOutcome> copied_model;
-    util::TimePoint now = kEpoch + util::seconds(seed);
-    const std::size_t ops = 200 + rng.below(900);
-    for (std::size_t op = 0; op < ops; ++op) {
-      const std::uint64_t pick = rng.below(10);
-      if (pick < 5 || model.empty()) {
-        // Send: time moves on by a usual pacing gap, or (about once in
-        // two blocks) by a gap that leaves the rest of the block beyond
-        // the 29-bit offset.
-        now = now + util::usec(rng.chance(0.002)
-                                   ? exact - 1 + rng.below(3)
-                                   : rng.below(200'000));
-        const auto index = static_cast<std::uint32_t>(rng.below(space.size()));
-        const passive::ServiceKey key = space.expected_key(index);
-        store.push(index, now);
-        model.push_back({.addr = key.addr,
-                         .proto = key.proto,
-                         .status = ProbeStatus::kPending,
-                         .port = key.port,
-                         .when = now});
-      } else if (pick < 8) {
-        // Settle or end a verification: an answer after the send, near
-        // or far; now and then one before the block's base (only a
-        // hand-built record does that) or on the sentinel boundary.
-        const std::size_t i = rng.below(model.size());
-        const std::size_t base = i - i % ScanOutcomes::kBlock;
-        const util::TimePoint from = model[base].when;
-        util::TimePoint when;
-        switch (rng.below(6)) {
-          case 0:
-            when = from - util::usec(1 + rng.below(5));
-            break;
-          case 1:
-            when = from + util::usec(exact - 1 + rng.below(3));
-            break;
-          default:
-            when = model[i].when + util::usec(rng.below(4'000'000));
-        }
-        const ProbeStatus status = random_status(rng);
-        store.set(i, status, when);
-        model[i].status = status;
-        model[i].when = when;
-      } else if (pick < 9) {
-        // Classify: only the status moves.
-        const std::size_t i = rng.below(model.size());
-        const ProbeStatus status = random_status(rng);
-        store.set_status(i, status);
-        model[i].status = status;
-      } else if (!copied) {
-        copied = ScanRecord{.index = 7, .outcomes = store};
-        copied_model = model;
+    const ScanOutcomes store(space.space);
+    EXPECT_FALSE(store.index_free());
+    replay_against_model(
+        rng, space, store, kEpoch + util::seconds(seed),
+        [&](std::size_t) -> std::optional<std::uint32_t> {
+          return static_cast<std::uint32_t>(rng.below(space.size()));
+        });
+  }
+}
+
+/// The cells of a sweep in send order, by stepping its machines: machine
+/// m holds targets [m * share, (m + 1) * share) with share = ceil(targets
+/// / machines), walks them address-major, port-minor, and each round
+/// every machine with probes left sends one, in machine order.
+std::vector<std::uint32_t> round_robin_cells(std::size_t targets,
+                                             std::size_t columns,
+                                             std::size_t machines) {
+  std::vector<std::vector<std::uint32_t>> shares(machines);
+  const std::size_t share = (targets + machines - 1) / machines;
+  for (std::size_t t = 0; t < targets; ++t) {
+    for (std::size_t c = 0; c < columns; ++c) {
+      shares[t / share].push_back(static_cast<std::uint32_t>(t * columns + c));
+    }
+  }
+  std::vector<std::uint32_t> cells;
+  for (std::size_t round = 0;; ++round) {
+    const std::size_t before = cells.size();
+    for (const std::vector<std::uint32_t>& queue : shares) {
+      if (round < queue.size()) cells.push_back(queue[round]);
+    }
+    if (cells.size() == before) return cells;
+  }
+}
+
+void expect_order_matches(std::size_t targets, std::size_t columns,
+                          std::size_t machines) {
+  SCOPED_TRACE(testing::Message() << targets << " targets x " << columns
+                                  << " columns, " << machines << " machines");
+  const SweepOrder order(targets, columns, machines);
+  const std::vector<std::uint32_t> cells =
+      round_robin_cells(targets, columns, machines);
+  ASSERT_EQ(order.size(), cells.size());
+  std::size_t first = 0;
+  const std::size_t share = targets == 0 ? 0 : (targets + machines - 1) /
+                                                   machines * columns;
+  for (std::size_t m = 0; m < machines; ++m) {
+    const std::size_t probes = order.probes(m);
+    if (probes > 0) {
+      EXPECT_EQ(order.first_cell(m), first) << "machine " << m;
+    }
+    EXPECT_LE(probes, share) << "machine " << m;
+    first += probes;
+  }
+  EXPECT_EQ(first, cells.size());
+  EXPECT_EQ(order.probes(machines), 0u);
+  for (std::uint32_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(order.cell(i), cells[i]) << "position " << i;
+    EXPECT_EQ(order.position(cells[i]), i) << "cell " << cells[i];
+  }
+}
+
+TEST(SweepOrder, MatchesRoundRobinModel) {
+  // Every small shape: empty grids, more machines than targets, target
+  // counts the machine count does not divide, a short last share.
+  for (std::size_t targets = 0; targets <= 13; ++targets) {
+    for (std::size_t columns = 0; columns <= 4; ++columns) {
+      for (std::size_t machines = 1; machines <= 6; ++machines) {
+        expect_order_matches(targets, columns, machines);
       }
     }
-    expect_matches(store, model);
-    if (copied) {
-      // The copy kept its own words, bases and exact times.
-      EXPECT_EQ(copied->index, 7);
-      expect_matches(copied->outcomes, copied_model);
-    }
-    const ScanRecord whole{.outcomes = store};
-    expect_matches(whole.outcomes, model);
-    std::size_t open = 0;
-    for (const ProbeOutcome& o : model) {
-      open += o.status == ProbeStatus::kOpen ||
-              o.status == ProbeStatus::kOpenUdp;
-    }
-    EXPECT_EQ(whole.open_services().size(), open);
+  }
+  // Then larger random ones.
+  util::Rng rng(2024);
+  for (int n = 0; n < 200; ++n) {
+    expect_order_matches(rng.below(3000), 1 + rng.below(12),
+                         1 + rng.below(9));
+  }
+}
+
+TEST(ScanOutcomes, IndexFreeMatchesVectorModel) {
+  // A sweep's store over random shares and columns: sends take the cells
+  // of the sweep order, one after the other, until the grid is done.
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    util::Rng rng(seed);
+    Space space(rng);
+    space.space->hint_count = 0;  // a sweep has no hints
+    const std::size_t targets = space.space->targets->size();
+    const SweepOrder order(targets, space.space->columns(),
+                           1 + rng.below(targets + 2));
+    const ScanOutcomes store(space.space, order);
+    EXPECT_TRUE(store.index_free());
+    replay_against_model(
+        rng, space, store, kEpoch + util::seconds(seed),
+        [&](std::size_t n) -> std::optional<std::uint32_t> {
+          if (n == order.size()) return std::nullopt;
+          return order.cell(static_cast<std::uint32_t>(n));
+        });
   }
 }
 

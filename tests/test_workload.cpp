@@ -2,7 +2,9 @@
 // scanners, and campus construction invariants.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <unordered_set>
+#include <vector>
 
 #include "workload/campus.h"
 #include "workload/diurnal.h"
@@ -136,7 +138,8 @@ TEST(ExternalScanner, SweepCoversItsSlice) {
     targets.push_back(Ipv4::from_octets(128, 125, 0,
                                         static_cast<std::uint8_t>(i)));
   }
-  ExternalScannerFleet fleet(network, targets);
+  ExternalScannerFleet fleet(
+      network, std::make_shared<const std::vector<Ipv4>>(std::move(targets)));
   SweepSpec sweep;
   sweep.source = Ipv4::from_octets(7, 7, 7, 7);
   sweep.start = kEpoch + hours(1);
@@ -155,7 +158,8 @@ TEST(ExternalScanner, ZeroLastTargetMeansAll) {
   sim::Simulator sim;
   sim::Network network(sim, {Prefix(Ipv4::from_octets(128, 125, 0, 0), 16)});
   std::vector<Ipv4> targets(25, Ipv4::from_octets(128, 125, 0, 1));
-  ExternalScannerFleet fleet(network, targets);
+  ExternalScannerFleet fleet(
+      network, std::make_shared<const std::vector<Ipv4>>(std::move(targets)));
   SweepSpec sweep;
   sweep.source = Ipv4::from_octets(7, 7, 7, 7);
   sweep.probes_per_sec = 100.0;
