@@ -929,6 +929,55 @@ TEST(AdaptiveCampaign, EveryScanProbesEachKeyAtMostOnce) {
   }
 }
 
+TEST(AdaptiveCampaign, SendOrderMatchesRecordedHash) {
+  // The paper's campus under the adaptive prober at half the sweep's
+  // per-scan grid, cut to its first days: an FNV-1a hash over every
+  // scan's outcome keys in send order pins the queue's pop order probe by
+  // probe, including the scans whose priors learned from earlier ones.
+  constexpr int kDays = 3;
+  // Recorded before the queue held class runs; the order must not move.
+  constexpr std::uint64_t kSendOrderHash = 0x4b40cd6dc8984151ull;
+  core::ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(core::load_scenario(SVCDISC_BENCH_PACK_DIR "/dtcp1_18d", &spec,
+                                  &error))
+      << error;
+  spec.campus.duration = util::days(kDays);
+  workload::Campus campus(spec.campus);
+  core::EngineConfig cfg = spec.engine;
+  cfg.scan_count = 2 * kDays - 1;
+  const std::uint64_t grid =
+      campus.scan_targets().size() *
+      (campus.tcp_ports().size() + campus.udp_ports().size());
+  cfg.adaptive_prober = true;
+  cfg.adaptive.probe_budget = grid / 2;
+  cfg.adaptive.verify = true;
+  core::DiscoveryEngine engine(campus, cfg);
+  engine.run();
+
+  const auto& scans = engine.prober().scans();
+  ASSERT_EQ(scans.size(), static_cast<std::size_t>(cfg.scan_count));
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+  const auto mix = [&hash](std::uint64_t word, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      hash ^= (word >> (8 * b)) & 0xff;
+      hash *= 0x100000001b3ull;  // FNV-1a prime
+    }
+  };
+  std::uint64_t probes = 0;
+  for (const ScanRecord& scan : scans) {
+    mix(scan.outcomes.size(), 8);
+    for (const ProbeOutcome& o : scan.outcomes) {
+      mix(o.addr.value(), 4);
+      mix(o.port, 2);
+      mix(static_cast<std::uint8_t>(o.proto), 1);
+    }
+    probes += scan.outcomes.size();
+  }
+  EXPECT_EQ(probes, engine.prober().budget_spent_total());
+  EXPECT_EQ(hash, kSendOrderHash) << std::hex << "send-order hash 0x" << hash;
+}
+
 TEST(AdaptiveCampaign, AdaptiveBudgetScenarioPackMatchesGoldens) {
   // Byte-level pin of the whole adaptive pipeline — seeding, priors,
   // budget draining, verification, adaptive.* metrics — through the
