@@ -46,8 +46,8 @@ run_asan() {
   echo "== ASan + UBSan: streaming label =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L streaming)
   # The adaptive label covers the prober's adaptive mode: the
-  # score-bucket queue (bucket release and slot reuse) against its
-  # flat-heap model, the virtual-index decode (hint cells, grid cells
+  # score-bucket queue (bucket release and slot reuse, class runs' bit
+  # sets, splits and promotions) against its flat-heap model, the virtual-index decode (hint cells, grid cells
   # taken over by hints), the verifying map, the ping pre-pass, and full
   # fixed-vs-adaptive campaigns — plus the completeness bench smoke,
   # which asserts the recall-at-half-budget bar.
@@ -76,8 +76,9 @@ run_asan() {
   # The scale label runs the universe suite; SVCDISC_SCALE_SMOKE shrinks
   # its million-address campaign to one /16 block so the ASan pass stays
   # fast (the RSS ceiling is skipped under ASan anyway — shadow memory
-  # would dominate it). Its other entry, the adaptive campaign's RSS
-  # ceiling, skips itself under ASan for the same reason.
+  # would dominate it). Its other entries, the dtcp1_18d and scale1m
+  # campaigns' RSS ceilings, skip themselves under ASan for the same
+  # reason.
   echo "== ASan + UBSan: scale universe =="
   (cd build-asan && SVCDISC_SCALE_SMOKE=1 ctest --output-on-failure -L scale)
 }

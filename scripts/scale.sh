@@ -5,9 +5,10 @@
 #  1. `ctest -L scale` — the test_scale suite: ScaleUniverse profile and
 #     reply semantics, lazy materialization, and a full million-address
 #     campaign with an in-process peak-RSS ceiling (getrusage); and
-#     test_sweep_rss / test_adaptive_rss (both from test_campaign_rss),
-#     the same kind of ceiling on a fixed-sweep and a half-budget
-#     adaptive dtcp1_18d campaign.
+#     test_sweep_rss / test_adaptive_rss / test_scale_adaptive_rss (all
+#     from test_campaign_rss), the same kind of ceiling on a fixed-sweep
+#     and a half-budget adaptive dtcp1_18d campaign, and on an adaptive
+#     scale1m campaign at a 20,000-probe budget (60 s ctest timeout).
 #  2. Two same-seed CLI campaigns over the scale1m scenario, with the
 #     JSON exports diffed — `wall_sec` is the only field allowed to
 #     differ (it is the one intentionally nondeterministic export field).

@@ -50,6 +50,10 @@ class ScanPriors {
   /// the address has no confirmed open service yet.
   double conditional(net::Ipv4 addr, net::Port port, net::Proto proto) const;
 
+  /// Whether `addr` has a confirmed open service: until it has,
+  /// conditional() is 0 and score() is the subnet affinity.
+  bool has_open(net::Ipv4 addr) const { return open_ports_.contains(addr); }
+
   /// Expected-yield score of probing (addr, port, proto):
   /// max(subnet_affinity, conditional). Always finite and in [0, 1], as
   /// the adaptive prober's score queue requires.

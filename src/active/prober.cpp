@@ -411,23 +411,55 @@ void Prober::rank_candidates() {
     queue_.push(kHintScore, h);
     ++queued;
   }
-  // Then every first-occurrence (row, column) cell in the sweep's
-  // address-major, port-minor order, so equal scores drain exactly like
-  // a budget-truncated sweep.
+  // Then the grid, one class run per (/24 page, first-occurrence column)
+  // over the page's first-occurrence rows. A cell on an address with a
+  // confirmed open has a per-cell term, so it is queued on its own.
   std::sort(covered.begin(), covered.end());
-  auto next_covered = covered.begin();
-  for (std::size_t row = 0; row < target_row_.size(); ++row) {
-    if (target_row_[row] != row) continue;
+  // Per row: whether a hint took over one of its cells.
+  std::vector<char> row_covered(target_row_.size(), 0);
+  for (const std::uint32_t cell : covered) {
+    row_covered[(cell - hints.size()) / columns_] = 1;
+  }
+  const std::vector<net::Ipv4>& targets = *phase_targets_;
+  std::vector<std::uint32_t> rows;   // the page's rows, ascending
+  std::vector<std::uint32_t> bases;  // their column-0 indices
+  std::vector<char> hot;             // per row: confirmed open on it
+  for (const std::unique_ptr<RowPage>& page : row_pages_) {
+    rows.clear();
+    for (const std::uint32_t slot : *page) {
+      if (slot != 0) rows.push_back(slot - 1);
+    }
+    std::sort(rows.begin(), rows.end());
+    bases.clear();
+    hot.clear();
+    for (const std::uint32_t row : rows) {
+      bases.push_back(
+          static_cast<std::uint32_t>(hints.size() + row * columns_));
+      hot.push_back(priors_.has_open(targets[row]));
+    }
+    const std::uint32_t id = queue_.add_page(bases);
     for (std::size_t column = 0; column < columns_; ++column) {
       if (port_column_[column] != column) continue;
-      const auto index =
-          static_cast<std::uint32_t>(hints.size() + row * columns_ + column);
-      if (next_covered != covered.end() && *next_covered == index) {
-        ++next_covered;
-        continue;
+      ScoreQueue::RunBits bits{};
+      std::optional<std::uint32_t> least;  // the run's first cell
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        const auto index = static_cast<std::uint32_t>(bases[k] + column);
+        if (row_covered[rows[k]] &&
+            std::binary_search(covered.begin(), covered.end(), index)) {
+          continue;
+        }
+        if (hot[k]) {
+          queue_.push(score_of(index), index);
+        } else {
+          bits[k / 64] |= std::uint64_t{1} << (k % 64);
+          if (!least) least = index;
+        }
+        ++queued;
       }
-      queue_.push(score_of(index), index);
-      ++queued;
+      if (least) {
+        queue_.push_run(class_score(*least), id,
+                        static_cast<std::uint32_t>(column), bits);
+      }
     }
   }
   current_.outcomes.reserve(static_cast<std::size_t>(
@@ -523,7 +555,8 @@ void Prober::send_next(std::size_t machine) {
     std::optional<std::uint32_t> pick;
     if (budget_left_ > 0) {
       pick = queue_.pop_best(
-          [this](std::uint32_t index) { return score_of(index); });
+          [this](std::uint32_t index) { return score_of(index); },
+          [this](std::uint32_t index) { return class_score(index); });
     }
     if (!pick) {
       machine_done();
@@ -629,6 +662,7 @@ void Prober::finalize_scan() {
   memo_page_ = nullptr;
   column_of_ = {};
   hint_cell_ = {};
+  queue_moves_total_ += queue_.repushes();
   queue_ = ScoreQueue{};
 
   current_.finished = network_.simulator().now();
@@ -661,6 +695,11 @@ double Prober::score_of(std::uint32_t index) const {
   if (index < space_->hint_count) return kHintScore;
   const passive::ServiceKey key = space_->key(index);
   return priors_.score(key.addr, key.port, key.proto);
+}
+
+double Prober::class_score(std::uint32_t index) const {
+  const passive::ServiceKey key = space_->key(index);
+  return priors_.subnet_affinity(key.addr, key.port, key.proto);
 }
 
 std::uint32_t* Prober::find_row(net::Ipv4 addr) {
@@ -812,7 +851,19 @@ void Prober::record_open(const passive::ServiceKey& key, util::TimePoint when,
 
 void Prober::note_outcome(const passive::ServiceKey& key, bool open) {
   if (!adaptive_) return;
+  const bool first_open = open && !priors_.has_open(key.addr);
   priors_.record(key.addr, key.port, key.proto, open);
+  // The address's cells now score per cell: their run cells leave their
+  // runs. A queue is non-empty only in a port phase, whose rows exist.
+  if (first_open && !queue_.empty()) {
+    const std::uint32_t* row = find_row(key.addr);
+    if (row != nullptr && *row != 0) {
+      queue_.promote(
+          page_of_.find(key.addr.value() >> 8)->second,
+          static_cast<std::uint32_t>(space_->hint_count +
+                                     std::size_t{*row - 1} * columns_));
+    }
+  }
   if (open && m_yield_open_) m_yield_open_->inc();
 }
 

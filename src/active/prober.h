@@ -430,6 +430,9 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
 
   const ScanPriors& priors() const { return priors_; }
   std::uint64_t budget_spent_total() const { return budget_spent_total_; }
+  /// Queue entries moved to a lower score over the finished scans
+  /// (ScoreQueue::repushes()).
+  std::uint64_t queue_moves_total() const { return queue_moves_total_; }
   std::uint64_t seeds_probed_total() const { return seeds_probed_total_; }
   std::uint64_t verify_sent_total() const { return verify_sent_total_; }
   std::uint64_t verify_confirmed_total() const {
@@ -491,6 +494,9 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
       std::shared_ptr<const std::vector<net::Ipv4>> targets);
   /// Hints score above every prior; grid cells score by the priors.
   double score_of(std::uint32_t index) const;
+  /// The score every cell of grid cell `index`'s (/24, port) class shares
+  /// while its address has no confirmed open: the subnet affinity.
+  double class_score(std::uint32_t index) const;
   /// A row page: the rows of one /24's 256 addresses, each 0 (no row)
   /// or 1 + the row of the address's first occurrence.
   using RowPage = std::array<std::uint32_t, 256>;
@@ -601,13 +607,15 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   util::FlatMap<passive::ServiceKey, std::uint32_t, passive::ServiceKeyHash>
       hint_cell_;
   /// Candidates not yet probed, highest score first; ties drain in index
-  /// order. A popped index is never queued again.
+  /// order. A popped index is never queued again. Its pages are
+  /// row_pages_, in the same order.
   ScoreQueue queue_;
   std::uint64_t budget_left_{0};
   /// SYN-ACKed endpoints awaiting the data-probe verdict.
   util::FlatMap<passive::ServiceKey, VerifyState, passive::ServiceKeyHash>
       verifying_;
   std::uint64_t budget_spent_total_{0};
+  std::uint64_t queue_moves_total_{0};
   std::uint64_t seeds_probed_total_{0};
   std::uint64_t verify_sent_total_{0};
   std::uint64_t verify_confirmed_total_{0};

@@ -265,6 +265,385 @@ TEST(ScoreQueue, SignedZerosShareOneBucket) {
   EXPECT_EQ(queue.repushes(), 0u);
 }
 
+/// The adaptive prober's queue input in miniature: hints [0, H), then
+/// grid cells H + row * columns + column, the rows grouped into pages (a
+/// /24's targets, at most 256). A cell scores its (page, column) class's
+/// level unless it holds a level of its own: a hint, or a cell on an
+/// address with a confirmed open. Levels are scores in 1/levels steps.
+class RunGrid {
+ public:
+  RunGrid(std::uint32_t hints, std::uint32_t columns,
+          std::vector<std::vector<std::uint32_t>> pages, std::uint64_t levels)
+      : hints_(hints), columns_(columns), levels_(levels),
+        pages_(std::move(pages)) {
+    std::uint32_t rows = 0;
+    for (auto& page : pages_) {
+      std::sort(page.begin(), page.end());
+      for (const std::uint32_t row : page) rows = std::max(rows, row + 1);
+    }
+    page_of_.assign(rows, 0);
+    for (std::uint32_t p = 0; p < pages_.size(); ++p) {
+      for (const std::uint32_t row : pages_[p]) page_of_[row] = p;
+    }
+    class_level_.assign(pages_.size() * columns_, 0);
+    cell_level_.assign(hints_ + std::size_t{rows} * columns_, std::nullopt);
+  }
+
+  std::uint32_t hints() const { return hints_; }
+  std::uint32_t rows() const {
+    return static_cast<std::uint32_t>(page_of_.size());
+  }
+  const std::vector<std::vector<std::uint32_t>>& pages() const {
+    return pages_;
+  }
+  std::uint32_t index(std::uint32_t row, std::uint32_t column) const {
+    return hints_ + row * columns_ + column;
+  }
+  std::uint32_t cells() const {
+    return static_cast<std::uint32_t>(cell_level_.size());
+  }
+
+  std::uint64_t& class_level(std::uint32_t page, std::uint32_t column) {
+    return class_level_[std::size_t{page} * columns_ + column];
+  }
+  std::optional<std::uint64_t>& cell_level(std::uint32_t index) {
+    return cell_level_[index];
+  }
+  bool hot(std::uint32_t row) const {
+    return cell_level_[index(row, 0)].has_value();
+  }
+
+  double rescore(std::uint32_t index) const {
+    if (cell_level_[index]) return level_score(*cell_level_[index]);
+    return class_score(index);
+  }
+  double class_score(std::uint32_t index) const {
+    const std::uint32_t cell = index - hints_;
+    return level_score(class_level_[std::size_t{page_of_[cell / columns_]} *
+                                        columns_ +
+                                    cell % columns_]);
+  }
+
+  /// Registers every page, page p as id p.
+  void add_pages(ScoreQueue& queue) const {
+    for (std::uint32_t p = 0; p < pages_.size(); ++p) {
+      std::vector<std::uint32_t> bases;
+      for (const std::uint32_t row : pages_[p]) bases.push_back(index(row, 0));
+      EXPECT_EQ(queue.add_page(bases), p);
+    }
+  }
+  /// Queues one cell on its own, at its current score.
+  void queue_cell(ScoreQueue& queue, FlatHeapModel& model,
+                  std::uint32_t index) const {
+    queue.push(rescore(index), index);
+    model.push(rescore(index), index);
+  }
+  /// Queues class (page, column) as the prober does: one run of its cold
+  /// rows, the hot rows' cells on their own; `skip(index)` leaves a cell
+  /// out. The model gets every cell on its own.
+  template <typename Skip>
+  void queue_class(ScoreQueue& queue, FlatHeapModel& model, std::uint32_t page,
+                   std::uint32_t column, Skip&& skip) const {
+    ScoreQueue::RunBits bits{};
+    bool any = false;
+    const std::vector<std::uint32_t>& rows = pages_[page];
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const std::uint32_t i = index(rows[k], column);
+      if (skip(i)) continue;
+      if (hot(rows[k])) {
+        queue_cell(queue, model, i);
+        continue;
+      }
+      bits[k / 64] |= std::uint64_t{1} << (k % 64);
+      any = true;
+      model.push(rescore(i), i);
+    }
+    if (any) {
+      queue.push_run(class_score(index(rows.front(), column)), page, column,
+                     bits);
+    }
+  }
+  /// Gives every cell of `row` a level of its own, as a first confirmed
+  /// open on its address does.
+  void promote(ScoreQueue& queue, std::uint32_t row, std::uint64_t level) {
+    for (std::uint32_t c = 0; c < columns_; ++c) cell_level_[index(row, c)] = level;
+    queue.promote(page_of_[row], index(row, 0));
+  }
+
+ private:
+  double level_score(std::uint64_t level) const {
+    return static_cast<double>(level) / static_cast<double>(levels_);
+  }
+
+  std::uint32_t hints_;
+  std::uint32_t columns_;
+  std::uint64_t levels_;
+  std::vector<std::vector<std::uint32_t>> pages_;
+  std::vector<std::uint32_t> page_of_;  // per row
+  std::vector<std::uint64_t> class_level_;
+  std::vector<std::optional<std::uint64_t>> cell_level_;
+};
+
+/// Pops the queue and the model once each with the grid's scores.
+std::pair<std::optional<std::uint32_t>, std::optional<std::uint32_t>>
+pop_both(const RunGrid& grid, ScoreQueue& queue, FlatHeapModel& model) {
+  const auto rescore = [&](std::uint32_t i) { return grid.rescore(i); };
+  const auto class_score = [&](std::uint32_t i) { return grid.class_score(i); };
+  return {queue.pop_best(rescore, class_score), model.pop_best(rescore)};
+}
+
+TEST(ScoreQueue, ClassRunsMatchFlatHeapModel) {
+  // Random pages of rows over a few columns; class scores from a small
+  // set of levels, so ties are common; hints and hot cells score on their
+  // own. Between pops, class and cell levels rise, fall or stay, cold rows
+  // are promoted while their run cells are queued, and late hints and
+  // late classes are pushed, until both drain.
+  std::uint64_t moves = 0;
+  std::uint64_t repushes = 0;
+  std::uint64_t promotions = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    util::Rng rng(seed);
+    const std::uint64_t levels = seed % 8 == 0 ? 1 : 2 + rng.below(6);
+    const auto columns = static_cast<std::uint32_t>(1 + rng.below(5));
+    const auto rows = static_cast<std::uint32_t>(1 + rng.below(700));
+    const auto page_count = static_cast<std::uint32_t>(
+        std::max<std::uint64_t>((rows + 255) / 256, 1 + rng.below(8)));
+    std::vector<std::vector<std::uint32_t>> pages(page_count);
+    for (std::uint32_t row = 0; row < rows; ++row) {
+      std::size_t p = rng.below(page_count);
+      while (pages[p].size() == 256) p = (p + 1) % page_count;
+      pages[p].push_back(row);
+    }
+    std::erase_if(pages, [](const auto& page) { return page.empty(); });
+    RunGrid grid(static_cast<std::uint32_t>(rng.below(30)), columns,
+                 std::move(pages), levels);
+    for (std::uint32_t p = 0; p < grid.pages().size(); ++p) {
+      for (std::uint32_t c = 0; c < columns; ++c) {
+        grid.class_level(p, c) = rng.below(levels);
+      }
+    }
+    const double hot_rate = rng.uniform() * 0.3;
+    for (std::uint32_t row = 0; row < grid.rows(); ++row) {
+      if (!rng.chance(hot_rate)) continue;
+      for (std::uint32_t c = 0; c < columns; ++c) {
+        grid.cell_level(grid.index(row, c)) = rng.below(levels);
+      }
+    }
+    for (std::uint32_t h = 0; h < grid.hints(); ++h) {
+      grid.cell_level(h) = levels - 1;
+    }
+    // Cells a hint took over are never queued.
+    std::vector<char> skipped(grid.cells(), 0);
+    for (std::uint32_t i = grid.hints(); i < grid.cells(); ++i) {
+      skipped[i] = rng.chance(0.03);
+    }
+    const auto skip = [&](std::uint32_t i) { return skipped[i] != 0; };
+
+    ScoreQueue queue;
+    FlatHeapModel model;
+    grid.add_pages(queue);
+    std::vector<std::uint32_t> late_hints;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> late_classes;
+    for (std::uint32_t h = 0; h < grid.hints(); ++h) {
+      if (rng.chance(0.3)) {
+        late_hints.push_back(h);
+      } else {
+        grid.queue_cell(queue, model, h);
+      }
+    }
+    for (std::uint32_t p = 0; p < grid.pages().size(); ++p) {
+      for (std::uint32_t c = 0; c < columns; ++c) {
+        if (rng.chance(0.1)) {
+          late_classes.push_back({p, c});
+        } else {
+          grid.queue_class(queue, model, p, c, skip);
+        }
+      }
+    }
+
+    std::vector<char> popped(grid.cells(), 0);
+    while (true) {
+      if (!late_hints.empty() && rng.chance(0.1)) {
+        grid.queue_cell(queue, model, late_hints.back());
+        late_hints.pop_back();
+      }
+      if (!late_classes.empty() && rng.chance(0.05)) {
+        const auto [p, c] = late_classes.back();
+        late_classes.pop_back();
+        grid.queue_class(queue, model, p, c, skip);
+      }
+      const auto [got, want] = pop_both(grid, queue, model);
+      ASSERT_EQ(got, want) << "seed " << seed;
+      if (!want) {
+        if (!late_hints.empty() || !late_classes.empty()) continue;
+        break;
+      }
+      ASSERT_FALSE(popped[*want]) << "seed " << seed;
+      popped[*want] = 1;
+      for (std::uint64_t k = rng.below(6); k > 0; --k) {
+        const auto move = [&](std::uint64_t& l) {
+          switch (rng.below(3)) {
+            case 0:  // falls, often to the bottom level
+              l = rng.chance(0.5) ? l / 2 : (l > 0 ? l - 1 : 0);
+              break;
+            case 1:  // rises
+              l = std::min(levels - 1, l + 1 + rng.below(2));
+              break;
+            default:  // stays
+              break;
+          }
+        };
+        const auto row = static_cast<std::uint32_t>(rng.below(grid.rows()));
+        switch (rng.below(4)) {
+          case 0:
+          case 1:
+            move(grid.class_level(static_cast<std::uint32_t>(rng.below(
+                                      grid.pages().size())),
+                                  static_cast<std::uint32_t>(
+                                      rng.below(columns))));
+            break;
+          case 2:
+            if (grid.hot(row)) {
+              move(*grid.cell_level(grid.index(
+                  row, static_cast<std::uint32_t>(rng.below(columns)))));
+            }
+            break;
+          default:
+            if (!grid.hot(row)) {
+              grid.promote(queue, row, rng.below(levels));
+              ++promotions;
+            }
+            break;
+        }
+      }
+    }
+    for (std::uint32_t i = 0; i < grid.cells(); ++i) {
+      EXPECT_TRUE(skipped[i] || popped[i]) << "seed " << seed << " " << i;
+    }
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.bucket_count(), 0u);
+    moves += queue.repushes();
+    repushes += model.repushes();
+  }
+  EXPECT_GT(promotions, 1000u);
+  EXPECT_GT(repushes, 10000u);
+  // A run moves as one entry where the flat heap re-pushed each cell.
+  EXPECT_LT(moves, repushes) << moves << " moves, " << repushes
+                             << " re-pushes";
+}
+
+/// Drains both until empty, expecting equal pops; returns the order.
+std::vector<std::uint32_t> drain_both(const RunGrid& grid, ScoreQueue& queue,
+                                      FlatHeapModel& model) {
+  std::vector<std::uint32_t> order;
+  while (true) {
+    const auto [got, want] = pop_both(grid, queue, model);
+    EXPECT_EQ(got, want) << "pop " << order.size();
+    if (!want || got != want) break;
+    order.push_back(*want);
+  }
+  return order;
+}
+
+TEST(ScoreQueue, CutoffInsideARunMovesOnlyItsPrefix) {
+  // One page, rows 0..3, two columns: class (0, 0) is cells 0, 2, 4, 6.
+  // Row 1 is hot, so its cell 2 is queued on its own. The class falls to
+  // 0.5 while cell 2 keeps 0.8: cell 2 pops, the run's cell 0 below it
+  // moves, and cells 4 and 6 stay at 0.8, where the flat heap pops 6 next.
+  RunGrid grid(0, 2, {{0, 1, 2, 3}}, 10);
+  grid.class_level(0, 0) = 8;
+  grid.class_level(0, 1) = 1;
+  grid.cell_level(grid.index(1, 0)) = 8;
+  grid.cell_level(grid.index(1, 1)) = 1;
+  ScoreQueue queue;
+  FlatHeapModel model;
+  grid.add_pages(queue);
+  const auto none = [](std::uint32_t) { return false; };
+  grid.queue_class(queue, model, 0, 0, none);
+  grid.queue_class(queue, model, 0, 1, none);
+  grid.class_level(0, 0) = 5;
+  const std::vector<std::uint32_t> order = drain_both(grid, queue, model);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{2, 6, 0, 4, 1, 3, 5, 7}));
+}
+
+TEST(ScoreQueue, LastEntryAsSingletonRunMeetsTheNextBucket) {
+  // Bucket 0.8: hot cell 0 and class (0, 1), a singleton run on row 1
+  // (cell 3). Both fall, 0 to 0.3 and the run to 0.4, below the 0.5 of
+  // class (1, 0): the run's one cell is the bucket's last entry, so it
+  // moves too and class (1, 0) pops first.
+  RunGrid grid(0, 2, {{0, 1}, {2}}, 10);
+  grid.cell_level(grid.index(0, 0)) = 8;
+  grid.cell_level(grid.index(0, 1)) = 0;
+  grid.class_level(0, 1) = 8;
+  grid.class_level(1, 0) = 5;
+  grid.class_level(1, 1) = 0;
+  ScoreQueue queue;
+  FlatHeapModel model;
+  grid.add_pages(queue);
+  const auto row0 = [&](std::uint32_t i) { return i == grid.index(0, 1); };
+  grid.queue_cell(queue, model, grid.index(0, 0));
+  grid.queue_class(queue, model, 0, 1, row0);
+  grid.queue_class(queue, model, 1, 0, row0);
+  grid.cell_level(grid.index(0, 0)) = 3;
+  grid.class_level(0, 1) = 4;
+  const std::vector<std::uint32_t> order = drain_both(grid, queue, model);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{4, 3, 0}));
+  EXPECT_EQ(queue.repushes(), 2u);
+}
+
+TEST(ScoreQueue, LastEntryMeetsABucketCreatedByTheSameCall) {
+  // Bucket 0.9 holds runs A (cell 0) and B (cell 1); bucket 0.1 cell 2.
+  // A falls to 0.5, B to 0.3. A moves first, making bucket 0.5; B, the
+  // last entry, meets that bucket rather than 0.1, so it moves too and A
+  // pops before B.
+  RunGrid grid(0, 3, {{0}}, 10);
+  grid.class_level(0, 0) = 9;
+  grid.class_level(0, 1) = 9;
+  grid.class_level(0, 2) = 1;
+  ScoreQueue queue;
+  FlatHeapModel model;
+  grid.add_pages(queue);
+  const auto none = [](std::uint32_t) { return false; };
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    grid.queue_class(queue, model, 0, c, none);
+  }
+  grid.class_level(0, 0) = 5;
+  grid.class_level(0, 1) = 3;
+  const std::vector<std::uint32_t> order = drain_both(grid, queue, model);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 2}));
+}
+
+TEST(ScoreQueue, PromotedCellLeavesItsRunAtTheStoredScore) {
+  // Class (0, 0) queues cells 0, 1, 2 at 0.5. Row 1 gains a confirmed
+  // open scoring 0.9 while the class falls to 0.4: cell 1 pops first,
+  // as the flat heap's stale 0.5 entry for it does.
+  RunGrid grid(0, 1, {{0, 1, 2}}, 10);
+  grid.class_level(0, 0) = 5;
+  ScoreQueue queue;
+  FlatHeapModel model;
+  grid.add_pages(queue);
+  grid.queue_class(queue, model, 0, 0, [](std::uint32_t) { return false; });
+  grid.promote(queue, 1, 9);
+  grid.class_level(0, 0) = 4;
+  const std::vector<std::uint32_t> order = drain_both(grid, queue, model);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 0}));
+}
+
+TEST(ScoreQueue, SignedZeroRunsAndCellsShareOneBucket) {
+  RunGrid grid(1, 1, {{0, 1}}, 1);
+  ScoreQueue queue;
+  grid.add_pages(queue);
+  queue.push_run(-0.0, 0, 0, {0b11, 0, 0, 0});
+  queue.push(0.0, 0);
+  EXPECT_EQ(queue.bucket_count(), 1u);
+  const auto zero = [](std::uint32_t i) { return i == 2 ? -0.0 : 0.0; };
+  EXPECT_EQ(queue.pop_best(zero, zero), 0u);
+  EXPECT_EQ(queue.pop_best(zero, zero), 1u);
+  EXPECT_EQ(queue.pop_best(zero, zero), 2u);
+  EXPECT_EQ(queue.pop_best(zero, zero), std::nullopt);
+  EXPECT_EQ(queue.repushes(), 0u);
+}
+
 // ----------------------------------------------------------- adaptive mode --
 
 struct World {
@@ -976,6 +1355,9 @@ TEST(AdaptiveCampaign, SendOrderMatchesRecordedHash) {
   }
   EXPECT_EQ(probes, engine.prober().budget_spent_total());
   EXPECT_EQ(hash, kSendOrderHash) << std::hex << "send-order hash 0x" << hash;
+  // The queue's work, for the test report (--gtest_output=xml).
+  RecordProperty("queue_moves",
+                 std::to_string(engine.prober().queue_moves_total()));
 }
 
 TEST(AdaptiveCampaign, AdaptiveBudgetScenarioPackMatchesGoldens) {
