@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Sanitizer sweep: builds the tree under ASan+UBSan and runs the tier-1
-# test suite plus an explicit pass over the fault-injection label
-# (corrupt pcap corpus, impairment stage), then builds under TSan and
-# runs the concurrency-heavy tests (metrics registry, campaign runner and
-# its worker pool, ring buffer, flight recorder). The werror pass builds
-# the whole tree (src, tests, bench, tools, examples, fuzz replay
-# runners) with the tree's own -Wall -Wextra plus -Werror, so a new
-# warning fails the sweep.
+# Sanitizer sweep: builds the tree under ASan+UBSan with asserts on and
+# runs the tier-1 test suite plus an explicit pass over the
+# fault-injection label (corrupt pcap corpus, impairment stage), then
+# builds under TSan and runs the concurrency-heavy tests (metrics
+# registry, campaign runner and its worker pool, ring buffer, flight
+# recorder). The werror pass builds the whole tree (src, tests, bench,
+# tools, examples, fuzz replay runners) with the tree's own -Wall
+# -Wextra plus -Werror, so a new warning fails the sweep.
 #
 # Usage: scripts/sanitize.sh [asan|tsan|werror|all]   (default: all)
 #
@@ -20,7 +20,11 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 
 run_asan() {
   echo "== ASan + UBSan: full tier-1 suite =="
-  cmake -B build-asan -S . -DSVCDISC_SANITIZE=address >/dev/null
+  # RelWithDebInfo without -DNDEBUG: src's asserts (among them the check
+  # in ScanOutcomes::push that the sweep's machines send in lockstep) run
+  # in this pass and in no other scripted build.
+  cmake -B build-asan -S . -DSVCDISC_SANITIZE=address \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" >/dev/null
   cmake --build build-asan -j "$jobs"
   (cd build-asan && ctest --output-on-failure -j "$jobs")
   # The faults label feeds the parsers corrupt input on purpose — the
@@ -56,9 +60,9 @@ run_asan() {
   # The prober label covers the probe grid both modes share: raw index
   # arithmetic over hints + targets x ports, the /24 row pages and the
   # virtual-index decode, replayed against a reference model for the
-  # sweep and for the adaptive mode; and the 8-byte outcome store's bit
-  # packing (status, block-relative times, the exact-time side map)
-  # against a std::vector model.
+  # sweep and for the adaptive mode; and the outcome store's bit packing
+  # (4 or 8 bytes per probe: status, block-relative times, the exact-time
+  # side map) against a std::vector model.
   echo "== ASan + UBSan: prober =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L prober)
   # The event_core label covers the event heap's index arithmetic and

@@ -277,22 +277,7 @@ void Prober::start_scan(ScanSpec spec,
                            current_.started.usec);
   alive_hosts_.clear();
 
-  // One pacing bucket per machine (the paper's per-machine rate limit);
-  // burst 1 reproduces strict 1/rate spacing.
-  const std::size_t machines = config_.source_addrs.size();
-  buckets_.clear();
-  buckets_.reserve(machines);
-  for (std::size_t m = 0; m < machines; ++m) {
-    buckets_.emplace_back(spec_.probes_per_sec, 1.0);
-    if (metrics_) {
-      buckets_.back().attach_metrics(*metrics_,
-                                     metrics_prefix_ + ".rate_limiter");
-    }
-  }
-
   space_ = std::make_shared<ProbeSpace>();
-  space_->tcp_ports = spec_.tcp_ports;
-  space_->udp_ports = spec_.udp_ports;
   if (adaptive_) {
     // The hints this scan ranks; later ones wait for the next scan.
     space_->hint_list = hint_list_;
@@ -313,11 +298,11 @@ void Prober::start_scan(ScanSpec spec,
         static_cast<std::uint32_t>(scan_targets_->size());
     phase_targets_ = scan_targets_.get();
   } else {
-    space_->targets = share_targets(std::move(scan_targets_));
+    space_->targets = std::move(scan_targets_);
     phase_targets_ = space_->targets.get();
   }
   try {
-    plan_phase(pinging_, phase_targets_->size());
+    plan_phase(pinging_);
   } catch (...) {
     in_progress_ = false;  // nothing was sent; the prober stays usable
     throw;
@@ -325,71 +310,70 @@ void Prober::start_scan(ScanSpec spec,
   start_phase();
 }
 
-void Prober::plan_phase(bool ping, std::size_t target_count) {
+void Prober::plan_phase(bool ping) {
   // Split targets evenly across prober machines, preserving probe order
   // within each machine's share (address-major, port-minor). Only the
   // split is computed here; send_next() computes individual probes on
   // demand. A port phase also gets its index space.
-  const std::size_t columns = space_->columns();
+  const std::vector<net::Ipv4>& targets = *phase_targets_;
   // Cells store 1 + an outcome index and the queue holds cell indices,
   // all in 32 bits; a phase has at most one outcome per cell. The ping
   // phase checks too: its target list bounds the port phase's.
-  if (space_->hint_count + target_count * columns >
+  if (space_->hint_count + targets.size() * (spec_.tcp_ports.size() +
+                                              spec_.udp_ports.size()) >
       std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error(
         "Prober: hints + targets x ports exceeds the 2^32 - 1 probe index "
         "space");
   }
-  plan_ = SweepOrder(target_count, ping ? 1 : columns,
-                     config_.source_addrs.size());
-  if (ping) return;
+  const std::size_t machines = config_.source_addrs.size();
+  if (ping) {
+    plan_ = SweepOrder(targets.size(), 1, machines);
+    return;
+  }
 
-  // Index the grid: first occurrences win, so a repeated target or port
-  // shares the first one's cells.
-  const std::vector<net::Ipv4>& targets = *phase_targets_;
-  columns_ = columns;
-  bool repeats = false;
-  for (std::size_t i = 0; i < target_count; ++i) {
+  // Index the grid, keeping only the first occurrence of a target or a
+  // port. The target list is copied only when it repeats one.
+  std::uint32_t rows = 0;
+  std::vector<net::Ipv4> kept;  // rows so far, once a repeat shows up
+  for (std::size_t i = 0; i < targets.size(); ++i) {
     std::uint32_t& slot = row_slot(targets[i]);
-    repeats |= slot != 0;
-    if (slot == 0) slot = static_cast<std::uint32_t>(i) + 1;
+    if (slot == 0) {
+      slot = ++rows;
+      if (!kept.empty()) kept.push_back(targets[i]);
+    } else if (kept.empty()) {
+      kept.assign(targets.begin(), targets.begin() + i);
+    }
   }
-  for (std::size_t c = 0; c < columns; ++c) {
-    const passive::ServiceKey key = space_->grid_key({}, c);
-    repeats |= !column_of_
-                    .emplace(column_key(key.proto, key.port),
-                             static_cast<std::uint32_t>(c))
-                    .second;
+  if (rows != targets.size()) {
+    space_->targets =
+        std::make_shared<const std::vector<net::Ipv4>>(std::move(kept));
   }
-  // A sweep whose machines start in step sends every cell once, in its
-  // SweepOrder, so the order alone names each outcome's cell.
-  if (!adaptive_ && !repeats &&
-      buckets_in_step(network_.simulator().now())) {
+  space_->targets = share_targets(std::move(space_->targets));
+  phase_targets_ = space_->targets.get();
+  const auto add_column = [this](net::Proto proto, net::Port port,
+                                 std::vector<net::Port>& ports) {
+    const auto column = static_cast<std::uint32_t>(column_of_.size());
+    if (column_of_.emplace(column_key(proto, port), column).second) {
+      ports.push_back(port);
+    }
+  };
+  for (const net::Port port : spec_.tcp_ports) {
+    add_column(net::Proto::kTcp, port, space_->tcp_ports);
+  }
+  for (const net::Port port : spec_.udp_ports) {
+    add_column(net::Proto::kUdp, port, space_->udp_ports);
+  }
+  columns_ = column_of_.size();
+  plan_ = SweepOrder(rows, columns_, machines);
+  if (!adaptive_) {
     current_.outcomes = ScanOutcomes(space_, plan_);
     current_.outcomes.reserve(plan_.size());
     return;
   }
-  current_.outcomes = ScanOutcomes(space_);
   // The adaptive mode reserves for its budget in rank_candidates.
-  if (!adaptive_) current_.outcomes.reserve(plan_.size());
-  target_row_.resize(target_count);
-  for (std::size_t i = 0; i < target_count; ++i) {
-    target_row_[i] = *find_row(targets[i]) - 1;
-  }
-  port_column_.resize(columns);
-  for (std::size_t c = 0; c < columns; ++c) {
-    const passive::ServiceKey key = space_->grid_key({}, c);
-    port_column_[c] = column_of_.find(column_key(key.proto, key.port))->second;
-  }
-  cell_outcome_.assign(space_->hint_count + target_count * columns, 0);
-}
-
-bool Prober::buckets_in_step(util::TimePoint now) const {
-  // Same rate and burst by construction; equal tokens now make equal
-  // states after each machine's first send at `now`.
-  return std::ranges::all_of(buckets_, [&](const TokenBucket& bucket) {
-    return bucket.tokens_at(now) == buckets_.front().tokens_at(now);
-  });
+  current_.outcomes = ScanOutcomes(space_);
+  cell_outcome_.assign(space_->hint_count + std::size_t{rows} * columns_, 0);
 }
 
 void Prober::rank_candidates() {
@@ -411,12 +395,12 @@ void Prober::rank_candidates() {
     queue_.push(kHintScore, h);
     ++queued;
   }
-  // Then the grid, one class run per (/24 page, first-occurrence column)
-  // over the page's first-occurrence rows. A cell on an address with a
-  // confirmed open has a per-cell term, so it is queued on its own.
+  // Then the grid, one class run per (/24 page, column) over the page's
+  // rows. A cell on an address with a confirmed open has a per-cell
+  // term, so it is queued on its own.
   std::sort(covered.begin(), covered.end());
   // Per row: whether a hint took over one of its cells.
-  std::vector<char> row_covered(target_row_.size(), 0);
+  std::vector<char> row_covered(phase_targets_->size(), 0);
   for (const std::uint32_t cell : covered) {
     row_covered[(cell - hints.size()) / columns_] = 1;
   }
@@ -439,7 +423,6 @@ void Prober::rank_candidates() {
     }
     const std::uint32_t id = queue_.add_page(bases);
     for (std::size_t column = 0; column < columns_; ++column) {
-      if (port_column_[column] != column) continue;
       ScoreQueue::RunBits bits{};
       std::optional<std::uint32_t> least;  // the run's first cell
       for (std::size_t k = 0; k < rows.size(); ++k) {
@@ -469,7 +452,19 @@ void Prober::rank_candidates() {
 void Prober::start_phase() {
   const bool ranked = adaptive_ && !pinging_;
   if (ranked) rank_candidates();
+  // One pacing bucket per machine (the paper's per-machine rate limit);
+  // burst 1 reproduces strict 1/rate spacing. Fresh buckets start every
+  // machine in step, so a sweep's machines send in its SweepOrder.
   const std::size_t machines = config_.source_addrs.size();
+  buckets_.clear();
+  buckets_.reserve(machines);
+  for (std::size_t m = 0; m < machines; ++m) {
+    buckets_.emplace_back(spec_.probes_per_sec, 1.0);
+    if (metrics_) {
+      buckets_.back().attach_metrics(*metrics_,
+                                     metrics_prefix_ + ".rate_limiter");
+    }
+  }
   cursor_.assign(machines, 0);
   // Count the idle machines before the first send: a machine whose whole
   // share is one probe finishes inside that send_next, and its end-of-
@@ -502,10 +497,10 @@ void Prober::begin_port_phase() {
     if (alive_hosts_.contains(addr)) alive.push_back(addr);
   }
   scan_targets_.reset();
-  space_->targets = share_targets(
-      std::make_shared<const std::vector<net::Ipv4>>(std::move(alive)));
+  space_->targets =
+      std::make_shared<const std::vector<net::Ipv4>>(std::move(alive));
   phase_targets_ = space_->targets.get();
-  plan_phase(/*ping=*/false, phase_targets_->size());
+  plan_phase(/*ping=*/false);
   start_phase();
 }
 
@@ -537,17 +532,10 @@ void Prober::send_next(std::size_t machine) {
       network_.send(ping);
       if (m_pings_) m_pings_->inc();
     } else {
-      const std::size_t target = cell / columns_;
-      const std::size_t column = cell % columns_;
-      // Indexed, a repeated target or port folds into its first's cell.
-      const std::size_t grid =
-          current_.outcomes.index_free()
-              ? cell
-              : std::size_t{target_row_[target]} * columns_ +
-                    port_column_[column];
       send_port_probe(source,
-                      space_->grid_key((*phase_targets_)[target], column),
-                      static_cast<std::uint32_t>(grid), now);
+                      space_->grid_key((*phase_targets_)[cell / columns_],
+                                       cell % columns_),
+                      static_cast<std::uint32_t>(cell), now);
     }
     last = ++cursor == plan_.probes(machine);
   } else {
@@ -596,13 +584,8 @@ void Prober::send_next(std::size_t machine) {
 
 void Prober::send_port_probe(net::Ipv4 source, const passive::ServiceKey& key,
                              std::uint32_t cell, util::TimePoint now) {
-  // A cell gets a fresh outcome unless it still awaits an answer: a
-  // repeated target or port probed while the first probe is pending
-  // folds into that probe's outcome. An index-free sweep repeats none.
-  if (current_.outcomes.index_free()) {
-    current_.outcomes.push(cell, now);
-  } else if (cell_outcome_[cell] == 0) {
-    current_.outcomes.push(cell, now);
+  current_.outcomes.push(cell, now);
+  if (adaptive_) {
     cell_outcome_[cell] = static_cast<std::uint32_t>(current_.outcomes.size());
   }
   send_probe(source, key.addr, key.proto, key.port);
@@ -655,8 +638,6 @@ void Prober::finalize_scan() {
   space_ = nullptr;
   scan_targets_ = nullptr;
   cell_outcome_ = {};
-  target_row_ = {};
-  port_column_ = {};
   row_pages_ = decltype(row_pages_)();
   page_of_ = {};
   memo_page_ = nullptr;
@@ -747,7 +728,7 @@ std::optional<std::size_t> Prober::take_pending(
   const std::optional<std::uint32_t> cell = cell_of(key);
   if (!cell) return std::nullopt;
   const ScanOutcomes& outcomes = current_.outcomes;
-  if (outcomes.index_free()) {
+  if (!adaptive_) {
     // Sent once it has a position below size(); answered once settled.
     const std::uint32_t i = outcomes.order().position(*cell);
     if (i >= outcomes.size() || outcomes.status(i) != ProbeStatus::kPending) {
@@ -777,8 +758,8 @@ void Prober::on_packet(const net::Packet& p) {
           resolve(key, ProbeStatus::kOpen);
           return;
         }
-        // The adaptive mode is always indexed: the cell stops awaiting an
-        // answer while the outcome stays pending.
+        // The adaptive mode's cell stops awaiting an answer while the
+        // outcome stays pending.
         const std::optional<std::size_t> outcome_index = take_pending(key);
         if (!outcome_index) return;  // stray, late, duplicate
         // First stage answered; the verdict now rides on the data probe.

@@ -70,7 +70,8 @@ enum class ProbeStatus : std::uint8_t {
 };
 
 /// One probe's result as readers see it: a 16-byte value decoded from
-/// the scan's 8-byte stored record (ScanOutcomes), never kept itself.
+/// the scan's stored record (ScanOutcomes: 4 or 8 bytes per probe),
+/// never kept itself.
 struct ProbeOutcome {
   net::Ipv4 addr{};
   net::Proto proto{net::Proto::kTcp};
@@ -184,12 +185,12 @@ static_assert(sizeof(StoredOutcome) == 8);
 /// after its block's base). Blocks of kBlock consecutive outcomes share a
 /// base time, the `when` of the block's first outcome; a `when` outside
 /// [base, base + kExact) stores the offset kExact and sits, exact, in a
-/// side map. Two layouts name an outcome's probe:
-///   * index-free: a sweep over a grid with no repeated target or port,
-///     sent in its SweepOrder; outcome i is the probe of cell
-///     order().cell(i), 4 bytes per probe;
-///   * indexed: every other scan keeps each outcome's index in the
-///     ProbeSpace beside its word, 8 bytes per probe.
+/// side map. The prober's mode picks how an outcome names its probe:
+///   * index-free: a sweep, sent in its SweepOrder; outcome i is the
+///     probe of cell order().cell(i), 4 bytes per probe;
+///   * indexed: the adaptive mode (and a hand-built record) keeps each
+///     outcome's index in the ProbeSpace beside its word, 8 bytes per
+///     probe.
 /// Reads decode a ProbeOutcome through the ProbeSpace in either layout.
 class ScanOutcomes {
  public:
@@ -272,7 +273,7 @@ class ScanOutcomes {
   }
   /// Appends a pending outcome of cell `index` sent at `when`. The
   /// prober pushes in send order, so a block's times fit its base and an
-  /// index-free store's next position names cell `index`.
+  /// index-free store's next position names cell `index` (asserted).
   void push(std::uint32_t index, util::TimePoint when);
   void set(std::size_t i, ProbeStatus status, util::TimePoint when);
   void set_status(std::size_t i, ProbeStatus status);
@@ -313,7 +314,8 @@ struct ScanRecord {
 };
 
 struct ScanSpec {
-  /// Addresses to probe, in probe order.
+  /// Addresses to probe, in probe order; a repeated address or port is
+  /// probed once, at its first occurrence.
   std::vector<net::Ipv4> targets;
   std::vector<net::Port> tcp_ports;
   std::vector<net::Port> udp_ports;
@@ -325,14 +327,14 @@ struct ScanSpec {
   /// port probes sent only to responders. The paper omits this
   /// optimization from its scans ("we omit this optimization", §5.4);
   /// it speeds scans of sparse space at the cost of missing ping-silent
-  /// hosts — quantified by bench_ablation_hostdiscovery.
+  /// hosts — quantified by `bench_figures ablation_hostdiscovery`.
   bool host_discovery{false};
   /// Service-specific UDP probes: send a well-formed application request
   /// instead of an empty datagram, so implementations that ignore
   /// malformed input still answer. Nmap supports this; the paper was
   /// "not allowed to use that service due to potential privacy concerns"
   /// (§4.5). Turns most "possibly open" verdicts into definite ones —
-  /// quantified by bench_ablation_udp_probes.
+  /// quantified by `bench_figures ablation_udp_probes`.
   bool udp_service_probes{false};
 };
 
@@ -470,17 +472,16 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   };
 
   // Scan phases.
-  void plan_phase(bool ping, std::size_t target_count);
+  /// Plans the phase over *phase_targets_. A port phase also indexes its
+  /// grid, dropping repeated targets and ports.
+  void plan_phase(bool ping);
   /// Queues the adaptive port phase's candidates: hints, then the grid.
   void rank_candidates();
-  /// Whether every machine's pacing bucket is in the same state now, so
-  /// machines that start a phase together stay in lockstep.
-  bool buckets_in_step(util::TimePoint now) const;
+  /// Gives every machine a full pacing bucket and sends its first probe.
   void start_phase();
   void begin_port_phase();
   void send_next(std::size_t machine);
-  /// Sends a port probe and opens (or, indexed, folds into) the outcome
-  /// of cell `cell`.
+  /// Sends a port probe and opens the outcome of cell `cell`.
   void send_port_probe(net::Ipv4 source, const passive::ServiceKey& key,
                        std::uint32_t cell, util::TimePoint now);
   void machine_done();
@@ -498,7 +499,7 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   /// while its address has no confirmed open: the subnet affinity.
   double class_score(std::uint32_t index) const;
   /// A row page: the rows of one /24's 256 addresses, each 0 (no row)
-  /// or 1 + the row of the address's first occurrence.
+  /// or 1 + the address's row.
   using RowPage = std::array<std::uint32_t, 256>;
   /// The row slot of `addr`, or null when its /24 holds no target.
   std::uint32_t* find_row(net::Ipv4 addr);
@@ -510,8 +511,9 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   /// none.
   std::optional<std::uint32_t> cell_of(const passive::ServiceKey& key);
   /// The outcome index of `key`'s probe awaiting an answer, or none (a
-  /// stray, late or duplicate reply). Indexed, the cell stops awaiting;
-  /// index-free, the outcome awaits until the caller settles it.
+  /// stray, late or duplicate reply). In the adaptive mode the cell stops
+  /// awaiting; in the sweep the outcome awaits until the caller settles
+  /// it.
   std::optional<std::size_t> take_pending(const passive::ServiceKey& key);
 
   // Replies.
@@ -569,22 +571,19 @@ class Prober final : public sim::PacketSink, public sim::TimerTarget {
   util::FlatSet<net::Ipv4> alive_hosts_;
 
   // The port phase's index space (DESIGN.md §16). space_ holds the
-  // scan's hints, targets and ports, and passes to the ScanRecord; the
-  // rest is built by plan_phase and rank_candidates and freed when the
-  // scan finishes. Grid row r is the r-th phase target, column c the c-th
-  // port-list entry (TCP ports, then UDP); a repeated target or port maps
-  // to the row or column of its first occurrence. An index-free sweep
+  // scan's hints, targets and ports, none repeated, and passes to the
+  // ScanRecord; the rest is built by plan_phase and rank_candidates and
+  // freed when the scan finishes. Grid row r is the r-th phase target,
+  // column c the c-th port-list entry (TCP ports, then UDP). The sweep
   // needs only the row pages and column_of_: a cell's outcome is at its
-  // send position. The indexed layout adds the three vectors; a cell
-  // there holds 0 while not awaiting an answer, else 1 + the index in
-  // current_.outcomes of its pending probe.
+  // send position. The adaptive mode adds cell_outcome_: a cell holds 0
+  // while not awaiting an answer, else 1 + the index in current_.outcomes
+  // of its pending probe.
   std::shared_ptr<ProbeSpace> space_;
   /// The last port phase's targets, shared with the next scan if equal.
   std::shared_ptr<const std::vector<net::Ipv4>> last_targets_;
   std::size_t columns_{0};
   std::vector<std::uint32_t> cell_outcome_;  // hint cells, then the grid
-  std::vector<std::uint32_t> target_row_;   // per phase target: its row
-  std::vector<std::uint32_t> port_column_;  // per port-list entry: column
   // Address -> row: one 1 KiB page per /24 holding a target, found
   // through a /24 -> page directory and a memo of the last page used.
   std::vector<std::unique_ptr<RowPage>> row_pages_;

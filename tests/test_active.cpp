@@ -276,10 +276,10 @@ TEST_F(ProberFixture, EmptyScanCompletes) {
 // ------------------------------------------------- Probe bookkeeping --
 //
 // Which probes get an outcome, which replies resolve one, and which are
-// ignored. A probe gets a fresh outcome unless an earlier probe of the
-// same (addr, port, proto) is still pending; a reply resolves the
-// pending outcome of its (addr, port, proto) once, and is a no-op when
-// there is none.
+// ignored. A scan probes each (addr, port, proto) once, a repeated
+// target or port at its first occurrence, and gives the probe one
+// outcome; a reply resolves the pending outcome of its (addr, port,
+// proto) once, and is a no-op when there is none.
 
 /// A target whose replies a test scripts: every probe delivered to it
 /// goes to `reply`.
@@ -316,11 +316,11 @@ struct BookkeepingFixture : ProberFixture {
   const Ipv4 b = Ipv4::from_octets(128, 125, 5, 2);
 };
 
-TEST_F(BookkeepingFixture, DuplicateTargetReprobesOnlyResolvedCells) {
+TEST_F(BookkeepingFixture, DuplicateTargetIsProbedOnce) {
   Host& up = add_host(a);  // 80 open, 22 closed (RST)
   up.add_service(tcp(80));
-  // b has no host: its first probes stay pending, so the repeats of b
-  // add no outcome, while the repeats of a (already answered) do.
+  // The repeats of a (answered) and of b (no host, still pending when
+  // the repeat would go out) are both dropped.
   Prober prober(network, {{prober_addr}});
   prober.attach_metrics(registry, "active");
   std::optional<ScanRecord> record;
@@ -328,12 +328,12 @@ TEST_F(BookkeepingFixture, DuplicateTargetReprobesOnlyResolvedCells) {
                     [&](const ScanRecord& r) { record = r; });
   sim.run();
   ASSERT_TRUE(record.has_value());
-  ASSERT_EQ(record->outcomes.size(), 6u);
+  ASSERT_EQ(record->outcomes.size(), 4u);
   const std::vector<std::pair<Ipv4, net::Port>> keys = {
-      {a, 80}, {a, 22}, {b, 80}, {b, 22}, {a, 80}, {a, 22}};
+      {a, 80}, {a, 22}, {b, 80}, {b, 22}};
   const std::vector<ProbeStatus> statuses = {
-      ProbeStatus::kOpen,     ProbeStatus::kClosed, ProbeStatus::kFiltered,
-      ProbeStatus::kFiltered, ProbeStatus::kOpen,   ProbeStatus::kClosed};
+      ProbeStatus::kOpen, ProbeStatus::kClosed, ProbeStatus::kFiltered,
+      ProbeStatus::kFiltered};
   for (std::size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(record->outcomes[i].addr, keys[i].first) << i;
     EXPECT_EQ(record->outcomes[i].port, keys[i].second) << i;
@@ -341,9 +341,9 @@ TEST_F(BookkeepingFixture, DuplicateTargetReprobesOnlyResolvedCells) {
   }
   // Unanswered outcomes keep their send time; answered ones the reply's.
   EXPECT_EQ(record->outcomes[2].when, kEpoch + util::msec(20));
-  EXPECT_GT(record->outcomes[4].when, record->outcomes[1].when);
-  EXPECT_EQ(registry.snapshot().value_of("active.probes_tcp_sent"), 8.0);
-  EXPECT_EQ(responses(), 4u);
+  EXPECT_GT(record->outcomes[1].when, kEpoch + util::msec(10));
+  EXPECT_EQ(registry.snapshot().value_of("active.probes_tcp_sent"), 4.0);
+  EXPECT_EQ(responses(), 2u);
   EXPECT_EQ(prober.table().size(), 1u);
 }
 
@@ -352,40 +352,26 @@ TEST_F(BookkeepingFixture, DuplicatedPortInList) {
   up.add_service(tcp(80));
   ScanSpec spec = spec_for({a});
   spec.tcp_ports = {80, 80, 22};
-  {
-    // Slow pacing: the first 80 probe is answered before the repeat goes
-    // out, so the repeat gets its own outcome.
+  // {80, 80, 22} is probed as {80, 22}, whether the first 80 probe is
+  // answered before the repeat would go out (10 ms apart) or not (100 us
+  // apart, 2 ms round trip).
+  for (const double rate : {100.0, 10000.0}) {
+    SCOPED_TRACE(testing::Message() << rate << " probes/s");
+    spec.probes_per_sec = rate;
+    util::MetricsRegistry metrics;
     Prober prober(network, {{prober_addr}});
-    prober.attach_metrics(registry, "active");
-    std::optional<ScanRecord> record;
-    prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
-    sim.run();
-    ASSERT_TRUE(record.has_value());
-    ASSERT_EQ(record->outcomes.size(), 3u);
-    EXPECT_EQ(record->outcomes[0].port, 80);
-    EXPECT_EQ(record->outcomes[1].port, 80);
-    EXPECT_EQ(record->outcomes[2].port, 22);
-    EXPECT_EQ(record->count(ProbeStatus::kOpen), 2u);
-    EXPECT_EQ(responses(), 3u);
-  }
-  {
-    // Fast pacing (100 us apart, 2 ms round trip): the repeat goes out
-    // while the first is pending and folds into it; the second SYN-ACK
-    // is a duplicate reply.
-    spec.probes_per_sec = 10000.0;
-    util::MetricsRegistry fast;
-    Prober prober(network, {{prober_addr}});
-    prober.attach_metrics(fast, "active");
+    prober.attach_metrics(metrics, "active");
     std::optional<ScanRecord> record;
     prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
     sim.run();
     ASSERT_TRUE(record.has_value());
     ASSERT_EQ(record->outcomes.size(), 2u);
+    EXPECT_EQ(record->outcomes[0].port, 80);
     EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
     EXPECT_EQ(record->outcomes[1].port, 22);
     EXPECT_EQ(record->outcomes[1].status, ProbeStatus::kClosed);
-    EXPECT_EQ(fast.snapshot().value_of("active.probes_tcp_sent"), 3.0);
-    EXPECT_EQ(fast.snapshot().value_of("active.responses_received"), 2.0);
+    EXPECT_EQ(metrics.snapshot().value_of("active.probes_tcp_sent"), 2.0);
+    EXPECT_EQ(metrics.snapshot().value_of("active.responses_received"), 2.0);
   }
 }
 
@@ -513,19 +499,15 @@ TEST_F(BookkeepingFixture, PortUnreachableQuotingTcpProbeCloses) {
 // replays whatever the prober sent, in send order, so it holds for the
 // adaptive mode's ranked order as for the sweep's, and for both outcome
 // layouts (DESIGN.md §16): the sweep runs on one to five machines, and
-// half its scans drop repeated targets and ports.
+// half the scans drop repeated targets and ports before the prober does.
+// Both modes must probe each distinct (target, port) of the port phase
+// exactly once.
 
 /// How many of a property run's scans kept each outcome layout.
 struct Layouts {
   int index_free{0};
   int indexed{0};
 };
-
-template <typename T>
-bool has_repeat(std::vector<T> list) {
-  std::sort(list.begin(), list.end());
-  return std::adjacent_find(list.begin(), list.end()) != list.end();
-}
 
 template <typename T>
 void drop_repeats(std::vector<T>& list) {
@@ -757,21 +739,38 @@ void check_reference_model(const TargetPool& pool,
       }
     }
 
-    // A sweep over a port-phase grid with no repeated target or port is
-    // index-free (its machines start the port phase in step: 150 ms
-    // between the phases refill every bucket); all else is indexed.
-    std::vector<Ipv4> grid_targets;
-    for (const Ipv4 addr : spec.targets) {
-      if (!spec.host_discovery || ping_alive.contains(addr.value())) {
-        grid_targets.push_back(addr);
-      }
-    }
-    const bool repeats = has_repeat(grid_targets) ||
-                         has_repeat(spec.tcp_ports) ||
-                         has_repeat(spec.udp_ports);
-    EXPECT_EQ(record->outcomes.index_free(), !adaptive && !repeats);
+    // A sweep is index-free, the adaptive mode indexed.
+    EXPECT_EQ(record->outcomes.index_free(), !adaptive);
     ++(record->outcomes.index_free() ? layouts->index_free
                                      : layouts->indexed);
+
+    // The port phase probes every distinct (target, port) of its grid
+    // once, and the adaptive mode each queued hint off the grid once.
+    const auto on_port_phase = [&](Ipv4 addr) {
+      return !spec.host_discovery || ping_alive.contains(addr.value());
+    };
+    std::map<Key, int> want_probes;
+    for (const Ipv4 addr : spec.targets) {
+      if (!on_port_phase(addr)) continue;
+      for (const net::Port port : spec.tcp_ports) {
+        want_probes[{addr.value(), port, net::Proto::kTcp}] = 1;
+      }
+      for (const net::Port port : spec.udp_ports) {
+        want_probes[{addr.value(), port, net::Proto::kUdp}] = 1;
+      }
+    }
+    for (const passive::ServiceKey& hint : hints) {
+      if (on_port_phase(hint.addr)) {
+        want_probes[{hint.addr.value(), hint.port, hint.proto}] = 1;
+      }
+    }
+    std::map<Key, int> probes;
+    for (const Event& e : log) {
+      if (e.sent && e.p.proto != net::Proto::kIcmp) {
+        ++probes[{e.p.dst.value(), e.p.dport, e.p.proto}];
+      }
+    }
+    EXPECT_EQ(probes, want_probes);
 
     ASSERT_EQ(record->outcomes.size(), outcomes.size());
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
@@ -879,14 +878,14 @@ TEST_F(BookkeepingFixture, MatchesReferenceModelOnRandomScans) {
   Layouts layouts;
   check_reference_model(single_page_pool(), std::nullopt, &layouts);
   EXPECT_GT(layouts.index_free, 60);
-  EXPECT_GT(layouts.indexed, 60);
+  EXPECT_EQ(layouts.indexed, 0);
 }
 
 TEST_F(BookkeepingFixture, MatchesReferenceModelAcrossRowPages) {
   Layouts layouts;
   check_reference_model(row_pages_pool(), std::nullopt, &layouts);
   EXPECT_GT(layouts.index_free, 60);
-  EXPECT_GT(layouts.indexed, 60);
+  EXPECT_EQ(layouts.indexed, 0);
 }
 
 // The adaptive mode on one machine, verification off (a SYN-ACK is
@@ -906,9 +905,9 @@ TEST_F(BookkeepingFixture, AdaptiveModeMatchesReferenceModel) {
 
 TEST_F(BookkeepingFixture, DuplicateTargetAcrossRowPagesSharesFirstRow) {
   // The repeat of a comes after c's page was allocated (and memoized), and
-  // c's repeat after a's page is back in the memo. a answers, so its
-  // repeat gets fresh outcomes; c is dark, so its repeat folds into the
-  // first, still pending.
+  // c's repeat after a's page is back in the memo. Both repeats find
+  // their first row and are dropped, whether answered (a) or still
+  // pending (c, dark); b then takes the third row.
   const Ipv4 c = Ipv4::from_octets(128, 125, 77, 1);
   Host& up = add_host(a);  // 80 open, 22 closed (RST)
   up.add_service(tcp(80));
@@ -922,15 +921,14 @@ TEST_F(BookkeepingFixture, DuplicateTargetAcrossRowPagesSharesFirstRow) {
   const std::vector<std::pair<Ipv4, ProbeStatus>> want = {
       {a, ProbeStatus::kOpen},     {a, ProbeStatus::kClosed},
       {c, ProbeStatus::kFiltered}, {c, ProbeStatus::kFiltered},
-      {a, ProbeStatus::kOpen},     {a, ProbeStatus::kClosed},
       {b, ProbeStatus::kFiltered}, {b, ProbeStatus::kFiltered}};
   ASSERT_EQ(record->outcomes.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(record->outcomes[i].addr, want[i].first) << i;
     EXPECT_EQ(record->outcomes[i].status, want[i].second) << i;
   }
-  EXPECT_EQ(registry.snapshot().value_of("active.probes_tcp_sent"), 10.0);
-  EXPECT_EQ(responses(), 4u);
+  EXPECT_EQ(registry.snapshot().value_of("active.probes_tcp_sent"), 6.0);
+  EXPECT_EQ(responses(), 2u);
 }
 
 TEST_F(BookkeepingFixture, IgnoresStrayFromNonTargetInAllocatedPage) {
@@ -1028,10 +1026,9 @@ TEST_F(BookkeepingFixture, RejectsGridBeyondIndexRange) {
 
 // ------------------------------------------------------ Outcome layouts --
 //
-// A scan's record layout (DESIGN.md §16) follows from the scan alone: a
-// sweep whose machines start the port phase in step, over a grid with no
-// repeated target or port, is index-free; every other scan keeps each
-// outcome's probe index.
+// A scan's record layout (DESIGN.md §16) follows from the prober's mode
+// alone: a sweep is index-free; the adaptive mode, like a record built by
+// hand, keeps each outcome's probe index.
 
 TEST_F(BookkeepingFixture, RepeatFreeSweepIsIndexFreeInRoundRobinOrder) {
   // Five targets on three machines: shares of two, two and one target,
@@ -1076,20 +1073,28 @@ TEST_F(BookkeepingFixture, RepeatFreeSweepIsIndexFreeInRoundRobinOrder) {
   EXPECT_EQ(record->count(ProbeStatus::kFiltered), 8u);
 }
 
-TEST_F(BookkeepingFixture, RepeatedTargetOrPortKeepsIndexedLayout) {
-  const auto index_free = [&](const ScanSpec& spec) {
+TEST_F(BookkeepingFixture, RepeatedTargetOrPortStaysIndexFree) {
+  const auto run = [&](const ScanSpec& spec) {
     Prober prober(network, {{prober_addr, Ipv4::from_octets(10, 1, 0, 2)}});
     std::optional<ScanRecord> record;
     prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
     sim.run();
-    return record.has_value() && record->outcomes.index_free();
+    return record.value_or(ScanRecord{});
   };
-  EXPECT_TRUE(index_free(spec_for({a, b})));
-  EXPECT_FALSE(index_free(spec_for({a, b, a})));
+  const ScanRecord plain = run(spec_for({a, b}));
+  EXPECT_TRUE(plain.outcomes.index_free());
+  const ScanRecord targets = run(spec_for({a, b, a}));
+  EXPECT_TRUE(targets.outcomes.index_free());
+  EXPECT_EQ(targets.outcomes.size(), 4u);
   ScanSpec ports = spec_for({a, b});
   ports.tcp_ports = {80, 22, 80};
-  EXPECT_FALSE(index_free(ports));
-  // A record built by hand is indexed too.
+  const ScanRecord columns = run(ports);
+  EXPECT_TRUE(columns.outcomes.index_free());
+  ASSERT_EQ(columns.outcomes.size(), plain.outcomes.size());
+  for (std::size_t i = 0; i < plain.outcomes.size(); ++i) {
+    EXPECT_EQ(columns.outcomes.key(i), plain.outcomes.key(i)) << i;
+  }
+  // A record built by hand is indexed.
   ScanRecord hand;
   hand.outcomes = {{a, net::Proto::kTcp, ProbeStatus::kOpen, 80, kEpoch}};
   EXPECT_FALSE(hand.outcomes.index_free());
@@ -1106,19 +1111,32 @@ TEST_F(BookkeepingFixture, AdaptiveModeKeepsIndexedLayout) {
   EXPECT_FALSE(record->outcomes.index_free());
 }
 
-TEST_F(BookkeepingFixture, PingPrePassOutOfStepKeepsIndexedLayout) {
+TEST_F(BookkeepingFixture, SlowPingPrePassStartsPortPhaseInStep) {
   // At 0.2 probes/s machine 0 pings twice (0 s, 5 s) and machine 1 once;
-  // 1.1 s later the port phase starts with machine 1's bucket full and
-  // machine 0's at 0.22 tokens, so machine 1 runs ahead and the send
-  // order is not the round-robin one. At 100 probes/s the pause refills
-  // both buckets and the port phase starts in step.
+  // 1.1 s later the port phase starts, too soon to refill machine 0's
+  // bucket. Buckets are rebuilt at each phase start, so both machines
+  // start the port phase full and send in the round-robin order, each
+  // still 1/rate apart. At 100 probes/s the pause alone refills them.
   const Ipv4 c = Ipv4::from_octets(128, 125, 5, 3);
-  for (const Ipv4 addr : {a, b, c}) add_host(addr);
+  ScriptedSink sink;  // answers every ping, logs the port probes
+  std::vector<passive::ServiceKey> order;  // port probes as they arrive
+  std::map<std::uint32_t, std::vector<util::TimePoint>> sent;  // per machine
+  sink.reply = [&](const net::Packet& probe) {
+    if (probe.proto == net::Proto::kIcmp) {
+      send_after(util::msec(1), echo_reply(probe));
+    } else {
+      order.push_back({probe.dst, probe.proto, probe.dport});
+      sent[probe.src.value()].push_back(probe.time);
+    }
+  };
+  for (const Ipv4 addr : {a, b, c}) network.attach(addr, &sink);
   ScanSpec spec = spec_for({a, b, c});
   spec.host_discovery = true;
   spec.timeout = util::seconds(1);
   const auto run = [&](double rate) {
     spec.probes_per_sec = rate;
+    order.clear();
+    sent.clear();
     Prober prober(network, {{prober_addr, Ipv4::from_octets(10, 1, 0, 2)}});
     std::optional<ScanRecord> record;
     prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
@@ -1127,13 +1145,26 @@ TEST_F(BookkeepingFixture, PingPrePassOutOfStepKeepsIndexedLayout) {
   };
   const ScanRecord slow = run(0.2);
   EXPECT_EQ(slow.hosts_alive, 3u);
-  EXPECT_FALSE(slow.outcomes.index_free());
-  ASSERT_EQ(slow.outcomes.size(), 6u);
-  // Machine 1's second probe goes out before machine 0's.
-  EXPECT_EQ(slow.outcomes.key(1).addr, c);
-  EXPECT_EQ(slow.outcomes.key(2),
-            (passive::ServiceKey{c, net::Proto::kTcp, 22}));
-  EXPECT_LT(slow.outcomes.when(2), slow.outcomes.when(3));
+  EXPECT_TRUE(slow.outcomes.index_free());
+  const std::vector<passive::ServiceKey> want = {
+      {a, net::Proto::kTcp, 80}, {c, net::Proto::kTcp, 80},
+      {a, net::Proto::kTcp, 22}, {c, net::Proto::kTcp, 22},
+      {b, net::Proto::kTcp, 80}, {b, net::Proto::kTcp, 22}};
+  // The record names each probe by its send position, so the probes
+  // must go out in that order.
+  EXPECT_EQ(order, want);
+  ASSERT_EQ(slow.outcomes.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(slow.outcomes.key(i), want[i]) << i;
+  }
+  ASSERT_EQ(sent.size(), 2u);
+  for (const auto& [machine, times] : sent) {
+    EXPECT_EQ(times.front(), sent.begin()->second.front());
+    for (std::size_t i = 1; i < times.size(); ++i) {
+      EXPECT_GE((times[i] - times[i - 1]).usec, util::seconds(5).usec)
+          << "machine " << Ipv4(machine).to_string() << " probe " << i;
+    }
+  }
 
   const ScanRecord fast = run(100.0);
   EXPECT_EQ(fast.hosts_alive, 3u);
